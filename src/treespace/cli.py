@@ -4,7 +4,8 @@ Subcommands cover the whole pipeline: dataset generation, pairwise
 distances, means, permutation tests, subtree features, classification,
 nearest neighbors, deviation correlations, embeddings and distortion
 reports.  Every run writes a manifest (argv, seeds, inputs, outputs,
-version, duration) next to its outputs, numeric outputs are byte-stable
+version, duration; ``mean`` adds the solver's iterations, stop reason and
+objective) next to its outputs, numeric outputs are byte-stable
 for a fixed seed at any ``--threads`` value, and ``--deterministic``
 additionally drops timestamps from SVG files and the manifest.
 
@@ -24,11 +25,11 @@ import numpy as np
 
 from . import __version__
 from .classify import cross_validate, knn_classify
-from .distmat import DistanceMatrix
+from .distmat import DistanceMatrix, csv_text
 from .embedding import EmbeddingConfig, distortion_report, embed
 from .geodesic import distance_matrix, geodesic_distance
-from .stats import (MeanConfig, frechet_mean, permutation_test,
-                    subtree_variance_correlation)
+from .stats import (MeanConfig, frechet_mean, frechet_mean_detailed,
+                    permutation_test, subtree_variance_correlation)
 from .subtrees import (DEFAULT_BRANCH_LABELS, SubtreeScheme,
                        compute_reference_means, extract_subtree,
                        feature_matrix, fold_feature_builder, FeatureMatrix)
@@ -135,7 +136,9 @@ def build_parser() -> _Parser:
     _add(p, "mean", "--input", required=True)
     _add(p, "mean", "-o", "--output", required=True)
     _add(p, "mean", "--max-iterations", type=int, default=None)
-    _add(p, "mean", "--tolerance", type=float, default=1e-6)
+    _add(p, "mean", "--tolerance", type=float,
+         default=MeanConfig.tolerance,
+         help="relative objective-gap estimate at which the search stops")
     _common(p, "mean")
 
     p = sub.add_parser("permtest", help="two-group permutation test")
@@ -235,6 +238,13 @@ def _load_matrix(path):
         raise CliError(INPUT_ERROR, f"input: {path}: {e}")
 
 
+def _load_features(path):
+    try:
+        return FeatureMatrix.from_csv(_read_text(path))
+    except ValueError as e:
+        raise CliError(INPUT_ERROR, f"input: {path}: {e}")
+
+
 def _json_text(data):
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
@@ -253,7 +263,7 @@ def _timestamp(args):
     return time.strftime("%Y-%m-%dT%H:%M:%S")
 
 
-def _manifest(args, argv, inputs, outputs, t0, where):
+def _manifest(args, argv, inputs, outputs, t0, where, diagnostics=None):
     data = {
         "command": args.cmd,
         "argv": list(argv),
@@ -265,6 +275,8 @@ def _manifest(args, argv, inputs, outputs, t0, where):
         "duration_s": 0.0 if args.deterministic
         else round(time.time() - t0, 3),
     }
+    if diagnostics is not None:
+        data["diagnostics"] = diagnostics
     _write(where, _json_text(data))
 
 
@@ -332,10 +344,13 @@ def _cmd_dist(args, argv, t0):
 def _cmd_mean(args, argv, t0):
     trees, _ = _load_population(args.input)
     cfg = MeanConfig(args.max_iterations, args.tolerance, args.seed)
-    mean = frechet_mean(trees, cfg)
-    path = _write(args.output, serialize_tree(mean) + "\n")
+    result = frechet_mean_detailed(trees, cfg)
+    path = _write(args.output, serialize_tree(result.tree) + "\n")
     _manifest(args, argv, [args.input], [path], t0,
-              Path(args.output).with_suffix(".manifest.json"))
+              Path(args.output).with_suffix(".manifest.json"),
+              diagnostics={"iterations": result.iterations,
+                           "stop_reason": result.stop_reason,
+                           "objective": result.objective})
 
 
 def _cmd_permtest(args, argv, t0):
@@ -380,7 +395,7 @@ def _cmd_classify(args, argv, t0):
                                 column_names=names)
         inputs = [args.input]
     else:
-        fm = FeatureMatrix.from_csv(_read_text(args.features))
+        fm = _load_features(args.features)
         if fm.y is None:
             raise CliError(INPUT_ERROR,
                            f"input: {args.features}: no class column")
@@ -458,8 +473,8 @@ def _cmd_embed(args, argv, t0):
     stamp = _timestamp(args)
     coords = result.coordinates
     lab = result.labels or ("",) * len(coords)
-    coord_rows = ["id,label,x,y"] + [
-        f"{i},{l},{x:.17g},{y:.17g}"
+    coord_rows = [["id", "label", "x", "y"]] + [
+        [i, l, f"{x:.17g}", f"{y:.17g}"]
         for i, l, (x, y) in zip(result.ids, lab, coords)]
     summary = {
         "method": result.method,
@@ -469,7 +484,7 @@ def _cmd_embed(args, argv, t0):
         "distortion": result.distortion.to_json(),
     }
     outputs = [
-        _write(out / "coordinates.csv", "\n".join(coord_rows) + "\n"),
+        _write(out / "coordinates.csv", csv_text(coord_rows)),
         _write(out / "embedding.json", _json_text(summary)),
         _write(out / "scatter.svg",
                svg_scatter(coords, lab, title=result.method,

@@ -3,17 +3,35 @@
 The CSV layout is one header row ``id,label,<id1>,<id2>,...`` followed by one
 row per point carrying its id, its label (empty when absent) and the full
 symmetric row of distances, printed with 17 significant digits so float64
-values round-trip exactly.
+values round-trip exactly.  Fields are quoted as the ``csv`` module does, so
+ids and labels may contain commas and quotes.
 """
 
 from __future__ import annotations
 
+import csv
 import io
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["DistanceMatrix"]
+
+
+def csv_text(rows) -> str:
+    """Rows of string cells as CSV, quoting only where a cell needs it."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+def csv_rows(text: str) -> list[list[str]]:
+    """The rows of a CSV text, blank lines skipped."""
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as e:
+        raise ValueError(f"malformed CSV: {e}")
+    return [r for r in rows if r and not (len(r) == 1 and not r[0].strip())]
 
 
 @dataclass
@@ -59,13 +77,10 @@ class DistanceMatrix:
         )
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("id,label," + ",".join(self.ids) + "\n")
         labels = self.labels or ("",) * len(self.ids)
-        for i, (pid, lab) in enumerate(zip(self.ids, labels)):
-            row = ",".join(f"{v:.17g}" for v in self.values[i])
-            out.write(f"{pid},{lab},{row}\n")
-        return out.getvalue()
+        return csv_text([["id", "label", *self.ids]] + [
+            [pid, lab, *(f"{v:.17g}" for v in self.values[i])]
+            for i, (pid, lab) in enumerate(zip(self.ids, labels))])
 
     def write_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -73,20 +88,19 @@ class DistanceMatrix:
 
     @classmethod
     def from_csv(cls, text: str) -> "DistanceMatrix":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
+        rows = csv_rows(text)
+        if not rows:
             raise ValueError("empty distance matrix CSV")
-        header = lines[0].split(",")
+        header = rows[0]
         if len(header) < 3 or header[0] != "id" or header[1] != "label":
             raise ValueError("expected header 'id,label,<id1>,...'")
         ids = tuple(header[2:])
         n = len(ids)
-        if len(lines) != n + 1:
-            raise ValueError(f"expected {n} data rows, found {len(lines) - 1}")
+        if len(rows) != n + 1:
+            raise ValueError(f"expected {n} data rows, found {len(rows) - 1}")
         values = np.zeros((n, n))
         labels = []
-        for i, line in enumerate(lines[1:]):
-            cells = line.split(",")
+        for i, cells in enumerate(rows[1:]):
             if len(cells) != n + 2:
                 raise ValueError(f"row {i}: expected {n + 2} cells")
             if cells[0] != ids[i]:

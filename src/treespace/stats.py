@@ -8,6 +8,11 @@ law-of-large-numbers scheme: walk from the current iterate a fraction
 seeded random order.  When every input shares one topology the minimizer is
 the coordinatewise average and is returned exactly.
 
+The walk's objective gap falls like O(1/k) in the number k of full cycles
+through the inputs, so the objective change between cycle k/2 and cycle k
+estimates the gap that remains.  The search stops once that change is
+within a relative tolerance of the current objective, or at the step cap.
+
 Group comparisons use permutation tests on two statistics: the distance
 between group means and the absolute difference of group variances.  The
 p-value (1 + #{permuted >= observed}) / (M + 1) never reaches zero, so a
@@ -36,24 +41,19 @@ __all__ = [
     "subtree_variance_correlation",
 ]
 
-# Objective snapshots stop the iteration once no improvement shows up for
-# this many consecutive snapshots.  The nominal displacement tolerance stays
-# in MeanConfig but steps shrink like 1/step, so the plateau is what fires.
-_PLATEAU_PATIENCE = 20
-_PLATEAU_RTOL = 1e-12
-
-
 @dataclass(frozen=True)
 class MeanConfig:
     """Iteration budget for the mean search.
 
-    ``max_iterations`` defaults to 1000 times the population size when left
-    as None.  ``tolerance`` stops early when an iterate moves less than this
-    distance.
+    ``max_iterations`` caps the walk's steps and defaults to 1000 times the
+    population size when left as None.  ``tolerance`` is the relative gap
+    estimate at which the search stops: after each full cycle k >= 4 through
+    the inputs, stop once the objective changed by at most ``tolerance``
+    times its current value since cycle k // 2.
     """
 
     max_iterations: int | None = None
-    tolerance: float = 1e-6
+    tolerance: float = 1e-5
     seed: int = 0
 
     def __post_init__(self):
@@ -65,10 +65,15 @@ class MeanConfig:
 
 @dataclass
 class MeanResult:
+    """``stop_reason`` is "converged" when the gap estimate fell within the
+    tolerance (or the mean is exact), "cap" when the step budget ran out;
+    ``iterations`` counts walk steps."""
+
     tree: AttributedTree
     objective: float
     trace: list[float]
     iterations: int
+    stop_reason: str
 
 
 def _check_population(trees):
@@ -104,32 +109,31 @@ def _coordinate_mean(trees):
 def frechet_mean_detailed(trees, cfg: MeanConfig | None = None) -> MeanResult:
     """Mean search with the objective trace attached.
 
-    ``trace`` holds the best objective seen at each snapshot, so it is
-    non-increasing; the returned tree is the best iterate, never a worse
-    late one.
+    ``trace`` holds the best objective seen at each full cycle through the
+    inputs (and at the cap), so it is non-increasing; the returned tree is
+    the best iterate, never a worse late one.
     """
     trees = list(trees)
     _check_population(trees)
     cfg = cfg or MeanConfig()
     n = len(trees)
     if n == 1:
-        return MeanResult(trees[0], 0.0, [0.0], 0)
+        return MeanResult(trees[0], 0.0, [0.0], 0, "converged")
 
     if all(t.splits == trees[0].splits for t in trees):
         mean = _coordinate_mean(trees)
         obj = _objective(mean, trees)
-        return MeanResult(mean, obj, [obj], 0)
+        return MeanResult(mean, obj, [obj], 0, "converged")
     if n == 2:
         # the two-point mean is the midpoint, no iteration needed
         mid = geodesic(trees[0], trees[1]).point(0.5)
         obj = _objective(mid, trees)
-        return MeanResult(mid, obj, [obj], 0)
+        return MeanResult(mid, obj, [obj], 0, "converged")
 
     max_iter = cfg.max_iterations if cfg.max_iterations is not None \
         else 1000 * n
     rng = np.random.default_rng(cfg.seed)
     order = rng.permutation(n)
-    snap = 1 if n <= 16 else n
 
     # start from the best input so the result never loses to an input tree
     input_objs = [_objective(t, trees) for t in trees]
@@ -138,33 +142,24 @@ def frechet_mean_detailed(trees, cfg: MeanConfig | None = None) -> MeanResult:
     best = current
     best_obj = input_objs[start]
     trace = [best_obj]
+    cycle_objs = [best_obj]  # objective at the iterate after each cycle
 
-    step = 0
-    quiet = 0  # consecutive steps below the displacement tolerance
-    while step < max_iter:
-        step += 1
+    for step in range(1, max_iter + 1):
         sample = trees[order[(step - 1) % n]]
-        path = geodesic(current, sample)
-        frac = 1.0 / (step + 1)
-        moved = frac * path.length
-        current = path.point(frac)
-        # a single tiny move can just mean the sample was nearby; only a
-        # whole quiet cycle through the inputs counts as converged
-        quiet = quiet + 1 if moved < cfg.tolerance else 0
-        settled = quiet >= n
-        if step % snap == 0 or step == max_iter or settled:
-            obj = _objective(current, trees)
-            if obj < best_obj:
-                best_obj = obj
-                best = current
-            trace.append(best_obj)
-            if settled:
-                break
-            if len(trace) > _PLATEAU_PATIENCE:
-                gain = trace[-_PLATEAU_PATIENCE - 1] - best_obj
-                if gain <= _PLATEAU_RTOL * max(1.0, best_obj):
-                    break
-    return MeanResult(best, best_obj, trace, step)
+        current = geodesic(current, sample).point(1.0 / (step + 1))
+        if step % n and step < max_iter:
+            continue
+        obj = _objective(current, trees)
+        if obj < best_obj:
+            best_obj = obj
+            best = current
+        trace.append(best_obj)
+        if step % n == 0:
+            cycle_objs.append(obj)
+            k = step // n
+            if k >= 4 and abs(cycle_objs[k // 2] - obj) <= cfg.tolerance * obj:
+                return MeanResult(best, best_obj, trace, step, "converged")
+    return MeanResult(best, best_obj, trace, max_iter, "cap")
 
 
 def frechet_mean(trees, cfg: MeanConfig | None = None) -> AttributedTree:

@@ -14,11 +14,11 @@ only, which ``fold_feature_builder`` takes care of during cross-validation.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
+from .distmat import csv_rows, csv_text
 from .geodesic import geodesic_distance
 from .stats import MeanConfig, frechet_mean
 from .trees import AttributedTree
@@ -125,20 +125,21 @@ class FeatureMatrix:
                      for lab, cls in self.columns)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("id,class," + ",".join(self.column_names) + "\n")
-        for i, rid in enumerate(self.ids):
-            cls = "" if self.y is None else str(self.y[i])
-            row = ",".join(f"{v:.17g}" for v in self.values[i])
-            buf.write(f"{rid},{cls},{row}\n")
-        return buf.getvalue()
+        ys = ("",) * len(self.ids) if self.y is None else self.y
+        return csv_text([["id", "class", *self.column_names]] + [
+            [rid, str(c), *(f"{v:.17g}" for v in self.values[i])]
+            for i, (rid, c) in enumerate(zip(self.ids, ys))])
 
     @classmethod
     def from_csv(cls, text: str) -> "FeatureMatrix":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        header = lines[0].split(",")
+        rows = csv_rows(text)
+        if not rows:
+            raise ValueError("empty feature CSV")
+        header = rows[0]
         if header[:2] != ["id", "class"]:
             raise ValueError("feature CSV must start with id,class columns")
+        if len(rows) < 2:
+            raise ValueError("feature CSV has no data rows")
         columns = []
         for name in header[2:]:
             if ":" in name:
@@ -146,14 +147,16 @@ class FeatureMatrix:
                 columns.append((lab, c))
             else:
                 columns.append((name, None))
-        ids, ys, rows = [], [], []
-        for ln in lines[1:]:
-            parts = ln.split(",")
+        ids, ys, values = [], [], []
+        for i, parts in enumerate(rows[1:]):
+            if len(parts) != len(header):
+                raise ValueError(f"row {i}: expected {len(header)} cells, "
+                                 f"found {len(parts)}")
             ids.append(parts[0])
             ys.append(parts[1])
-            rows.append([float(v) for v in parts[2:]])
+            values.append([float(v) for v in parts[2:]])
         y = None if all(v == "" for v in ys) else tuple(ys)
-        return cls(np.array(rows), tuple(columns), tuple(ids), y)
+        return cls(np.array(values), tuple(columns), tuple(ids), y)
 
 
 def feature_matrix(trees, scheme: SubtreeScheme, means: dict,

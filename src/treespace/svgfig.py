@@ -2,10 +2,13 @@
 
 No plotting dependency: figures are assembled as strings with fixed float
 formatting, so identical inputs give byte-identical files.  A timestamp
-comment is only written when the caller passes one in.
+comment is only written when the caller passes one in.  Titles and labels
+are XML-escaped.
 """
 
 from __future__ import annotations
+
+from html import escape  # xml.sax.saxutils pulls in urllib.request
 
 import numpy as np
 
@@ -72,7 +75,7 @@ def svg_scatter(points, labels=None, size: int = 480, title: str = "",
                f'height="{span}" fill="none" stroke="#888"/>')
     if title:
         out.append(f'<text x="{size // 2}" y="24" text-anchor="middle" '
-                   f'font-size="14">{title}</text>')
+                   f'font-size="14">{escape(title)}</text>')
     for (x, y), lab in zip(pts, labels):
         out.append(f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" '
                    f'r="3" fill="{colors[lab]}" fill-opacity="0.7"/>')
@@ -82,7 +85,7 @@ def svg_scatter(points, labels=None, size: int = 480, title: str = "",
         out.append(f'<circle cx="{margin + 10}" cy="{y - 4}" r="4" '
                    f'fill="{col}"/>')
         out.append(f'<text x="{margin + 20}" y="{y}" '
-                   f'font-size="12">{lab}</text>')
+                   f'font-size="12">{escape(str(lab))}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
@@ -105,7 +108,7 @@ def svg_histogram(counts, edges, width: int = 480, height: int = 320,
     out = _open_svg(width, height, timestamp)
     if title:
         out.append(f'<text x="{width // 2}" y="24" text-anchor="middle" '
-                   f'font-size="14">{title}</text>')
+                   f'font-size="14">{escape(title)}</text>')
     for i, c in enumerate(counts):
         bx0 = margin + (edges[i] - x0) / (x1 - x0) * wspan
         bx1 = margin + (edges[i + 1] - x0) / (x1 - x0) * wspan
@@ -167,6 +170,7 @@ def svg_pair_grid(values, names, cell: int = 140,
                                f'r="2" fill="#d62728" '
                                f'fill-opacity="0.6"/>')
     for j, name in enumerate(names):
+        name = escape(str(name))
         out.append(f'<text x="{pad + j * cell + cell // 2}" y="16" '
                    f'text-anchor="middle" font-size="11">{name}</text>')
         out.append(f'<text x="12" y="{pad + j * cell + cell // 2}" '

@@ -209,3 +209,42 @@ def test_repeat_runs_byte_identical(pop_file, tmp_path):
 def test_version_flag(capsys):
     assert run("--version") == 0
     assert "treespace" in capsys.readouterr().out
+
+
+def test_mean_manifest_reports_stop_reason(tmp_path):
+    pop = tmp_path / "pop.json"
+    assert run("gen", "trees", "-o", str(pop), "--n", "6",
+               "--topology-noise", "1.0", "--seed", "3") == 0
+    trees, _ = parse_population(pop.read_text())
+    assert len({t.splits for t in trees}) > 1
+
+    def diagnostics(*extra):
+        out = tmp_path / "m.json"
+        assert run("mean", "--input", str(pop), "-o", str(out),
+                   "--deterministic", *extra) == 0
+        return json.loads((tmp_path / "m.manifest.json").read_text())[
+            "diagnostics"]
+
+    full = diagnostics()
+    assert full["stop_reason"] == "converged"
+    assert 0 < full["iterations"] < 6000
+    assert full["objective"] > 0.0
+    capped = diagnostics("--max-iterations", "5")
+    assert capped["stop_reason"] == "cap"
+    assert capped["iterations"] == 5
+    assert capped["objective"] >= full["objective"]
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "id,class,A,B\n",
+    "id,class,A,B\ns0,case,1.0,2.0\ns1,control,3.0\n",
+], ids=["empty", "header-only", "ragged"])
+def test_classify_rejects_malformed_features(tmp_path, capsys, text):
+    feats = tmp_path / "f.csv"
+    feats.write_text(text)
+    assert run("classify", "--features", str(feats),
+               "-o", str(tmp_path / "cv.json")) == 65
+    err = capsys.readouterr().err
+    assert err.startswith("treespace: error: input:")
+    assert len(err.strip().splitlines()) == 1

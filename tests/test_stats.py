@@ -6,8 +6,10 @@ import pytest
 from treespace import (
     AttributedTree,
     MeanConfig,
+    airway_template,
     frechet_mean,
     frechet_mean_detailed,
+    gen_tree_population,
     geodesic_distance,
     geodesic_point,
     pearson,
@@ -91,6 +93,30 @@ def test_mean_trace_non_increasing():
     res = frechet_mean_detailed(trees)
     for a, b in zip(res.trace, res.trace[1:]):
         assert b <= a + 1e-12
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_mean_stops_converged_near_full_budget_objective(seed):
+    pop = gen_tree_population(airway_template(), 17, topology_noise=0.5,
+                              seed=seed)
+    assert len({t.splits for t in pop.trees}) > 1
+    res = frechet_mean_detailed(pop.trees)
+    ref = frechet_mean_detailed(pop.trees, MeanConfig(tolerance=1e-15))
+    assert res.stop_reason == "converged"
+    assert res.iterations < ref.iterations == 1000 * 17
+    assert abs(res.objective - ref.objective) <= 1e-4 * ref.objective
+    for a, b in zip(res.trace, res.trace[1:]):
+        assert b <= a + 1e-12
+
+
+def test_mean_stops_at_cap():
+    rng = np.random.default_rng(9)
+    trees = [random_tree(rng, ("a", "b", "c", "d")) for _ in range(6)]
+    res = frechet_mean_detailed(trees, MeanConfig(max_iterations=3))
+    assert res.stop_reason == "cap"
+    assert res.iterations == 3
+    assert len(res.trace) == 2
+    assert frechet_mean_detailed(trees[:1]).stop_reason == "converged"
 
 
 def test_variance():
