@@ -6,8 +6,8 @@ nearest neighbors, deviation correlations, embeddings and distortion
 reports.  Every run writes a manifest (argv, seeds, inputs, outputs,
 version, duration; ``mean`` adds the solver's iterations, stop reason and
 objective) next to its outputs, numeric outputs are byte-stable
-for a fixed seed at any ``--threads`` value, and ``--deterministic``
-additionally drops timestamps from SVG files and the manifest.
+for a fixed seed, and ``--deterministic`` additionally drops timestamps
+from SVG files and the manifest.  ``--threads`` is accepted and ignored.
 
 Option precedence is flags, then ``--config`` JSON, then built-in
 defaults.  Exit codes: 64 usage, 65 bad input, 70 computation failure.
@@ -93,7 +93,8 @@ def _merged(args):
 
 def _common(parser, cmd):
     _add(parser, cmd, "--seed", type=int, default=0)
-    _add(parser, cmd, "--threads", type=int, default=None)
+    _add(parser, cmd, "--threads", type=int, default=None,
+         help="accepted and ignored; computations run serially")
     _add(parser, cmd, "--config", default=None)
     _add(parser, cmd, "--deterministic", action="store_true")
 
@@ -268,7 +269,6 @@ def _manifest(args, argv, inputs, outputs, t0, where, diagnostics=None):
         "command": args.cmd,
         "argv": list(argv),
         "seed": getattr(args, "seed", None),
-        "threads": getattr(args, "threads", None),
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
         "version": __version__,
@@ -335,7 +335,7 @@ def _cmd_gen(args, argv, t0):
 def _cmd_dist(args, argv, t0):
     trees, classes = _load_population(args.input)
     labels = tuple(str(c) for c in classes) if classes else None
-    dm = distance_matrix(trees, labels=labels, threads=args.threads)
+    dm = distance_matrix(trees, labels=labels)
     path = _write(args.output, dm.to_csv())
     _manifest(args, argv, [args.input], [path], t0,
               Path(args.output).with_suffix(".manifest.json"))
@@ -418,8 +418,7 @@ def _cmd_knn(args, argv, t0):
         if classes is None:
             raise CliError(INPUT_ERROR,
                            f"input: {args.input}: no class column")
-        dm = distance_matrix(trees, labels=tuple(map(str, classes)),
-                             threads=args.threads)
+        dm = distance_matrix(trees, labels=tuple(map(str, classes)))
         y = list(classes)
         inputs = [args.input]
     else:

@@ -89,15 +89,26 @@ def _pairwise(points, metric) -> np.ndarray:
         return np.sqrt((diff ** 2).sum(axis=2))
     if metric == "hyperbolic":
         z = _as_complex(points)
-        n = np.abs(z[:, None] - z[None, :])
-        w = np.abs(1.0 - z[:, None] * np.conj(z)[None, :])
-        u = np.minimum(n / w, np.nextafter(1.0, 0.0))
-        return 2.0 * np.arctanh(u)
+        d = np.zeros((len(z), len(z)))
+        fn = _DiskStress(d)
+        d[fn.iu0, fn.iu1] = fn.eval(z)["dist"]
+        return d + d.T
     raise ValueError(f"unknown metric: {metric!r}")
+
+
+def _disk_stress(target, points):
+    delta = _target_values(target)
+    z = _as_complex(points)
+    if len(z) != len(delta):
+        raise ValueError("points do not match target size")
+    return _DiskStress(delta), z
 
 
 def sammon_stress(target, points, metric: str = "euclidean") -> float:
     """Relative squared misfit of embedded to target distances."""
+    if metric == "hyperbolic":
+        fn, z = _disk_stress(target, points)
+        return fn.eval(z)["stress"]
     delta = _target_values(target)
     d = _pairwise(points, metric)
     if d.shape != delta.shape:
@@ -113,51 +124,28 @@ def sammon_stress(target, points, metric: str = "euclidean") -> float:
 
 def stress_gradient(target, points, metric: str = "euclidean") -> np.ndarray:
     """Analytic gradient of the stress in disk/plane coordinates, (n, 2)."""
+    if metric == "hyperbolic":
+        fn, z = _disk_stress(target, points)
+        g = fn.gradient(z, fn.eval(z))
+        return np.stack([g.real, g.imag], axis=1)
+    if metric != "euclidean":
+        raise ValueError(f"unknown metric: {metric!r}")
     delta = _target_values(target)
-    n_pts = len(delta)
-    iu = np.triu_indices(n_pts, k=1)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if len(pts) != len(delta):
+        raise ValueError("points do not match target size")
+    iu = np.triu_indices(len(delta), k=1)
     total = delta[iu][delta[iu] > 0.0].sum()
     if total == 0.0:
-        return np.zeros((n_pts, 2))
-
-    if metric == "euclidean":
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt((diff ** 2).sum(axis=2))
-        ok = (delta > 0.0) & (dist > 0.0)
-        coef = np.zeros_like(dist)
-        coef[ok] = (2.0 / total) * (dist[ok] - delta[ok]) / delta[ok]
-        unit = np.zeros_like(diff)
-        unit[ok] = diff[ok] / dist[ok][:, None]
-        return (coef[:, :, None] * unit).sum(axis=1)
-
-    if metric != "hyperbolic":
-        raise ValueError(f"unknown metric: {metric!r}")
-    z = _as_complex(points)
-    zj = z[:, None]
-    zk = np.conj(z)[None, :]
-    diff = zj - z[None, :]
-    nn = np.abs(diff)
-    w = 1.0 - zj * zk
-    ww = np.abs(w)
-    u = np.minimum(nn / ww, np.nextafter(1.0, 0.0))
-    dist = 2.0 * np.arctanh(u)
-    ok = (delta > 0.0) & (nn > 0.0)
-
-    coef = np.zeros_like(nn)
-    coef[ok] = (2.0 / total) * (dist[ok] - delta[ok]) / delta[ok] \
-        * 2.0 / (1.0 - u[ok] ** 2)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        dn_dx = np.where(ok, diff.real / nn, 0.0)
-        dn_dy = np.where(ok, diff.imag / nn, 0.0)
-        cw = np.conj(w) * zk
-        dw_dx = np.where(ok, -cw.real / ww, 0.0)
-        dw_dy = np.where(ok, cw.imag / ww, 0.0)
-        du_dx = np.where(ok, dn_dx / ww - u * dw_dx / ww, 0.0)
-        du_dy = np.where(ok, dn_dy / ww - u * dw_dy / ww, 0.0)
-    gx = (coef * du_dx).sum(axis=1)
-    gy = (coef * du_dy).sum(axis=1)
-    return np.stack([gx, gy], axis=1)
+        return np.zeros_like(pts)
+    diff = pts[:, None, :] - pts[None, :, :]
+    dist = np.sqrt((diff ** 2).sum(axis=2))
+    ok = (delta > 0.0) & (dist > 0.0)
+    coef = np.zeros_like(dist)
+    coef[ok] = (2.0 / total) * (dist[ok] - delta[ok]) / delta[ok]
+    unit = np.zeros_like(diff)
+    unit[ok] = diff[ok] / dist[ok][:, None]
+    return (coef[:, :, None] * unit).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +225,12 @@ def _init_disk(n, rng) -> np.ndarray:
 
 
 class _DiskStress:
-    """Stress and gradient over condensed pairs, shared work cached.
+    """Disk distances, stress and gradient over condensed pairs.
 
-    Same quantities as sammon_stress / stress_gradient with the hyperbolic
-    metric, but on the upper-triangle vectors only, so the descent loop does
-    not rebuild n x n scratch matrices every trial step.
+    The one implementation behind the hyperbolic sammon_stress,
+    stress_gradient and pairwise distances.  It works on the upper-triangle
+    vectors only, so the descent loop does not rebuild n x n scratch
+    matrices every trial step.
     """
 
     _UMAX = np.nextafter(1.0, 0.0)
@@ -271,8 +260,8 @@ class _DiskStress:
             stress = 0.0
         else:
             stress = float((err * err * self.inv_tv).sum() / self.total)
-        return {"nn2": nn2, "ww2": ww2, "u2": u2, "u": u, "err": err,
-                "a2": a2, "stress": stress}
+        return {"nn2": nn2, "ww2": ww2, "u2": u2, "u": u, "dist": dist,
+                "err": err, "a2": a2, "stress": stress}
 
     def gradient(self, z: np.ndarray, ev: dict) -> np.ndarray:
         if self.total == 0.0:

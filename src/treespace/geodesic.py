@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, product
 
@@ -55,10 +54,6 @@ __all__ = [
 # a weight-one cover leaves the length unchanged).
 _COVER_TOL = 1e-10
 _RESIDUAL_EPS = 1e-13
-
-
-def _norm(vec) -> float:
-    return math.sqrt(sum(c * c for c in vec))
 
 
 def _check_pair(t1: AttributedTree, t2: AttributedTree) -> None:
@@ -188,64 +183,32 @@ def _refine_pairs(con1, con2, sq1, sq2):
             if weight >= 1.0 - _COVER_TOL:
                 out.append((A, B))
                 continue
+            # each split of a pair conflicts with one in it; a cover below
+            # one misses part of each side, and a minimal cover pairs each
+            # covered split with an uncovered conflict: no block is empty
             A1 = tuple(a for a, c in zip(A, ca) if c)
             B2 = tuple(b for b, c in zip(B, cb) if c)
             A2 = tuple(a for a, c in zip(A, ca) if not c)
             B1 = tuple(b for b, c in zip(B, cb) if not c)
-            if not (A1 and B1 and A2 and B2):
-                # cannot happen for minimal covers on conflict-carrying
-                # splits; keep the pair rather than emit a lopsided split
-                out.append((A, B))
-                continue
             out.extend([(A1, B1), (A2, B2)])
             work = True
         pairs = out
     return pairs
 
 
-def _pair_stats(A, B, sq1, sq2):
-    # fsum: correctly rounded, so swapping source and target mirrors the
-    # arithmetic exactly and d(t1,t2) == d(t2,t1) bitwise
-    an = math.sqrt(math.fsum(sq1[a] for a in A))
-    bn = math.sqrt(math.fsum(sq2[b] for b in B))
-    total = an + bn
-    t = an / total if total > 0 else 0.0
-    return an, bn, t
-
-
 def _order_support(pairs, sq1, sq2):
     """Sort support pairs by switch time; tie-break on smallest split."""
     items = []
     for A, B in pairs:
-        an, bn, t = _pair_stats(A, B, sq1, sq2)
+        # fsum: correctly rounded, so swapping source and target mirrors
+        # the arithmetic exactly and d(t1,t2) == d(t2,t1) bitwise
+        an = math.sqrt(math.fsum(sq1[a] for a in A))
+        bn = math.sqrt(math.fsum(sq2[b] for b in B))
+        total = an + bn
+        t = an / total if total > 0 else 0.0
         tie = min(split_key(s) for s in A + B)
-        items.append([t, tie, A, B, an, bn])
+        items.append((t, tie, A, B, an, bn))
     items.sort(key=lambda it: (it[0], it[1]))
-    # Defensive repair: refinement on minimal covers keeps the time order
-    # consistent with the visiting order, so the merge below is not expected
-    # to run.  If two pairs ever disagree (a B_p split clashing with a later
-    # A_q), collapsing the span restores a valid, slightly longer path.
-    while True:
-        clash_span = None
-        for p in range(len(items)):
-            for q in range(p + 1, len(items)):
-                if items[q][0] <= items[p][0] + 1e-12:
-                    continue
-                if any(not compatible(b, a)
-                       for b in items[p][3] for a in items[q][2]):
-                    clash_span = (p, q)
-                    break
-            if clash_span:
-                break
-        if clash_span is None:
-            break
-        p, q = clash_span
-        A = tuple(s for it in items[p:q + 1] for s in it[2])
-        B = tuple(s for it in items[p:q + 1] for s in it[3])
-        an, bn, t = _pair_stats(A, B, sq1, sq2)
-        tie = min(split_key(s) for s in A + B)
-        items[p:q + 1] = [[t, tie, A, B, an, bn]]
-        items.sort(key=lambda it: (it[0], it[1]))
     support = tuple((it[2], it[3]) for it in items)
     times = tuple(it[0] for it in items)
     seg_sq = math.fsum((it[4] + it[5]) ** 2 for it in items)
@@ -353,31 +316,16 @@ def geodesic_point(t1: AttributedTree, t2: AttributedTree,
     return geodesic(t1, t2).point(s)
 
 
-def distance_matrix(trees, ids=None, labels=None,
-                    threads: int | None = None) -> DistanceMatrix:
-    """All pairwise geodesic distances.
-
-    Pair computations are independent, so ``threads`` only changes wall
-    time, never the numbers: results go into fixed matrix slots.
-    """
+def distance_matrix(trees, ids=None, labels=None) -> DistanceMatrix:
+    """All pairwise geodesic distances."""
     trees = list(trees)
     n = len(trees)
     if ids is None:
         ids = tuple(f"t{i}" for i in range(n))
     values = np.zeros((n, n))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-    def job(pair):
-        i, j = pair
-        return i, j, geodesic_distance(trees[i], trees[j])
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(job, pairs))
-    else:
-        results = [job(p) for p in pairs]
-    for i, j, d in results:
-        values[i, j] = values[j, i] = d
+    for i in range(n):
+        for j in range(i + 1, n):
+            values[i, j] = values[j, i] = geodesic_distance(trees[i], trees[j])
     return DistanceMatrix(tuple(ids), values, labels)
 
 

@@ -120,12 +120,15 @@ def test_stress_matches_double_loop():
 
 def test_stress_errors():
     target = np.ones((3, 3)) - np.eye(3)
-    with pytest.raises(ValueError):
-        sammon_stress(target, np.zeros((4, 2)))
-    with pytest.raises(ValueError):
-        sammon_stress(target, np.zeros((3, 2)), metric="spherical")
-    with pytest.raises(ValueError):
-        sammon_stress(np.ones((3, 4)), np.zeros((3, 2)))
+    for fn in (sammon_stress, stress_gradient):
+        for metric in ("euclidean", "hyperbolic"):
+            for n in (1, 2, 4):
+                with pytest.raises(ValueError, match="match target size"):
+                    fn(target, np.zeros((n, 2)), metric)
+            with pytest.raises(ValueError):
+                fn(np.ones((3, 4)), np.zeros((3, 2)), metric)
+        with pytest.raises(ValueError):
+            fn(target, np.zeros((3, 2)), metric="spherical")
 
 
 def test_gradient_matches_finite_differences():

@@ -7,6 +7,7 @@ from treespace import (
     AttributedTree,
     TreeError,
     brute_force_distance,
+    compatible,
     distance_matrix,
     geodesic,
     geodesic_distance,
@@ -206,14 +207,6 @@ def test_distance_matrix_triangle():
                 assert v[i, j] <= v[i, l] + v[l, j] + 1e-9
 
 
-def test_distance_matrix_threads_deterministic():
-    rng = np.random.default_rng(29)
-    trees = [random_tree(rng, ("a", "b", "c", "d")) for _ in range(8)]
-    one = distance_matrix(trees, threads=1)
-    two = distance_matrix(trees, threads=3)
-    assert np.array_equal(one.values, two.values)
-
-
 def test_min_weight_cover_prefers_light_side():
     # one heavy A vertex against two light B vertices: the cover picks
     # whichever side is cheaper
@@ -232,15 +225,35 @@ def test_min_weight_cover_prefers_light_side():
 
 def test_geodesic_path_structure():
     rng = np.random.default_rng(31)
-    for _ in range(20):
-        t1, t2 = random_tree_pair(rng, 5)
-        path = geodesic(t1, t2)
-        only1 = t1.splits - t2.splits
-        only2 = t2.splits - t1.splits
-        got1 = [s for A, _ in path.support for s in A]
-        got2 = [s for _, B in path.support for s in B]
-        # every one-side split appears exactly once across the support
-        assert sorted(map(sorted, got1)) == sorted(map(sorted, only1))
-        assert sorted(map(sorted, got2)) == sorted(map(sorted, only2))
-        assert all(0.0 <= t <= 1.0 for t in path.times)
-        assert path.length >= 0.0
+    cases = [(n, k, zp) for n in (5, 8, 12, 16) for k in (1, 3)
+             for zp in (0.0, 0.3)]
+    for n, k, zp in cases:
+        for _ in range(20):
+            t1, t2 = random_tree_pair(rng, n, k=k, zero_prob=zp)
+            path = geodesic(t1, t2)
+            only1 = {s for s in t1.splits - t2.splits
+                     if any(t1.edges[s])}
+            only2 = {s for s in t2.splits - t1.splits
+                     if any(t2.edges[s])}
+            got1 = [s for A, _ in path.support for s in A]
+            got2 = [s for _, B in path.support for s in B]
+            # every nonzero one-side split appears exactly once
+            assert sorted(map(sorted, got1)) == sorted(map(sorted, only1))
+            assert sorted(map(sorted, got2)) == sorted(map(sorted, only2))
+            assert all(0.0 <= t <= 1.0 for t in path.times)
+            assert list(path.times) == sorted(path.times)
+            assert path.length >= 0.0
+            # free splits form the only pairs with an empty side
+            free1 = {e for e in only1 if all(compatible(e, f) for f in only2)}
+            free2 = {f for f in only2 if all(compatible(e, f) for e in only1)}
+            support = list(path.support)
+            if free2:
+                assert set(support.pop(0)[1]) == free2
+            if free1:
+                assert set(support.pop()[0]) == free1
+            assert all(A and B for A, B in support)
+            # the visiting order is realizable: nothing that grows at an
+            # earlier switch clashes with a split that collapses later
+            for p, (_, Bp) in enumerate(path.support):
+                for Aq, _ in path.support[p + 1:]:
+                    assert all(compatible(b, a) for b in Bp for a in Aq)
