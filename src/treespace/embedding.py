@@ -89,9 +89,9 @@ def _pairwise(points, metric) -> np.ndarray:
         return np.sqrt((diff ** 2).sum(axis=2))
     if metric == "hyperbolic":
         z = _as_complex(points)
+        iu = np.triu_indices(len(z), 1)
         d = np.zeros((len(z), len(z)))
-        fn = _DiskStress(d)
-        d[fn.iu0, fn.iu1] = fn.eval(z)["dist"]
+        d[iu] = _disk_terms(z, *iu)["dist"]
         return d + d.T
     raise ValueError(f"unknown metric: {metric!r}")
 
@@ -224,16 +224,31 @@ def _init_disk(n, rng) -> np.ndarray:
     return r * np.exp(1j * theta)
 
 
+_UMAX = np.nextafter(1.0, 0.0)
+
+
+def _disk_terms(z: np.ndarray, iu0, iu1) -> dict:
+    """Disk distances of the pairs (iu0, iu1), condensed, with the terms
+    the stress gradient reuses."""
+    nn = pdist(np.stack([z.real, z.imag], axis=1))
+    nn2 = nn * nn
+    a2 = 1.0 - (z.real * z.real + z.imag * z.imag)
+    # |1 - z_j conj(z_k)|^2 = (1 - |z_j|^2)(1 - |z_k|^2) + |z_j - z_k|^2
+    ww2 = a2[iu0] * a2[iu1] + nn2
+    u2 = np.minimum(nn2 / ww2, _UMAX)
+    u = np.sqrt(u2)
+    dist = 2.0 * np.arctanh(np.minimum(u, _UMAX))
+    return {"nn2": nn2, "ww2": ww2, "u2": u2, "u": u, "dist": dist,
+            "a2": a2}
+
+
 class _DiskStress:
-    """Disk distances, stress and gradient over condensed pairs.
+    """Disk stress and gradient over condensed pairs.
 
-    The one implementation behind the hyperbolic sammon_stress,
-    stress_gradient and pairwise distances.  It works on the upper-triangle
-    vectors only, so the descent loop does not rebuild n x n scratch
-    matrices every trial step.
+    The one implementation behind the hyperbolic sammon_stress and
+    stress_gradient.  It works on the upper-triangle vectors only, so the
+    descent loop does not rebuild n x n scratch matrices every trial step.
     """
-
-    _UMAX = np.nextafter(1.0, 0.0)
 
     def __init__(self, delta: np.ndarray):
         n = len(delta)
@@ -247,21 +262,14 @@ class _DiskStress:
         self.total = float(tv[keep].sum())
 
     def eval(self, z: np.ndarray) -> dict:
-        nn = pdist(np.stack([z.real, z.imag], axis=1))
-        nn2 = nn * nn
-        a2 = 1.0 - (z.real * z.real + z.imag * z.imag)
-        # |1 - z_j conj(z_k)|^2 = (1 - |z_j|^2)(1 - |z_k|^2) + |z_j - z_k|^2
-        ww2 = a2[self.iu0] * a2[self.iu1] + nn2
-        u2 = np.minimum(nn2 / ww2, self._UMAX)
-        u = np.sqrt(u2)
-        dist = 2.0 * np.arctanh(np.minimum(u, self._UMAX))
-        err = dist - self.tv
+        ev = _disk_terms(z, self.iu0, self.iu1)
+        err = ev["dist"] - self.tv
         if self.total == 0.0:
             stress = 0.0
         else:
             stress = float((err * err * self.inv_tv).sum() / self.total)
-        return {"nn2": nn2, "ww2": ww2, "u2": u2, "u": u, "dist": dist,
-                "err": err, "a2": a2, "stress": stress}
+        ev.update(err=err, stress=stress)
+        return ev
 
     def gradient(self, z: np.ndarray, ev: dict) -> np.ndarray:
         if self.total == 0.0:

@@ -86,24 +86,30 @@ def _min_weight_cover(wa, wb, edges):
     ``wa``/``wb`` are positive vertex weights, ``edges`` index pairs (i, j).
     Runs max-flow (source -> a: wa, a -> b: inf, b -> sink: wb); the min cut
     weight equals the cover weight, and the cover itself is read off the
-    residual reachability.  Returns (weight, in_cover_a, in_cover_b).
+    residual reachability and pruned to a minimal one, so every covered
+    vertex has an uncovered neighbour.  Returns (weight, in_cover_a,
+    in_cover_b).
     """
     na, nb = len(wa), len(wb)
     n = na + nb + 2
     src, snk = na + nb, na + nb + 1
     adj = [[] for _ in range(n)]
-    to, cap = [], []
+    to, cap, tol = [], [], []
 
-    def arc(u, v, c):
-        adj[u].append(len(to)); to.append(v); cap.append(c)
-        adj[v].append(len(to)); to.append(u); cap.append(0.0)
+    def arc(u, v, c, bound):
+        # a residual at or below _RESIDUAL_EPS times the most flow the arc
+        # can carry counts as zero, so rounding never hides a light vertex
+        t = _RESIDUAL_EPS * bound
+        adj[u].append(len(to)); to.append(v); cap.append(c); tol.append(t)
+        adj[v].append(len(to)); to.append(u); cap.append(0.0); tol.append(t)
 
     for i, w in enumerate(wa):
-        arc(src, i, w)
+        arc(src, i, w, w)
     for j, w in enumerate(wb):
-        arc(na + j, snk, w)
+        arc(na + j, snk, w, w)
     for i, j in edges:
-        arc(i, na + j, math.inf)
+        # the flow on a conflict arc never exceeds either endpoint's weight
+        arc(i, na + j, math.inf, min(wa[i], wb[j]))
 
     flow = 0.0
     while True:
@@ -115,7 +121,7 @@ def _min_weight_cover(wa, wb, edges):
             u = queue.popleft()
             for a in adj[u]:
                 v = to[a]
-                if parent[v] < 0 and cap[a] > _RESIDUAL_EPS:
+                if parent[v] < 0 and cap[a] > tol[a]:
                     parent[v] = u
                     arc_in[v] = a
                     queue.append(v)
@@ -141,11 +147,19 @@ def _min_weight_cover(wa, wb, edges):
         u = queue.popleft()
         for a in adj[u]:
             v = to[a]
-            if not reach[v] and cap[a] > _RESIDUAL_EPS:
+            if not reach[v] and cap[a] > tol[a]:
                 reach[v] = True
                 queue.append(v)
-    in_a = [not reach[i] for i in range(na)]
     in_b = [reach[na + j] for j in range(nb)]
+    # a covered (reached) b was reached from an uncovered neighbour.  A
+    # covered a has one too unless its weight is nil next to the tolerance
+    # (a squared length that underflowed): drop such an a, so that the
+    # cover stays minimal
+    needed = [False] * na
+    for i, j in edges:
+        if not in_b[j]:
+            needed[i] = True
+    in_a = [not reach[i] and needed[i] for i in range(na)]
     return flow, in_a, in_b
 
 
@@ -172,9 +186,6 @@ def _refine_pairs(con1, con2, sq1, sq2):
         for A, B in pairs:
             edges = [(i, j) for i, a in enumerate(A) for j, b in enumerate(B)
                      if (a, b) in clash]
-            if not edges:
-                out.append((A, B))
-                continue
             asq = sum(sq1[a] for a in A)
             bsq = sum(sq2[b] for b in B)
             wa = [sq1[a] / asq for a in A]
@@ -183,9 +194,11 @@ def _refine_pairs(con1, con2, sq1, sq2):
             if weight >= 1.0 - _COVER_TOL:
                 out.append((A, B))
                 continue
-            # each split of a pair conflicts with one in it; a cover below
-            # one misses part of each side, and a minimal cover pairs each
-            # covered split with an uncovered conflict: no block is empty
+            # Every split of a pair conflicts with one in the same pair.  A
+            # cover below one leaves part of each side uncovered; each
+            # uncovered split's conflicts are covered, and, the cover being
+            # minimal, each covered split has an uncovered conflict.  So no
+            # block is empty and both blocks keep the property.
             A1 = tuple(a for a, c in zip(A, ca) if c)
             B2 = tuple(b for b, c in zip(B, cb) if c)
             A2 = tuple(a for a, c in zip(A, ca) if not c)

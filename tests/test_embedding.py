@@ -176,19 +176,21 @@ def test_gradient_vanishes_at_exact_fit():
 
 
 def test_disk_stress_matches_public_functions():
+    # the condensed distances that _DiskStress, embedded_matrix and the
+    # distortion report share agree with the scalar hyperbolic_distance
     rng = np.random.default_rng(13)
-    target = full_matrix(disk_points(rng, 8), "hyperbolic")
-    fn = _DiskStress(target)
-    for _ in range(5):
-        z = disk_points(rng, 8)
+    for n, rmax in ((2, 0.5), (8, 0.85), (8, 0.999999)):
+        z = disk_points(rng, n, rmax)
+        z[-1] = z[0]  # a coincident pair has distance zero
+        ref = np.array([[hyperbolic_distance(a, b) for b in z] for a in z])
         pts = np.stack([z.real, z.imag], axis=1)
-        ev = fn.eval(z)
-        assert ev["stress"] == pytest.approx(
-            sammon_stress(target, pts, "hyperbolic"), abs=1e-12)
-        gc = fn.gradient(z, ev)
-        ref = stress_gradient(target, pts, "hyperbolic")
-        assert np.abs(gc.real - ref[:, 0]).max() < 1e-10
-        assert np.abs(gc.imag - ref[:, 1]).max() < 1e-10
+        full = _pairwise(pts, "hyperbolic")
+        assert full.shape == (n, n)
+        assert np.allclose(full, ref, rtol=1e-9, atol=1e-12)
+        fn = _DiskStress(np.zeros((n, n)))
+        iu = np.triu_indices(n, 1)
+        assert np.allclose(fn.eval(z)["dist"], ref[iu], rtol=1e-9,
+                           atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

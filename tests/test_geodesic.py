@@ -222,14 +222,31 @@ def test_min_weight_cover_prefers_light_side():
     assert in_a == [True]
     assert in_b == [False, False]
 
+    # the same choice between weights far below any fixed residual
+    # tolerance: the lighter of a1 and b1 is covered
+    flow, in_a, in_b = _min_weight_cover([0.5, 2e-20], [0.5, 1e-20],
+                                         [(0, 0), (1, 1)])
+    assert in_a[1] is False and in_b[1] is True
+    assert flow == pytest.approx(0.5 + 1e-20, rel=0, abs=1e-30)
+
 
 def test_geodesic_path_structure():
     rng = np.random.default_rng(31)
-    cases = [(n, k, zp) for n in (5, 8, 12, 16) for k in (1, 3)
-             for zp in (0.0, 0.3)]
-    for n, k, zp in cases:
+
+    def rescale(t):
+        # lengths spanning 1e-8 to 1 put some cover weights far below the
+        # max-flow's rounding level
+        return AttributedTree(t.leaves, {
+            s: tuple(c * 10.0 ** rng.uniform(-8.0, 0.0) for c in v)
+            for s, v in t.edges.items()})
+
+    cases = [(n, k, zp, wide) for n in (5, 8, 12, 16) for k in (1, 3)
+             for zp in (0.0, 0.3) for wide in (False, True)]
+    for n, k, zp, wide in cases:
         for _ in range(20):
             t1, t2 = random_tree_pair(rng, n, k=k, zero_prob=zp)
+            if wide:
+                t1, t2 = rescale(t1), rescale(t2)
             path = geodesic(t1, t2)
             only1 = {s for s in t1.splits - t2.splits
                      if any(t1.edges[s])}
@@ -257,3 +274,27 @@ def test_geodesic_path_structure():
             for p, (_, Bp) in enumerate(path.support):
                 for Aq, _ in path.support[p + 1:]:
                     assert all(compatible(b, a) for b in Bp for a in Aq)
+            # so every point of the path is a tree
+            for s in [*np.linspace(0.0, 1.0, 21), *path.times]:
+                path.point(float(s))
+
+
+def test_min_weight_cover_is_minimal_with_tiny_weights():
+    # a covered split without an uncovered conflict would leave a block of
+    # the split pair empty, however light the split is
+    cases = [
+        # A = (big, x, tiny), B = (b1, b2); conflicts x-b1, big-b2, tiny-b2
+        ([1.0, 1e-6, 1e-15], [1.0, 1e-4], [(1, 0), (0, 1), (2, 1)]),
+        # a weight that underflowed to zero never carries flow
+        ([1.0, 0.0], [0.1], [(0, 0), (1, 0)]),
+    ]
+    for wa, wb, edges in cases:
+        weight, in_a, in_b = _min_weight_cover(wa, wb, edges)
+        assert all(in_a[i] or in_b[j] for i, j in edges)
+        for i, j in edges:
+            if in_a[i]:
+                assert any(not in_b[jj] for ii, jj in edges if ii == i)
+            if in_b[j]:
+                assert any(not in_a[ii] for ii, jj in edges if jj == j)
+        assert weight == pytest.approx(
+            sum(w for w, c in zip(wa + wb, in_a + in_b) if c))
