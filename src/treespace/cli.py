@@ -407,7 +407,8 @@ def _cmd_classify(args, argv, t0):
         inputs = [args.features]
     path = _write(args.output, _json_text(report.to_json()))
     _manifest(args, argv, inputs, [path], t0,
-              Path(args.output).with_suffix(".manifest.json"))
+              Path(args.output).with_suffix(".manifest.json"),
+              diagnostics={"stop_reasons": report.stop_reasons})
 
 
 def _cmd_knn(args, argv, t0):

@@ -169,6 +169,8 @@ class EmbeddingConfig:
             raise ValueError("isomap_k must be at least 1")
         if self.stress_tolerance <= 0 or self.max_iterations < 1:
             raise ValueError("tolerances must be positive")
+        if self.restarts < 1:
+            raise ValueError("restarts must be at least 1")
 
 
 @dataclass

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from treespace import (
+    SubtreeScheme,
     airway_template,
+    compute_reference_means,
     cross_validate,
     distance_matrix,
+    feature_matrix,
     fit_elastic_net,
     gen_tree_population,
     kkt_residual,
@@ -31,15 +34,20 @@ def logistic_data(seed=0, n=120, d=4, noise=True):
     return X, y
 
 
-def irls_fit(X, y, iters=80):
-    """Unregularized logistic regression by damped Newton, high precision."""
+def irls_fit(X, y, iters=80, ridge=0.0):
+    """Logistic regression by damped Newton, high precision.
+
+    ``ridge`` adds ridge / 2 * |beta|^2 (intercept unpenalized), the
+    elastic-net objective at alpha = 0 with lambda = ridge.
+    """
     n = len(y)
     A = np.hstack([np.ones((n, 1)), X])
+    R = ridge * np.diag(np.r_[0.0, np.ones(A.shape[1] - 1)])
     b = np.zeros(A.shape[1])
     for _ in range(iters):
         p = 1.0 / (1.0 + np.exp(-(A @ b)))
-        g = A.T @ (p - y)
-        H = (A * (p * (1 - p))[:, None]).T @ A
+        g = A.T @ (p - y) + R @ b
+        H = (A * (p * (1 - p))[:, None]).T @ A + R
         b = b - np.linalg.solve(H, g)
     return b[0], b[1:]
 
@@ -66,6 +74,52 @@ def test_unregularized_matches_newton_oracle():
     m = fit_elastic_net(X, y, 0.0, 1.0)
     assert m.intercept == pytest.approx(b0, abs=1e-6)
     assert np.abs(m.beta - bw).max() < 1e-6
+
+
+def test_ridge_matches_newton_oracle():
+    X, y = logistic_data(seed=5)
+    for frac in (0.1, 1.0):
+        lam = frac * lambda_max(X, y, 1.0)
+        b0, bw = irls_fit(X, y, ridge=lam)
+        m = fit_elastic_net(X, y, lam, 0.0)
+        assert m.stop_reason == "converged"
+        assert m.intercept == pytest.approx(b0, abs=1e-6)
+        assert np.abs(m.beta - bw).max() < 1e-6
+
+
+def test_near_separable_subtree_path_converges():
+    # standardized pooled subtree features of 16 airway trees with a 0.3
+    # LMB shift: at this seed the classes are nearly separable, so the
+    # small-lambda end of the path is where a solver stalls
+    pop = gen_tree_population(airway_template(), 16, attr_sigma=0.4,
+                              class_shift={"LMB": 0.3}, seed=1)
+    scheme = SubtreeScheme()
+    means = compute_reference_means(pop.trees, pop.classes, scheme, "pooled")
+    fm = feature_matrix(pop.trees, scheme, means, y=pop.classes)
+    X = np.asarray(fm.values, dtype=float)
+    sd = X.std(axis=0)
+    X = (X - X.mean(axis=0)) / np.where(sd == 0.0, 1.0, sd)
+    y = np.array([c == "case" for c in fm.y], dtype=float)
+    warm = None
+    for lam in lambda_grid(lambda_max(X, y, 1.0), num=50):
+        warm = fit_elastic_net(X, y, lam, 1.0, warm=warm)
+        assert warm.stop_reason == "converged"
+        assert kkt_residual(warm, X, y) <= 1e-6
+
+
+def test_stop_reasons():
+    X, y = logistic_data(seed=7, n=50)
+    lam = 0.05 * lambda_max(X, y, 1.0)
+    m = fit_elastic_net(X, y, lam, 0.5)
+    assert m.stop_reason == "converged" and 0 < m.iterations < 50
+    capped = fit_elastic_net(X, y, lam, 0.5, max_sweeps=1)
+    assert capped.stop_reason == "cap" and capped.iterations == 1
+    # without a penalty the coefficients diverge on separable data, until
+    # rounding hides every decrease of the objective
+    Xs, ys = logistic_data(seed=37, noise=False)
+    m = fit_elastic_net(Xs, ys, 0.0, 1.0)
+    assert m.stop_reason == "line_search"
+    assert np.all(predict(m, Xs) == ys)
 
 
 def test_kkt_along_paths():
@@ -242,6 +296,24 @@ def test_cv_report_invariants():
         assert rep.chosen_lambda[a] in set(map(float, rep.lambdas[a]))
     js = rep.to_json()
     assert {r["alpha"] for r in js["rows"]} == {1.0, 0.5}
+
+
+def test_cv_counts_stop_reasons():
+    X, y = logistic_data(seed=53, n=30, d=3)
+    labels = np.where(y > 0, "case", "control")
+    rep = cross_validate(X, labels, alphas=(1.0, 0.5), num_lambda=8,
+                        folds=3, repeats=2, seed=3)
+    # per repeat, fold and alpha: one outer path and five inner paths
+    assert sum(rep.stop_reasons.values()) == 2 * 3 * 2 * 6 * 8
+    assert "stop_reasons" not in rep.to_json()
+
+
+@pytest.mark.parametrize("kw", [{"folds": 1}, {"folds": 0}, {"repeats": 0},
+                                {"inner_folds": 1}])
+def test_cv_rejects_counts_below_minimum(kw):
+    X, y = logistic_data(seed=59, n=20, d=2)
+    with pytest.raises(ValueError):
+        cross_validate(X, y, **{"repeats": 1, **kw})
 
 
 def test_cv_rejects_degenerate_labels():

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import treespace
 from treespace.cli import main
 from treespace.distmat import DistanceMatrix
 from treespace.trees import parse_population, parse_tree
@@ -248,3 +252,70 @@ def test_classify_rejects_malformed_features(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert err.startswith("treespace: error: input:")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--features", "{feats}", "--folds", "0"),
+    ("classify", "--features", "{feats}", "--repeats", "0"),
+    ("knn", "--matrix", "{dist}", "--k", "0", "--folds", "2"),
+    ("knn", "--matrix", "{dist}", "--folds", "0"),
+    ("embed", "--input", "{dist}", "--restarts", "0"),
+], ids=["classify-folds", "classify-repeats", "knn-k", "knn-folds",
+        "embed-restarts"])
+def test_count_options_below_minimum(tmp_path, capsys, argv):
+    ids = [f"s{i}" for i in range(20)]
+    labels = ["case", "control"] * 10
+    feats = tmp_path / "f.csv"
+    feats.write_text("id,class,A,B\n" + "".join(
+        f"{i},{c},{j},{j * j % 5}\n" for j, (i, c) in enumerate(
+            zip(ids, labels))))
+    pts = np.arange(20.0)
+    dist = tmp_path / "d.csv"
+    dist.write_text(DistanceMatrix(ids, np.abs(pts[:, None] - pts),
+                                   tuple(labels)).to_csv())
+    out = tmp_path / "out"
+    argv = [a.format(feats=feats, dist=dist) for a in argv]
+    assert run(*argv, "-o", str(out)) == 70
+    err = capsys.readouterr().err
+    assert err.startswith("treespace: error: compute:")
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+_PIPELINE = """
+import sys
+from treespace.cli import main
+o = sys.argv[1]
+for argv in (
+    ["gen", "trees", "-o", f"{o}/pop.json", "--n", "16",
+     "--topology-noise", "0.3", "--class-shift", '{"LMB": 0.5}',
+     "--seed", "5"],
+    ["dist", "--input", f"{o}/pop.json", "-o", f"{o}/dist.csv"],
+    ["mean", "--input", f"{o}/pop.json", "-o", f"{o}/mean.json"],
+    ["subtree-features", "--input", f"{o}/pop.json",
+     "-o", f"{o}/feats.csv", "--mode", "pooled"],
+    ["classify", "--features", f"{o}/feats.csv", "-o", f"{o}/cv.json",
+     "--alphas", "1.0", "--folds", "3", "--repeats", "1"],
+):
+    assert main([*argv, "--deterministic"]) == 0, argv
+"""
+
+
+def test_outputs_byte_identical_across_hash_seeds(tmp_path):
+    # set and dict iteration order follows PYTHONHASHSEED, which only a
+    # fresh interpreter varies
+    src = str(Path(treespace.__file__).resolve().parent.parent)
+    outputs = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / hash_seed
+        out.mkdir()
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(
+                   [src, os.environ.get("PYTHONPATH", "")])}
+        subprocess.run([sys.executable, "-c", _PIPELINE, str(out)],
+                       env=env, check=True, timeout=600)
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())
+                        if not p.name.endswith("manifest.json")})
+    assert set(outputs[0]) == {"pop.json", "dist.csv", "mean.json",
+                               "feats.csv", "cv.json"}
+    assert outputs[0] == outputs[1]
