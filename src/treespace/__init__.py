@@ -20,6 +20,7 @@ from .geodesic import (
     GeodesicPath,
     brute_force_distance,
     distance_matrix,
+    distance_matrix_detailed,
     geodesic,
     geodesic_distance,
     geodesic_point,

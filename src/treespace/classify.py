@@ -420,14 +420,20 @@ def cross_validate(X, y, alphas=(1.0, 0.75, 0.5, 0.25), num_lambda=50,
             Xs = _standardize(full[train_idx], full)
             Xtr, ytr = Xs[train_idx], ybin[train_idx]
             Xte, yte = Xs[test_idx], ybin[test_idx]
+            try:
+                inner_parts = _folds_with_all_classes(
+                    ytr, inner_folds, (seed, rep, f, 1))
+            except ValueError:
+                raise ValueError(
+                    f"could not build {inner_folds} inner folds containing "
+                    f"every class from a training fold of {len(ytr)} "
+                    f"subjects") from None
             for a in alphas:
                 path = _fit_path(Xtr, ytr, grids[a], a)
                 reasons.update(m.stop_reason for m in path)
                 acc[a].append([_accuracy(mm, Xte, yte) for mm in path])
 
                 # inner selection: score the same grid on inner splits
-                inner_parts = _folds_with_all_classes(
-                    ytr, inner_folds, (seed, rep, f, 1))
                 inner_acc = np.zeros(len(grids[a]))
                 for inner_test in inner_parts:
                     inner_train = np.setdiff1d(np.arange(len(ytr)),

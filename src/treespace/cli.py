@@ -5,9 +5,10 @@ distances, means, permutation tests, subtree features, classification,
 nearest neighbors, deviation correlations, embeddings and distortion
 reports.  Every run writes a manifest (argv, seeds, inputs, outputs,
 version, duration; ``mean`` adds the solver's iterations, stop reason and
-objective) next to its outputs, numeric outputs are byte-stable
-for a fixed seed, and ``--deterministic`` additionally drops timestamps
-from SVG files and the manifest.  ``--threads`` is accepted and ignored.
+objective, ``dist`` counts its geodesic work) next to its outputs, numeric
+outputs are byte-stable for a fixed seed, and ``--deterministic``
+additionally drops timestamps from SVG files and the manifest.
+``--threads`` is accepted and ignored.
 
 Option precedence is flags, then ``--config`` JSON, then built-in
 defaults.  Exit codes: 64 usage, 65 bad input, 70 computation failure.
@@ -27,7 +28,8 @@ from . import __version__
 from .classify import cross_validate, knn_classify
 from .distmat import DistanceMatrix, csv_text
 from .embedding import EmbeddingConfig, distortion_report, embed
-from .geodesic import distance_matrix, geodesic_distance
+from .geodesic import (distance_matrix, distance_matrix_detailed,
+                       geodesic_distance)
 from .stats import (MeanConfig, frechet_mean, frechet_mean_detailed,
                     permutation_test, subtree_variance_correlation)
 from .subtrees import (DEFAULT_BRANCH_LABELS, SubtreeScheme,
@@ -335,10 +337,11 @@ def _cmd_gen(args, argv, t0):
 def _cmd_dist(args, argv, t0):
     trees, classes = _load_population(args.input)
     labels = tuple(str(c) for c in classes) if classes else None
-    dm = distance_matrix(trees, labels=labels)
+    dm, counts = distance_matrix_detailed(trees, labels=labels)
     path = _write(args.output, dm.to_csv())
     _manifest(args, argv, [args.input], [path], t0,
-              Path(args.output).with_suffix(".manifest.json"))
+              Path(args.output).with_suffix(".manifest.json"),
+              diagnostics=counts)
 
 
 def _cmd_mean(args, argv, t0):

@@ -31,14 +31,13 @@ support sequences and never looks at the refinement machinery.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain, product
 
 import numpy as np
 
 from .distmat import DistanceMatrix
-from .trees import AttributedTree, Split, TreeError, compatible, split_key
+from .trees import AttributedTree, Split, TreeError, compatible
 
 __all__ = [
     "GeodesicPath",
@@ -46,6 +45,7 @@ __all__ = [
     "geodesic_distance",
     "geodesic_point",
     "distance_matrix",
+    "distance_matrix_detailed",
     "brute_force_distance",
 ]
 
@@ -54,6 +54,9 @@ __all__ = [
 # a weight-one cover leaves the length unchanged).
 _COVER_TOL = 1e-10
 _RESIDUAL_EPS = 1e-13
+# work counted by distance_matrix_detailed
+_COUNTS = ("pairs", "same_topology", "covers", "cover_early_stops",
+           "refinements", "augmentations")
 
 
 def _check_pair(t1: AttributedTree, t2: AttributedTree) -> None:
@@ -80,7 +83,7 @@ def _side_splits(t1: AttributedTree, t2: AttributedTree):
 # minimum-weight vertex cover via max-flow
 # ---------------------------------------------------------------------------
 
-def _min_weight_cover(wa, wb, edges):
+def _min_weight_cover(wa, wb, edges, counts=None):
     """Minimum-weight vertex cover of a bipartite conflict graph.
 
     ``wa``/``wb`` are positive vertex weights, ``edges`` index pairs (i, j).
@@ -88,144 +91,191 @@ def _min_weight_cover(wa, wb, edges):
     weight equals the cover weight, and the cover itself is read off the
     residual reachability and pruned to a minimal one, so every covered
     vertex has an uncovered neighbour.  Returns (weight, in_cover_a,
-    in_cover_b).
+    in_cover_b), or (flow, None, None) as soon as the flow reaches
+    1 - _COVER_TOL: a pair that heavy is never split.  Augmenting paths are
+    added to ``counts["augmentations"]`` when ``counts`` is given.
     """
     na, nb = len(wa), len(wb)
-    n = na + nb + 2
-    src, snk = na + nb, na + nb + 1
-    adj = [[] for _ in range(n)]
-    to, cap, tol = [], [], []
-
-    def arc(u, v, c, bound):
-        # a residual at or below _RESIDUAL_EPS times the most flow the arc
-        # can carry counts as zero, so rounding never hides a light vertex
-        t = _RESIDUAL_EPS * bound
-        adj[u].append(len(to)); to.append(v); cap.append(c); tol.append(t)
-        adj[v].append(len(to)); to.append(u); cap.append(0.0); tol.append(t)
-
-    for i, w in enumerate(wa):
-        arc(src, i, w, w)
-    for j, w in enumerate(wb):
-        arc(na + j, snk, w, w)
-    for i, j in edges:
-        # the flow on a conflict arc never exceeds either endpoint's weight
-        arc(i, na + j, math.inf, min(wa[i], wb[j]))
-
-    flow = 0.0
-    while True:
-        parent = [-1] * n
-        parent[src] = src
-        queue = deque([src])
-        arc_in = [-1] * n
-        while queue:
-            u = queue.popleft()
-            for a in adj[u]:
-                v = to[a]
-                if parent[v] < 0 and cap[a] > tol[a]:
-                    parent[v] = u
-                    arc_in[v] = a
-                    queue.append(v)
-        if parent[snk] < 0:
+    # a residual at or below _RESIDUAL_EPS times the most flow the arc can
+    # carry counts as zero, so rounding never hides a light vertex; the
+    # flow on a conflict arc never exceeds either endpoint's weight
+    ra, rb = list(wa), list(wb)
+    ta = [_RESIDUAL_EPS * w for w in wa]
+    tb = [_RESIDUAL_EPS * w for w in wb]
+    te = [_RESIDUAL_EPS * min(wa[i], wb[j]) for i, j in edges]
+    fe = [0.0] * len(edges)
+    out_a = [[] for _ in range(na)]
+    in_b = [[] for _ in range(nb)]
+    for e, (i, j) in enumerate(edges):
+        out_a[i].append(e)
+        in_b[j].append(e)
+    flow, paths = 0.0, 0
+    # the direct paths source -> a -> b -> sink are the shortest, and with
+    # edges sorted by (i, j) breadth-first search takes them in edge order
+    for e, (i, j) in enumerate(edges):
+        if ra[i] > ta[i] and rb[j] > tb[j]:
+            d = min(ra[i], rb[j])
+            ra[i] -= d
+            rb[j] -= d
+            fe[e] += d
+            flow += d
+            paths += 1
+    reach = None
+    while flow < 1.0 - _COVER_TOL:
+        # breadth-first search for the sink; queue holds a as i, b as ~j
+        via_a, via_b = [None] * na, [None] * nb
+        queue = [i for i in range(na) if ra[i] > ta[i]]
+        for i in queue:
+            via_a[i] = -1
+        sink = -1
+        for u in queue:
+            if u >= 0:
+                for e in out_a[u]:
+                    j = edges[e][1]
+                    if via_b[j] is None:
+                        via_b[j] = e
+                        queue.append(~j)
+            elif rb[~u] > tb[~u]:
+                sink = ~u
+                break
+            else:
+                for e in in_b[~u]:
+                    i = edges[e][0]
+                    if via_a[i] is None and fe[e] > te[e]:
+                        via_a[i] = e
+                        queue.append(i)
+        if sink < 0:
+            reach = via_a, via_b
             break
-        bottleneck = math.inf
-        v = snk
-        while v != src:
-            bottleneck = min(bottleneck, cap[arc_in[v]])
-            v = parent[v]
-        v = snk
-        while v != src:
-            a = arc_in[v]
-            cap[a] -= bottleneck
-            cap[a ^ 1] += bottleneck
-            v = parent[v]
-        flow += bottleneck
-
-    reach = [False] * n
-    reach[src] = True
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for a in adj[u]:
-            v = to[a]
-            if not reach[v] and cap[a] > tol[a]:
-                reach[v] = True
-                queue.append(v)
-    in_b = [reach[na + j] for j in range(nb)]
+        # walk back: forward along conflict edges, backward against them
+        fwd, back, j = [], [], sink
+        while True:
+            fwd.append(via_b[j])
+            i = edges[via_b[j]][0]
+            if via_a[i] < 0:
+                break
+            back.append(via_a[i])
+            j = edges[via_a[i]][1]
+        d = min(rb[sink], ra[i], *(fe[e] for e in back))
+        rb[sink] -= d
+        ra[i] -= d
+        for e in fwd:
+            fe[e] += d
+        for e in back:
+            fe[e] -= d
+        flow += d
+        paths += 1
+    if counts is not None:
+        counts["augmentations"] += paths
+    if reach is None:
+        return flow, None, None
+    cov_b = [v is not None for v in reach[1]]
     # a covered (reached) b was reached from an uncovered neighbour.  A
     # covered a has one too unless its weight is nil next to the tolerance
     # (a squared length that underflowed): drop such an a, so that the
     # cover stays minimal
     needed = [False] * na
     for i, j in edges:
-        if not in_b[j]:
+        if not cov_b[j]:
             needed[i] = True
-    in_a = [not reach[i] and needed[i] for i in range(na)]
-    return flow, in_a, in_b
+    return flow, [v is None and needed[i]
+                  for i, v in enumerate(reach[0])], cov_b
 
 
 # ---------------------------------------------------------------------------
 # support refinement
 # ---------------------------------------------------------------------------
 
-def _refine_pairs(con1, con2, sq1, sq2):
+def _refine_pairs(clash, con2, sq1, sq2, counts):
     """Refine the support of the conflicting splits down to the geodesic.
 
-    ``con1``/``con2`` are the source-only and target-only splits that carry
-    at least one conflict; ``sq1``/``sq2`` map splits to squared attribute
-    norms.  Returns the list of support pairs (A tuple, B tuple).
+    ``clash`` maps each conflicting source-only split to the target-only
+    splits it conflicts with, all of which ``con2`` lists; ``sq1``/``sq2``
+    hold the views' squared norms.  Returns the support pairs (A, B) of
+    view positions, in no particular order.
     """
-    if not con1 or not con2:
-        # a conflict always has a split on each side, so both are empty here
-        return []
-    clash = {(a, b) for a in con1 for b in con2 if not compatible(a, b)}
-    pairs = [(tuple(con1), tuple(con2))]
-    work = True
-    while work:
-        work = False
-        out = []
-        for A, B in pairs:
-            edges = [(i, j) for i, a in enumerate(A) for j, b in enumerate(B)
-                     if (a, b) in clash]
-            asq = sum(sq1[a] for a in A)
-            bsq = sum(sq2[b] for b in B)
-            wa = [sq1[a] / asq for a in A]
-            wb = [sq2[b] / bsq for b in B]
-            weight, ca, cb = _min_weight_cover(wa, wb, edges)
-            if weight >= 1.0 - _COVER_TOL:
-                out.append((A, B))
-                continue
-            # Every split of a pair conflicts with one in the same pair.  A
-            # cover below one leaves part of each side uncovered; each
-            # uncovered split's conflicts are covered, and, the cover being
-            # minimal, each covered split has an uncovered conflict.  So no
-            # block is empty and both blocks keep the property.
-            A1 = tuple(a for a, c in zip(A, ca) if c)
-            B2 = tuple(b for b, c in zip(B, cb) if c)
-            A2 = tuple(a for a, c in zip(A, ca) if not c)
-            B1 = tuple(b for b, c in zip(B, cb) if not c)
-            out.extend([(A1, B1), (A2, B2)])
-            work = True
-        pairs = out
-    return pairs
+    done, todo = [], [(tuple(clash), tuple(con2))] if clash else []
+    while todo:
+        A, B = todo.pop()
+        if len(A) == 1 or len(B) == 1:
+            # the lone split clashes with every split across, so covering
+            # it alone weighs exactly one: the pair is never split
+            done.append((A, B))
+            continue
+        edges = [(i, j) for i, p in enumerate(A) for j, q in enumerate(B)
+                 if q in clash[p]]
+        asq = sum(sq1[p] for p in A)
+        bsq = sum(sq2[q] for q in B)
+        counts["covers"] += 1
+        weight, ca, cb = _min_weight_cover([sq1[p] / asq for p in A],
+                                           [sq2[q] / bsq for q in B],
+                                           edges, counts)
+        if weight >= 1.0 - _COVER_TOL:
+            counts["cover_early_stops"] += 1
+            done.append((A, B))
+            continue
+        # Every split of a pair conflicts with one in the same pair.  A
+        # cover below one leaves part of each side uncovered; each
+        # uncovered split's conflicts are covered, and, the cover being
+        # minimal, each covered split has an uncovered conflict.  So no
+        # block is empty and both blocks keep the property.
+        counts["refinements"] += 1
+        todo.append((tuple(p for p, c in zip(A, ca) if c),
+                     tuple(q for q, c in zip(B, cb) if not c)))
+        todo.append((tuple(p for p, c in zip(A, ca) if not c),
+                     tuple(q for q, c in zip(B, cb) if c)))
+    return done
 
 
-def _order_support(pairs, sq1, sq2):
+def _order_support(pairs, v1, v2):
     """Sort support pairs by switch time; tie-break on smallest split."""
     items = []
     for A, B in pairs:
         # fsum: correctly rounded, so swapping source and target mirrors
         # the arithmetic exactly and d(t1,t2) == d(t2,t1) bitwise
-        an = math.sqrt(math.fsum(sq1[a] for a in A))
-        bn = math.sqrt(math.fsum(sq2[b] for b in B))
+        an = math.sqrt(math.fsum(v1.sq[p] for p in A))
+        bn = math.sqrt(math.fsum(v2.sq[q] for q in B))
         total = an + bn
         t = an / total if total > 0 else 0.0
-        tie = min(split_key(s) for s in A + B)
+        tie = min(min(v1.keys[p] for p in A), min(v2.keys[q] for q in B))
         items.append((t, tie, A, B, an, bn))
     items.sort(key=lambda it: (it[0], it[1]))
     support = tuple((it[2], it[3]) for it in items)
     times = tuple(it[0] for it in items)
     seg_sq = math.fsum((it[4] + it[5]) ** 2 for it in items)
     return support, times, seg_sq
+
+
+def _pair(v1, v2, counts):
+    """(length, common, free1, free2, support, times) of the geodesic
+    between two split views, splits given as view positions."""
+    m1, m2, i1, i2 = v1.masks, v2.masks, v1.index, v2.index
+    if m1 == m2:
+        counts["same_topology"] += 1
+    common = [(p, i2[m]) for p, m in enumerate(m1) if m in i2]
+    only1 = [p for p, m in enumerate(m1) if m not in i2 and v1.live[p]]
+    only2 = [q for q, m in enumerate(m2) if m not in i1 and v2.live[q]]
+    common_sq = math.fsum(
+        sum((x - y) ** 2 for x, y in zip(v1.attrs[p], v2.attrs[q]))
+        for p, q in common)
+    # masks a, b clash (are neither nested nor disjoint) unless a & b is
+    # 0, a or b
+    clash = {}
+    for p in only1:
+        a = m1[p]
+        hit = {q for q in only2 if (m2[q] & a) not in (0, a, m2[q])}
+        if hit:
+            clash[p] = hit
+    hit2 = set().union(*clash.values())
+    free1 = [p for p in only1 if p not in clash]
+    free2 = [q for q in only2 if q not in hit2]
+    support, times, seg_sq = _order_support(_refine_pairs(
+        clash, [q for q in only2 if q in hit2], v1.sq, v2.sq, counts),
+        v1, v2)
+    free_sq = math.fsum(chain(
+        (v1.sq[p] for p in free1), (v2.sq[q] for q in free2)))
+    length = math.sqrt(math.fsum((common_sq, free_sq, seg_sq)))
+    return length, common, free1, free2, support, times
 
 
 # ---------------------------------------------------------------------------
@@ -284,43 +334,27 @@ class GeodesicPath:
 def geodesic(t1: AttributedTree, t2: AttributedTree) -> GeodesicPath:
     """Build the shortest path between two trees on one leaf set."""
     _check_pair(t1, t2)
-    common, only1, only2 = _side_splits(t1, t2)
-    common_sq = math.fsum(
-        sum((xi - yi) ** 2 for xi, yi in zip(t1.edges[s], t2.edges[s]))
-        for s in common
-    )
-    sq1 = {s: sum(c * c for c in t1.edges[s]) for s in only1}
-    sq2 = {s: sum(c * c for c in t2.edges[s]) for s in only2}
-
-    free1 = [e for e in only1 if all(compatible(e, f) for f in only2)]
-    free2 = [f for f in only2 if all(compatible(e, f) for e in only1)]
-    con1 = [e for e in only1 if e not in set(free1)]
-    con2 = [f for f in only2 if f not in set(free2)]
-
-    support, times, seg_sq = _order_support(
-        _refine_pairs(con1, con2, sq1, sq2), sq1, sq2)
-    free_sq = math.fsum(chain(
-        (sq1[e] for e in free1), (sq2[f] for f in free2)))
-    length = math.sqrt(math.fsum((common_sq, free_sq, seg_sq)))
-
+    v1, v2 = t1._split_view, t2._split_view
+    length, common, free1, free2, support, times = _pair(
+        v1, v2, dict.fromkeys(_COUNTS, 0))
+    s1, s2 = v1.splits, v2.splits
+    support = tuple((tuple(s1[p] for p in A), tuple(s2[q] for q in B))
+                    for A, B in support)
     if free2:
-        support = ((tuple(), tuple(free2)),) + support
+        support = ((tuple(), tuple(s2[q] for q in free2)),) + support
         times = (0.0,) + times
     if free1:
-        support = support + ((tuple(free1), tuple()),)
+        support = support + ((tuple(s1[p] for p in free1), tuple()),)
         times = times + (1.0,)
-    return GeodesicPath(t1, t2, tuple(common), support, times, length)
+    return GeodesicPath(t1, t2, tuple(s1[p] for p, _ in common), support,
+                        times, length)
 
 
 def geodesic_distance(t1: AttributedTree, t2: AttributedTree) -> float:
     """Length of the shortest path between two trees."""
-    if t1.splits == t2.splits:
-        _check_pair(t1, t2)
-        return math.sqrt(math.fsum(
-            sum((xi - yi) ** 2 for xi, yi in zip(t1.edges[s], t2.edges[s]))
-            for s in t1.sorted_splits()
-        ))
-    return geodesic(t1, t2).length
+    _check_pair(t1, t2)
+    return _pair(t1._split_view, t2._split_view,
+                 dict.fromkeys(_COUNTS, 0))[0]
 
 
 def geodesic_point(t1: AttributedTree, t2: AttributedTree,
@@ -329,17 +363,30 @@ def geodesic_point(t1: AttributedTree, t2: AttributedTree,
     return geodesic(t1, t2).point(s)
 
 
-def distance_matrix(trees, ids=None, labels=None) -> DistanceMatrix:
-    """All pairwise geodesic distances."""
+def distance_matrix_detailed(trees, ids=None, labels=None):
+    """All pairwise distances, and counts of the work: ``pairs``,
+    ``same_topology`` pairs, ``covers`` (max-flow runs), their
+    ``cover_early_stops`` (weight one, no split), ``refinements`` (support
+    pairs split) and ``augmentations`` (augmenting paths)."""
     trees = list(trees)
     n = len(trees)
     if ids is None:
         ids = tuple(f"t{i}" for i in range(n))
+    views = [t._split_view for t in trees]
+    counts = dict.fromkeys(_COUNTS, 0)
     values = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            values[i, j] = values[j, i] = geodesic_distance(trees[i], trees[j])
-    return DistanceMatrix(tuple(ids), values, labels)
+            _check_pair(trees[i], trees[j])
+            values[i, j] = values[j, i] = _pair(views[i], views[j],
+                                                counts)[0]
+    counts["pairs"] = n * (n - 1) // 2
+    return DistanceMatrix(tuple(ids), values, labels), counts
+
+
+def distance_matrix(trees, ids=None, labels=None) -> DistanceMatrix:
+    """All pairwise geodesic distances."""
+    return distance_matrix_detailed(trees, ids, labels)[0]
 
 
 # ---------------------------------------------------------------------------

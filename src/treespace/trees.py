@@ -25,7 +25,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from functools import cached_property
+from typing import Iterable, Mapping, NamedTuple
 
 __all__ = [
     "Split",
@@ -69,6 +70,19 @@ def all_compatible(splits: Iterable[Split]) -> bool:
 def split_key(split: Split) -> tuple[str, ...]:
     """Canonical sort key: the lexicographically sorted leaf tuple."""
     return tuple(sorted(split))
+
+
+class _SplitView(NamedTuple):
+    """A tree's splits in ``split_key`` order, with per-split data the
+    geodesic core reads in its inner loops."""
+
+    splits: tuple      # the frozensets
+    keys: tuple        # their split_key tuples
+    masks: tuple       # leaf-index bitmasks, bit i for leaves[i]
+    attrs: tuple       # attribute vectors
+    sq: tuple          # squared attribute norms
+    live: tuple        # attribute not identically zero
+    index: dict        # mask -> position
 
 
 def _check_attr(attr, split) -> tuple[float, ...]:
@@ -160,6 +174,20 @@ class AttributedTree:
 
     def sorted_splits(self) -> list[Split]:
         return sorted(self.edges, key=split_key)
+
+    @cached_property
+    def _split_view(self) -> _SplitView:
+        """Built on first use and kept: the tree is immutable."""
+        bit = {x: 1 << i for i, x in enumerate(self.leaves)}
+        keyed = sorted((split_key(s), s) for s in self.edges)
+        splits = tuple(s for _, s in keyed)
+        masks = tuple(sum(bit[x] for x in s) for s in splits)
+        attrs = tuple(self.edges[s] for s in splits)
+        return _SplitView(
+            splits, tuple(k for k, _ in keyed), masks, attrs,
+            tuple(sum(c * c for c in v) for v in attrs),
+            tuple(any(c != 0.0 for c in v) for v in attrs),
+            {m: p for p, m in enumerate(masks)})
 
 
 def splits_of(tree: AttributedTree) -> frozenset:

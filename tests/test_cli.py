@@ -10,6 +10,7 @@ import pytest
 import treespace
 from treespace.cli import main
 from treespace.distmat import DistanceMatrix
+from treespace.geodesic import distance_matrix_detailed
 from treespace.trees import parse_population, parse_tree
 
 
@@ -181,6 +182,26 @@ def test_config_file_precedence(tmp_path):
     assert len(trees) == 4
 
 
+def test_dist_manifest_counts_geodesic_work(tmp_path):
+    pop = tmp_path / "pop.json"
+    assert run("gen", "trees", "-o", str(pop), "--n", "8",
+               "--topology-noise", "1.0", "--seed", "3") == 0
+    trees, _ = parse_population(pop.read_text())
+    manifests = []
+    for _ in range(2):
+        assert run("dist", "--input", str(pop), "-o",
+                   str(tmp_path / "d.csv"), "--deterministic") == 0
+        manifests.append((tmp_path / "d.manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+    counts = json.loads(manifests[0])["diagnostics"]
+    assert counts == distance_matrix_detailed(trees)[1]
+    assert counts["pairs"] == 28
+    assert 0 < counts["same_topology"] < 28
+    assert counts["covers"] == (counts["cover_early_stops"]
+                                + counts["refinements"])
+    assert counts["augmentations"] >= counts["covers"]
+
+
 def test_deterministic_byte_identical_across_threads(pop_file, tmp_path):
     outputs = []
     for threads in ("1", "3"):
@@ -280,6 +301,23 @@ def test_count_options_below_minimum(tmp_path, capsys, argv):
     assert err.startswith("treespace: error: compute:")
     assert len(err.strip().splitlines()) == 1
     assert not out.exists()
+
+
+def test_classify_names_inner_folds_it_cannot_build(tmp_path, capsys):
+    # 12 subjects in 3 outer folds leave 8 per training fold, too few for
+    # 5 inner folds that each leave every class in training
+    pop, feats = tmp_path / "pop.json", tmp_path / "feats.csv"
+    assert run("gen", "trees", "-o", str(pop), "--n", "12",
+               "--topology-noise", "0.3", "--class-shift", '{"LMB": 0.5}',
+               "--seed", "5") == 0
+    assert run("subtree-features", "--input", str(pop), "-o", str(feats),
+               "--mode", "pooled") == 0
+    capsys.readouterr()
+    assert run("classify", "--features", str(feats), "--folds", "3",
+               "-o", str(tmp_path / "cv.json")) == 70
+    assert capsys.readouterr().err == (
+        "treespace: error: compute: could not build 5 inner folds "
+        "containing every class from a training fold of 8 subjects\n")
 
 
 _PIPELINE = """

@@ -1,4 +1,6 @@
+import hashlib
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -13,9 +15,9 @@ from treespace import (
     geodesic_distance,
     geodesic_point,
 )
-from treespace.geodesic import _min_weight_cover
+from treespace.geodesic import _COVER_TOL, _min_weight_cover
 
-from helpers import random_tree, random_tree_pair
+from helpers import leaf_names, random_tree, random_tree_pair
 
 S = frozenset
 
@@ -298,3 +300,149 @@ def test_min_weight_cover_is_minimal_with_tiny_weights():
                 assert any(not in_a[ii] for ii, jj in edges if jj == j)
         assert weight == pytest.approx(
             sum(w for w, c in zip(wa + wb, in_a + in_b) if c))
+
+
+def _pinned_populations():
+    rng = np.random.default_rng(20261018)
+    # fully resolved 10-leaf trees, as in the tree-map benchmark
+    yield [random_tree(rng, leaf_names(10), p_keep=1.0) for _ in range(40)]
+    # partly resolved trees holding zero-length edges
+    yield [random_tree(rng, leaf_names(12), zero_prob=0.3) for _ in range(12)]
+    yield [random_tree(rng, leaf_names(8), k=3, zero_prob=0.2)
+           for _ in range(8)]
+
+
+# sha256 of each population's distance CSV, recorded with the frozenset-
+# based geodesic core that the split-mask core replaced: the rewrite, and
+# any later speed-up, must keep every byte
+_PINNED_CSV_SHA256 = (
+    "4d2f8072f3376ac7d02821ab3969b95463f52314e0a441816ea0d606e5f8a088",
+    "1d361c2079e5d113cf5057ebf5404ffab302d20148c020b276fdb3b9bf907e06",
+    "a16667fcaa2040220262c5c784b346f749b0f847670b6103289e8a2cf666f207",
+)
+
+
+def test_distance_matrix_bytes_pinned():
+    for trees, digest in zip(_pinned_populations(), _PINNED_CSV_SHA256):
+        dm = distance_matrix(trees)
+        assert hashlib.sha256(dm.to_csv().encode()).hexdigest() == digest
+        for i, ti in enumerate(trees):
+            for j, tj in enumerate(trees[i + 1:], i + 1):
+                d = geodesic(ti, tj).length
+                assert dm.values[i, j] == d == geodesic_distance(tj, ti)
+
+
+def _exhaustive_cover_weight(wa, wb, edges):
+    best = math.inf
+    for pick in product((False, True), repeat=len(wa) + len(wb)):
+        ca, cb = pick[:len(wa)], pick[len(wa):]
+        if all(ca[i] or cb[j] for i, j in edges):
+            best = min(best, math.fsum(
+                w for w, c in zip(wa + wb, pick) if c))
+    return best
+
+
+def test_min_weight_cover_matches_exhaustive_search():
+    rng = np.random.default_rng(43)
+    for _ in range(200):
+        na, nb = (int(x) for x in rng.integers(1, 6, size=2))
+
+        def weights(n):
+            w = 10.0 ** rng.uniform(-15.0, 0.0, size=n)
+            w = [0.0 if rng.random() < 0.1 else float(x) for x in w]
+            # support refinement divides each side by its total
+            return [x / sum(w) for x in w] if normalize and sum(w) else w
+
+        normalize = bool(rng.random() < 0.5)
+        wa, wb = weights(na), weights(nb)
+        edges = [(i, j) for i in range(na) for j in range(nb)
+                 if rng.random() < 0.7] or [(0, 0)]
+        edges = [edges[k] for k in rng.permutation(len(edges))]
+        # the max-flow stops once its flow reaches 1 - _COVER_TOL; weights
+        # scaled by 1/8 keep it below that, and a power-of-two scale leaves
+        # every comparison and rounding of the run unchanged
+        full, ca, cb = _min_weight_cover([w / 8 for w in wa],
+                                         [w / 8 for w in wb], edges)
+        full *= 8
+        best = _exhaustive_cover_weight(wa, wb, edges)
+        assert abs(full - best) <= 1e-12 * best
+        assert all(ca[i] or cb[j] for i, j in edges)
+        for i, j in edges:
+            if ca[i]:
+                assert any(not cb[jj] for ii, jj in edges if ii == i)
+            if cb[j]:
+                assert any(not ca[ii] for ii, jj in edges if jj == j)
+        assert abs(math.fsum(w for w, c in zip(wa + wb, ca + cb) if c)
+                   - full) <= 1e-12 * full
+
+        weight, in_a, in_b = _min_weight_cover(wa, wb, edges)
+        assert (weight >= 1.0 - _COVER_TOL) == (full >= 1.0 - _COVER_TOL)
+        if in_a is None:
+            assert in_b is None and weight <= full
+        else:
+            assert (weight, in_a, in_b) == (full, ca, cb)
+
+
+def _plain_edmonds_karp_cover(wa, wb, edges):
+    """Reference: textbook Edmonds-Karp on explicit arc lists, each search
+    running to exhaustion, with the same residual tolerances and pruning
+    as ``_min_weight_cover`` but none of its shortcuts."""
+    na, nb = len(wa), len(wb)
+    src, snk = na + nb, na + nb + 1
+    adj = [[] for _ in range(na + nb + 2)]
+    to, cap, tol = [], [], []
+    arcs = ([(src, i, w, w) for i, w in enumerate(wa)]
+            + [(na + j, snk, w, w) for j, w in enumerate(wb)]
+            + [(i, na + j, math.inf, min(wa[i], wb[j])) for i, j in edges])
+    for u, v, c, bound in arcs:
+        for x, y, cc in ((u, v, c), (v, u, 0.0)):
+            adj[x].append(len(to))
+            to.append(y)
+            cap.append(cc)
+            tol.append(1e-13 * bound)
+    flow = 0.0
+    while True:
+        arc_in = {src: None}
+        queue = [src]
+        for u in queue:
+            for a in adj[u]:
+                if to[a] not in arc_in and cap[a] > tol[a]:
+                    arc_in[to[a]] = a
+                    queue.append(to[a])
+        if snk not in arc_in:
+            break
+        path, v = [], snk
+        while v != src:
+            path.append(arc_in[v])
+            v = to[arc_in[v] ^ 1]
+        d = min(cap[a] for a in path)
+        for a in path:
+            cap[a] -= d
+            cap[a ^ 1] += d
+        flow += d
+    in_b = [na + j in arc_in for j in range(nb)]
+    needed = [any(not in_b[j] for ii, j in edges if ii == i)
+              for i in range(na)]
+    return flow, [i not in arc_in and needed[i] for i in range(na)], in_b
+
+
+def test_min_weight_cover_equals_plain_edmonds_karp():
+    # the saturating start and the search stopped at the sink must take
+    # the very augmenting paths, and so the very roundings, of the plain
+    # algorithm; sums of tenths leave residuals just above zero
+    rng = np.random.default_rng(47)
+    for _ in range(300):
+        na, nb = (int(x) for x in rng.integers(1, 7, size=2))
+
+        def weights(n):
+            kind = rng.integers(0, 3, size=n)
+            return [float(rng.integers(1, 10)) / 10 if k == 0 else
+                    0.0 if k == 1 and rng.random() < 0.3 else
+                    float(10.0 ** rng.uniform(-15.0, 0.0)) for k in kind]
+
+        wa, wb = [w / 8 for w in weights(na)], [w / 8 for w in weights(nb)]
+        # sorted by (i, j), the order support refinement lists them in
+        edges = [(i, j) for i in range(na) for j in range(nb)
+                 if rng.random() < 0.6] or [(0, 0)]
+        assert _min_weight_cover(wa, wb, edges) == \
+            _plain_edmonds_karp_cover(wa, wb, edges)
