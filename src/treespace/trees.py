@@ -26,6 +26,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import mul
 from typing import Iterable, Mapping, NamedTuple
 
 __all__ = [
@@ -178,16 +179,18 @@ class AttributedTree:
     @cached_property
     def _split_view(self) -> _SplitView:
         """Built on first use and kept: the tree is immutable."""
-        bit = {x: 1 << i for i, x in enumerate(self.leaves)}
-        keyed = sorted((split_key(s), s) for s in self.edges)
-        splits = tuple(s for _, s in keyed)
-        masks = tuple(sum(bit[x] for x in s) for s in splits)
-        attrs = tuple(self.edges[s] for s in splits)
+        # map() over builtins: a view is built for every new tree, such as
+        # each step of a Frechet mean, so its cost matters
+        bit = {x: 1 << i for i, x in enumerate(self.leaves)}.__getitem__
+        keyed = sorted(zip(map(split_key, self.edges), self.edges))
+        keys, splits = tuple(zip(*keyed)) or ((), ())
+        masks = tuple(sum(map(bit, s)) for s in splits)
+        attrs = tuple(map(self.edges.__getitem__, splits))
         return _SplitView(
-            splits, tuple(k for k, _ in keyed), masks, attrs,
-            tuple(sum(c * c for c in v) for v in attrs),
-            tuple(any(c != 0.0 for c in v) for v in attrs),
-            {m: p for p, m in enumerate(masks)})
+            splits, keys, masks, attrs,
+            tuple(sum(map(mul, v, v)) for v in attrs),
+            tuple(map(any, attrs)),    # any(v): some c != 0.0
+            dict(zip(masks, range(len(masks)))))
 
 
 def splits_of(tree: AttributedTree) -> frozenset:
