@@ -5,7 +5,8 @@ distances, means, permutation tests, subtree features, classification,
 nearest neighbors, deviation correlations, embeddings and distortion
 reports.  Every run writes a manifest (argv, seeds, inputs, outputs,
 version, duration; ``mean`` adds the solver's iterations, stop reason and
-objective, ``dist`` counts its geodesic work) next to its outputs, numeric
+objective, ``embed`` each restart's, ``dist`` counts its geodesic work)
+next to its outputs, numeric
 outputs are byte-stable for a fixed seed, and ``--deterministic``
 additionally drops timestamps from SVG files and the manifest.
 ``--threads`` is accepted and ignored.
@@ -449,16 +450,18 @@ def _cmd_correlate(args, argv, t0):
     corr = subtree_variance_correlation(populations, means)
     out = Path(args.output)
     stamp = _timestamp(args)
-    header = "label," + ",".join(corr.labels)
-    rows = [header] + [
-        lab + "," + ",".join(f"{v:.17g}" for v in corr.matrix[j])
-        for j, lab in enumerate(corr.labels)]
+
+    def table(corner, names, rows):
+        return csv_text([[corner, *corr.labels]] + [
+            [name, *(f"{v:.17g}" for v in row)]
+            for name, row in zip(names, rows)])
+
     outputs = [
-        _write(out / "correlation.csv", "\n".join(rows) + "\n"),
+        _write(out / "correlation.csv",
+               table("label", corr.labels, corr.matrix)),
         _write(out / "deviations.csv",
-               "id," + ",".join(corr.labels) + "\n" + "\n".join(
-                   f"s{i}," + ",".join(f"{v:.17g}" for v in row)
-                   for i, row in enumerate(corr.deviations)) + "\n"),
+               table("id", (f"s{i}" for i in range(len(corr.deviations))),
+                     corr.deviations)),
         _write(out / "pairs.svg",
                svg_pair_grid(corr.deviations, corr.labels,
                              timestamp=stamp)),
@@ -483,7 +486,7 @@ def _cmd_embed(args, argv, t0):
         "method": result.method,
         "metric": result.metric,
         "final_stress": result.final_stress,
-        "iterations": len(result.stress_trace) - 1,
+        "iterations": result.iterations,
         "distortion": result.distortion.to_json(),
     }
     outputs = [
@@ -497,7 +500,13 @@ def _cmd_embed(args, argv, t0):
                              result.distortion.histogram_edges,
                              title="additive error", timestamp=stamp)),
     ]
-    _manifest(args, argv, [args.input], outputs, t0, out / "manifest.json")
+    runs = result.restarts or (result,)  # a flat fit is its only run
+    stresses = [r.final_stress for r in runs]
+    _manifest(args, argv, [args.input], outputs, t0, out / "manifest.json",
+              diagnostics={"restarts": [
+                  {"iterations": r.iterations, "stop_reason": r.stop_reason,
+                   "final_stress": r.final_stress} for r in runs],
+                  "best": stresses.index(result.final_stress)})
 
 
 def _cmd_distortion(args, argv, t0):

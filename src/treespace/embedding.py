@@ -26,11 +26,11 @@ additive errors (embedded - original) are binned for histograms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components, shortest_path
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import pdist, squareform
 
 from .distmat import DistanceMatrix
 
@@ -49,16 +49,6 @@ __all__ = [
 ]
 
 _BOUNDARY = 1.0 - 1e-10  # |z| is clamped here; the metric blows up at 1
-
-
-def _as_complex(points) -> np.ndarray:
-    pts = np.asarray(points)
-    if pts.dtype.kind == "c":
-        return pts.astype(complex).ravel()
-    pts = np.atleast_2d(pts.astype(float))
-    if pts.shape[1] != 2:
-        raise ValueError("points must be complex or (n, 2) coordinates")
-    return pts[:, 0] + 1j * pts[:, 1]
 
 
 def hyperbolic_distance(z1, z2) -> float:
@@ -82,70 +72,112 @@ def _target_values(target) -> np.ndarray:
     return arr
 
 
+_UMAX = np.nextafter(1.0, 0.0)
+
+
+def _coords(points, metric) -> np.ndarray:
+    """Points as a contiguous real (n, d) array.  Complex points read as
+    (x, y); the disk takes only 2-D points."""
+    if metric not in ("euclidean", "hyperbolic"):
+        raise ValueError(f"unknown metric: {metric!r}")
+    pts = np.asarray(points)
+    if pts.dtype.kind == "c":
+        return pts.astype(complex).ravel().view(float).reshape(-1, 2)
+    pts = np.atleast_2d(pts.astype(float))
+    if metric == "hyperbolic" and pts.shape[1] != 2:
+        raise ValueError("points must be complex or (n, 2) coordinates")
+    return np.ascontiguousarray(pts)
+
+
+def _distances(x: np.ndarray, disk: bool, iu) -> tuple:
+    """Condensed (pdist-order) distances of the pairs iu of the real
+    points x, with the disk's u^2 and |1 - z_j conj(z_k)|^2 (None in the
+    plane), which the stress gradient reuses."""
+    nn = pdist(x)
+    if not disk:
+        return nn, nn, None, None
+    nn2 = nn * nn
+    a2 = 1.0 - (x * x).sum(axis=1)
+    # |1 - z_j conj(z_k)|^2 = (1 - |z_j|^2)(1 - |z_k|^2) + |z_j - z_k|^2
+    ww2 = a2[iu[0]] * a2[iu[1]] + nn2
+    u2 = np.minimum(nn2 / ww2, _UMAX)
+    dist = 2.0 * np.arctanh(np.minimum(np.sqrt(u2), _UMAX))
+    return nn, dist, u2, ww2
+
+
 def _pairwise(points, metric) -> np.ndarray:
-    if metric == "euclidean":
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        diff = pts[:, None, :] - pts[None, :, :]
-        return np.sqrt((diff ** 2).sum(axis=2))
-    if metric == "hyperbolic":
-        z = _as_complex(points)
-        iu = np.triu_indices(len(z), 1)
-        d = np.zeros((len(z), len(z)))
-        d[iu] = _disk_terms(z, *iu)["dist"]
-        return d + d.T
-    raise ValueError(f"unknown metric: {metric!r}")
+    x = _coords(points, metric)
+    iu = np.triu_indices(len(x), 1)
+    return squareform(_distances(x, metric == "hyperbolic", iu)[1])
 
 
-def _disk_stress(target, points):
+class _Stress:
+    """Sammon stress against one target, and its gradient, in the plane or
+    the disk: the one implementation behind sammon_stress,
+    stress_gradient and mds_pd.
+
+    E = sum w (d - delta)^2 over condensed pairs, w = 1 / (delta sum delta)
+    and 0 on zero-target pairs.  Evaluating, which every backtracking
+    trial does, stays on the condensed vectors; only the gradient builds
+    n x n matrices.
+    """
+
+    def __init__(self, delta: np.ndarray, metric: str):
+        self.iu = np.triu_indices(len(delta), 1)
+        self.disk = metric == "hyperbolic"
+        self.tv = delta[self.iu]
+        keep = self.tv > 0.0
+        self.w = np.zeros_like(self.tv)
+        self.w[keep] = 1.0 / (self.tv[keep] * self.tv[keep].sum())
+
+    def eval(self, x: np.ndarray) -> tuple[float, tuple]:
+        """The stress at x and the pair terms its gradient reuses."""
+        nn, dist, u2, ww2 = _distances(x, self.disk, self.iu)
+        err = dist - self.tv
+        # a numpy sum: a threaded BLAS dot rounds by the thread count
+        return float((err * err * self.w).sum()), (nn, err, u2, ww2)
+
+    def gradient(self, x: np.ndarray, terms: tuple) -> np.ndarray:
+        """dE/dx as (n, d): g = x (Q1 - T r^2) - (Q - T) x, with r^2 = |x|^2
+        and Q, T the square forms of the pair coefficients q and t.
+
+        In the plane q = 2 err w / d and T = 0.  On the disk d = 2 atanh u
+        with u = |z_j - z_k| / |1 - z_j conj(z_k)|, so q carries the extra
+        factor 2 / ((1 - u^2) |1 - z_j conj(z_k)|) and t = q u^2.
+        Coincident points (d = 0) get q = 0; their pair has no direction.
+        """
+        nn, err, u2, ww2 = terms
+        c = 2.0 * err * self.w
+        if self.disk:
+            c *= 2.0 / ((1.0 - u2) * np.sqrt(ww2))
+        q = np.divide(c, nn, out=np.zeros_like(c), where=nn > 0.0)
+        qm = squareform(q)
+        scale = qm.sum(axis=1)
+        if self.disk:
+            tm = squareform(q * u2)
+            scale -= tm @ (x * x).sum(axis=1)
+            qm -= tm
+        return x * scale[:, None] - qm @ x
+
+
+def _stress_setup(target, points, metric) -> tuple[_Stress, np.ndarray]:
     delta = _target_values(target)
-    z = _as_complex(points)
-    if len(z) != len(delta):
+    x = _coords(points, metric)
+    if len(x) != len(delta):
         raise ValueError("points do not match target size")
-    return _DiskStress(delta), z
+    return _Stress(delta, metric), x
 
 
 def sammon_stress(target, points, metric: str = "euclidean") -> float:
     """Relative squared misfit of embedded to target distances."""
-    if metric == "hyperbolic":
-        fn, z = _disk_stress(target, points)
-        return fn.eval(z)["stress"]
-    delta = _target_values(target)
-    d = _pairwise(points, metric)
-    if d.shape != delta.shape:
-        raise ValueError("points do not match target size")
-    iu = np.triu_indices(len(delta), k=1)
-    dv, tv = d[iu], delta[iu]
-    keep = tv > 0.0
-    if not np.any(keep):
-        return 0.0
-    return float((((dv[keep] - tv[keep]) ** 2) / tv[keep]).sum()
-                 / tv[keep].sum())
+    fn, x = _stress_setup(target, points, metric)
+    return fn.eval(x)[0]
 
 
 def stress_gradient(target, points, metric: str = "euclidean") -> np.ndarray:
-    """Analytic gradient of the stress in disk/plane coordinates, (n, 2)."""
-    if metric == "hyperbolic":
-        fn, z = _disk_stress(target, points)
-        g = fn.gradient(z, fn.eval(z))
-        return np.stack([g.real, g.imag], axis=1)
-    if metric != "euclidean":
-        raise ValueError(f"unknown metric: {metric!r}")
-    delta = _target_values(target)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if len(pts) != len(delta):
-        raise ValueError("points do not match target size")
-    iu = np.triu_indices(len(delta), k=1)
-    total = delta[iu][delta[iu] > 0.0].sum()
-    if total == 0.0:
-        return np.zeros_like(pts)
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=2))
-    ok = (delta > 0.0) & (dist > 0.0)
-    coef = np.zeros_like(dist)
-    coef[ok] = (2.0 / total) * (dist[ok] - delta[ok]) / delta[ok]
-    unit = np.zeros_like(diff)
-    unit[ok] = diff[ok] / dist[ok][:, None]
-    return (coef[:, :, None] * unit).sum(axis=1)
+    """Analytic gradient of the stress in disk/plane coordinates, (n, d)."""
+    fn, x = _stress_setup(target, points, metric)
+    return fn.gradient(x, fn.eval(x)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +189,6 @@ class EmbeddingConfig:
     method: str = "hmds"
     isomap_k: int = 10
     max_iterations: int = 10000
-    stress_tolerance: float = 1e-9
     seed: int = 0
     restarts: int = 5
     bins: int = 20
@@ -167,8 +198,8 @@ class EmbeddingConfig:
             raise ValueError(f"unknown method: {self.method!r}")
         if self.isomap_k < 1:
             raise ValueError("isomap_k must be at least 1")
-        if self.stress_tolerance <= 0 or self.max_iterations < 1:
-            raise ValueError("tolerances must be positive")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
 
@@ -204,6 +235,12 @@ class EmbeddingResult:
     distortion: DistortionReport | None = None
     ids: tuple[str, ...] | None = None
     labels: tuple[str, ...] | None = None
+    # descent steps taken and why they stopped: "converged", "cap",
+    # "line_search" or "stationary"; the closed-form flat methods take 0
+    iterations: int = 0
+    stop_reason: str = "converged"
+    # every mds_pd start of a hyperbolic embed, in seed order
+    restarts: tuple[EmbeddingResult, ...] = ()
 
     def embedded_matrix(self) -> DistanceMatrix:
         ids = self.ids or tuple(f"p{i}" for i in range(len(self.coordinates)))
@@ -226,74 +263,12 @@ def _init_disk(n, rng) -> np.ndarray:
     return r * np.exp(1j * theta)
 
 
-_UMAX = np.nextafter(1.0, 0.0)
+def _real(z: np.ndarray) -> np.ndarray:
+    """The (n, 2) real view of contiguous complex points."""
+    return z.view(float).reshape(-1, 2)
 
 
-def _disk_terms(z: np.ndarray, iu0, iu1) -> dict:
-    """Disk distances of the pairs (iu0, iu1), condensed, with the terms
-    the stress gradient reuses."""
-    nn = pdist(np.stack([z.real, z.imag], axis=1))
-    nn2 = nn * nn
-    a2 = 1.0 - (z.real * z.real + z.imag * z.imag)
-    # |1 - z_j conj(z_k)|^2 = (1 - |z_j|^2)(1 - |z_k|^2) + |z_j - z_k|^2
-    ww2 = a2[iu0] * a2[iu1] + nn2
-    u2 = np.minimum(nn2 / ww2, _UMAX)
-    u = np.sqrt(u2)
-    dist = 2.0 * np.arctanh(np.minimum(u, _UMAX))
-    return {"nn2": nn2, "ww2": ww2, "u2": u2, "u": u, "dist": dist,
-            "a2": a2}
-
-
-class _DiskStress:
-    """Disk stress and gradient over condensed pairs.
-
-    The one implementation behind the hyperbolic sammon_stress and
-    stress_gradient.  It works on the upper-triangle vectors only, so the
-    descent loop does not rebuild n x n scratch matrices every trial step.
-    """
-
-    def __init__(self, delta: np.ndarray):
-        n = len(delta)
-        self.n = n
-        self.iu0, self.iu1 = np.triu_indices(n, 1)
-        tv = delta[self.iu0, self.iu1]
-        keep = tv > 0.0
-        self.tv = tv
-        # zero-target pairs (duplicate inputs) drop out of both sums
-        self.inv_tv = np.where(keep, 1.0 / np.where(keep, tv, 1.0), 0.0)
-        self.total = float(tv[keep].sum())
-
-    def eval(self, z: np.ndarray) -> dict:
-        ev = _disk_terms(z, self.iu0, self.iu1)
-        err = ev["dist"] - self.tv
-        if self.total == 0.0:
-            stress = 0.0
-        else:
-            stress = float((err * err * self.inv_tv).sum() / self.total)
-        ev.update(err=err, stress=stress)
-        return ev
-
-    def gradient(self, z: np.ndarray, ev: dict) -> np.ndarray:
-        if self.total == 0.0:
-            return np.zeros(self.n, dtype=complex)
-        zu = z[self.iu0]
-        zv = z[self.iu1]
-        diff = zu - zv
-        w = 1.0 - zu * np.conj(zv)
-        kappa = (4.0 / self.total) * ev["err"] * self.inv_tv / (1.0 - ev["u2"])
-        # the 1e-300 pad keeps coincident points (nn2 = 0) finite; their
-        # numerator is exactly zero so the contribution stays zero
-        q1 = kappa / np.sqrt(ev["nn2"] * ev["ww2"] + 1e-300)
-        t2 = (kappa * ev["u"] / ev["ww2"]) * w
-        base = q1 * diff
-        tj = base + t2 * zv
-        tk = np.conj(t2) * zu - base
-        n = self.n
-        gx = np.bincount(self.iu0, tj.real, minlength=n) \
-            + np.bincount(self.iu1, tk.real, minlength=n)
-        gy = np.bincount(self.iu0, tj.imag, minlength=n) \
-            + np.bincount(self.iu1, tk.imag, minlength=n)
-        return gx + 1j * gy
+_FLAT_DROP = 1e-9  # a relative stress drop below this is a flat step
 
 
 def mds_pd(target, cfg: EmbeddingConfig | None = None,
@@ -304,29 +279,30 @@ def mds_pd(target, cfg: EmbeddingConfig | None = None,
     translations opposite the stress gradient.  The trial step size is
     spectral (Barzilai-Borwein from the last displacement/gradient change)
     and every step is vetted by backtracking with a sufficient-decrease
-    test, so recorded stresses never increase.  Stops when the relative
-    stress decrease stays below the tolerance for five iterations in a
-    row, or on a failed line search.
+    test, so recorded stresses never increase.  The result's stop_reason
+    is "converged" once the relative stress drop stays below 1e-9 for five
+    steps in a row, "stationary" at a zero gradient, "line_search" when
+    40 halvings find no decrease, and "cap" after cfg.max_iterations steps.
     """
     cfg = cfg or EmbeddingConfig()
     delta = _target_values(target)
-    n = len(delta)
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    z = _init_disk(n, rng)
-    fn = _DiskStress(delta)
-    ev = fn.eval(z)
-    stress = ev["stress"]
+    z = _init_disk(len(delta), rng)
+    fn = _Stress(delta, "hyperbolic")
+    stress, terms = fn.eval(_real(z))
     trace = [stress]
     eta = 1.0
     flat = 0
-    prev_z = None
-    prev_d = None
+    prev_z = prev_d = None
+    reason = "cap"
     for _ in range(cfg.max_iterations):
-        gc = fn.gradient(z, ev)
-        a2 = ev["a2"]
-        d = -gc * a2
-        slope = float((a2 * (gc.real * gc.real + gc.imag * gc.imag)).sum())
+        x = _real(z)
+        g = fn.gradient(x, terms)
+        a2 = 1.0 - (x * x).sum(axis=1)
+        d = -a2 * g.view(complex)[:, 0]
+        slope = float((a2 * (g * g).sum(axis=1)).sum())
         if slope == 0.0:
+            reason = "stationary"
             break
         if prev_z is not None:
             s = z - prev_z
@@ -336,27 +312,27 @@ def mds_pd(target, cfg: EmbeddingConfig | None = None,
                 eta = min(float(np.real(np.vdot(s, s))) / sy, 1e4)
             else:
                 eta = min(eta * 2.0, 1.0)
-        accepted = False
         for _ in range(40):
             u = eta * d
             if np.all(np.abs(u) < 1.0):
                 znew = _clamp_disk((z + u) / (1.0 + np.conj(u) * z))
-                evnew = fn.eval(znew)
-                if evnew["stress"] <= stress - 1e-4 * eta * slope:
-                    accepted = True
+                snew, tnew = fn.eval(_real(znew))
+                if snew <= stress - 1e-4 * eta * slope:
                     break
             eta *= 0.5
-        if not accepted:
+        else:
+            reason = "line_search"
             break
         prev_z, prev_d = z, d
-        drop = (stress - evnew["stress"]) / max(stress, 1e-300)
-        z, ev, stress = znew, evnew, evnew["stress"]
+        drop = (stress - snew) / max(stress, 1e-300)
+        z, terms, stress = znew, tnew, snew
         trace.append(stress)
-        flat = flat + 1 if drop < cfg.stress_tolerance else 0
+        flat = flat + 1 if drop < _FLAT_DROP else 0
         if flat >= 5:
+            reason = "converged"
             break
-    coords = np.stack([z.real, z.imag], axis=1)
-    return EmbeddingResult(cfg.method, "hyperbolic", coords, stress, trace)
+    return EmbeddingResult(cfg.method, "hyperbolic", _real(z), stress, trace,
+                           iterations=len(trace) - 1, stop_reason=reason)
 
 
 # ---------------------------------------------------------------------------
@@ -472,13 +448,10 @@ def embed(target, cfg: EmbeddingConfig | None = None) -> EmbeddingResult:
         result = EmbeddingResult(cfg.method, "euclidean", coords, stress,
                                  [stress])
     else:
-        best = None
-        for r in range(cfg.restarts):
-            run = mds_pd(fit_target, cfg, seed=[cfg.seed, r])
-            if best is None or run.final_stress < best.final_stress:
-                best = run
-        result = EmbeddingResult(cfg.method, "hyperbolic", best.coordinates,
-                                 best.final_stress, best.stress_trace)
+        runs = tuple(mds_pd(fit_target, cfg, seed=[cfg.seed, r])
+                     for r in range(cfg.restarts))
+        best = min(runs, key=lambda run: run.final_stress)
+        result = replace(best, restarts=runs)
     if dm is not None:
         result.ids = dm.ids
         result.labels = dm.labels

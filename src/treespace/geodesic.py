@@ -206,6 +206,10 @@ def _refine_pairs(clash, con2, sq1, sq2, counts):
                  if q in clash[p]]
         asq = sum(sq1[p] for p in A)
         bsq = sum(sq2[q] for q in B)
+        if not (asq and bsq):
+            raise ValueError("squared attribute norms underflow to zero on "
+                             "conflicting splits; geodesics need "
+                             "attributes above about 1e-162")
         counts["covers"] += 1
         weight, ca, cb = _min_weight_cover([sq1[p] / asq for p in A],
                                            [sq2[q] / bsq for q in B],

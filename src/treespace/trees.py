@@ -186,9 +186,13 @@ class AttributedTree:
         keys, splits = tuple(zip(*keyed)) or ((), ())
         masks = tuple(sum(map(bit, s)) for s in splits)
         attrs = tuple(map(self.edges.__getitem__, splits))
+        sq = tuple(sum(map(mul, v, v)) for v in attrs)
+        if sum(sq) == math.inf:
+            # an infinite weight makes the max-flow covers NaN
+            raise ValueError("squared attribute norms overflow; geodesics "
+                             "need attributes below about 1e154")
         return _SplitView(
-            splits, keys, masks, attrs,
-            tuple(sum(map(mul, v, v)) for v in attrs),
+            splits, keys, masks, attrs, sq,
             tuple(map(any, attrs)),    # any(v): some c != 0.0
             dict(zip(masks, range(len(masks)))))
 

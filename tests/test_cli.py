@@ -9,7 +9,7 @@ import pytest
 
 import treespace
 from treespace.cli import main
-from treespace.distmat import DistanceMatrix
+from treespace.distmat import DistanceMatrix, csv_rows
 from treespace.geodesic import distance_matrix_detailed
 from treespace.trees import parse_population, parse_tree
 
@@ -122,6 +122,39 @@ def test_correlate_outputs(pop_file, tmp_path):
     assert man["duration_s"] == 0.0
 
 
+def test_dist_rejects_unrepresentable_lengths(tmp_path, capsys):
+    # squared lengths of 1e160 overflow; the max-flow used to spin on them
+    pop = tmp_path / "pop.json"
+    pop.write_text(json.dumps([
+        {"leaves": list("abcdef"), "edges": [
+            {"split": list(x), "attr": [1e160]} for x in pair]}
+        for pair in (("ab", "abc"), ("bc", "bcd"))]))
+    assert run("dist", "--input", str(pop), "-o",
+               str(tmp_path / "d.csv")) == 70
+    err = capsys.readouterr().err
+    assert err.startswith("treespace: error: compute:") and "overflow" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_correlate_quotes_labels_with_commas(pop_file, tmp_path):
+    blob = json.loads(pop_file.read_text())
+    for tree in blob:
+        tree["labels"]["L,MB"] = tree["labels"].pop("LMB")
+    pop = tmp_path / "comma.json"
+    pop.write_text(json.dumps(blob))
+    out = tmp_path / "corr"
+    assert run("correlate", "--input", str(pop), "--labels", "L,MB", "RMB",
+               "LUL", "-o", str(out), "--deterministic") == 0
+    names = ["L,MB", "RMB", "LUL"]
+    corr = csv_rows((out / "correlation.csv").read_text())
+    assert corr[0] == ["label", *names]
+    assert [r[0] for r in corr[1:]] == names
+    assert all(len(r) == 4 for r in corr)
+    dev = csv_rows((out / "deviations.csv").read_text())
+    assert dev[0] == ["id", *names]
+    assert len(dev) == 1 + len(blob) and all(len(r) == 4 for r in dev)
+
+
 def test_embed_and_distortion(tmp_path):
     assert run("gen", "corner", "-o", str(tmp_path / "c.json"),
                "--n", "15", "--seed", "4") == 0
@@ -136,6 +169,29 @@ def test_embed_and_distortion(tmp_path):
     rows = (emb / "coordinates.csv").read_text().splitlines()
     assert rows[0] == "id,label,x,y"
     assert len(rows) == 16
+    diag = json.loads((emb / "manifest.json").read_text())["diagnostics"]
+    runs = diag["restarts"]
+    assert len(runs) == 2 and diag["best"] in (0, 1)
+    best = runs[diag["best"]]
+    assert best["final_stress"] == summary["final_stress"] == min(
+        r["final_stress"] for r in runs)
+    assert best["iterations"] == summary["iterations"] > 0
+    for r in runs:
+        assert r["stop_reason"] in ("converged", "cap", "line_search",
+                                    "stationary")
+    capped = tmp_path / "capped"
+    assert run("embed", "--input", str(tmp_path / "c.csv"), "-o",
+               str(capped), "--restarts", "1", "--max-iterations", "3",
+               "--deterministic") == 0
+    diag = json.loads((capped / "manifest.json").read_text())["diagnostics"]
+    assert diag == {"restarts": [{
+        "iterations": 3, "stop_reason": "cap",
+        "final_stress": diag["restarts"][0]["final_stress"]}], "best": 0}
+    flat = tmp_path / "flat"
+    assert run("embed", "--input", str(tmp_path / "c.csv"), "-o", str(flat),
+               "--method", "mds", "--deterministic") == 0
+    diag = json.loads((flat / "manifest.json").read_text())["diagnostics"]
+    assert diag["best"] == 0 and diag["restarts"][0]["iterations"] == 0
 
     out = tmp_path / "ident.json"
     assert run("distortion", "--original", str(tmp_path / "c.csv"),

@@ -1,7 +1,10 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist, squareform
 
 from treespace import (
     DistanceMatrix,
@@ -15,7 +18,7 @@ from treespace import (
     sammon_stress,
     stress_gradient,
 )
-from treespace.embedding import _DiskStress, _pairwise
+from treespace.embedding import _Stress, _pairwise
 
 
 def disk_points(rng, n, rmax=0.85):
@@ -26,6 +29,40 @@ def disk_points(rng, n, rmax=0.85):
 
 def full_matrix(points, metric):
     return _pairwise(points, metric)
+
+
+def stress_cases():
+    """Named (target, points, metric) cases whose stress and gradient are
+    pinned in data/stress_reference.json.
+
+    Targets are plane distances of unrelated points, so no case depends on
+    the code under test.  The degenerate cases hold a coincident pair
+    (1, 4) at a positive target, a zero-target pair (2, 5) at distinct
+    points, and a coincident zero-target pair (0, 6).
+    """
+    rng = np.random.default_rng(2024)
+    cases = {}
+    for metric in ("euclidean", "hyperbolic"):
+        for n in (2, 7, 30):
+            z = disk_points(rng, n, 0.9)
+            pts = np.stack([z.real, z.imag], axis=1)
+            target = 1.5 * squareform(pdist(rng.normal(size=(n, 2))))
+            cases[f"{metric}-{n}"] = (target, pts, metric)
+        z = disk_points(rng, 7, 0.9)
+        z[4], z[6] = z[1], z[0]
+        pts = np.stack([z.real, z.imag], axis=1)
+        target = 1.5 * squareform(pdist(rng.normal(size=(7, 2))))
+        target[2, 5] = target[5, 2] = target[0, 6] = target[6, 0] = 0.0
+        cases[f"{metric}-degenerate"] = (target, pts, metric)
+    pts = rng.normal(size=(7, 3))
+    pts[4] = pts[1]
+    target = squareform(pdist(rng.normal(size=(7, 3))))
+    target[2, 5] = target[5, 2] = 0.0
+    cases["euclidean-3d"] = (target, pts, "euclidean")
+    return cases
+
+
+STRESS_REFERENCE = Path(__file__).parent / "data" / "stress_reference.json"
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +213,7 @@ def test_gradient_vanishes_at_exact_fit():
 
 
 def test_disk_stress_matches_public_functions():
-    # the condensed distances that _DiskStress, embedded_matrix and the
+    # the condensed distances that _Stress, embedded_matrix and the
     # distortion report share agree with the scalar hyperbolic_distance
     rng = np.random.default_rng(13)
     for n, rmax in ((2, 0.5), (8, 0.85), (8, 0.999999)):
@@ -187,10 +224,32 @@ def test_disk_stress_matches_public_functions():
         full = _pairwise(pts, "hyperbolic")
         assert full.shape == (n, n)
         assert np.allclose(full, ref, rtol=1e-9, atol=1e-12)
-        fn = _DiskStress(np.zeros((n, n)))
+        fn = _Stress(np.zeros((n, n)), "hyperbolic")
         iu = np.triu_indices(n, 1)
-        assert np.allclose(fn.eval(z)["dist"], ref[iu], rtol=1e-9,
-                           atol=1e-12)
+        _, err, _, _ = fn.eval(pts)[1]  # err = dist at a zero target
+        assert np.allclose(err, ref[iu], rtol=1e-9, atol=1e-12)
+
+
+def test_stress_and_gradient_match_pinned_values():
+    # values recorded on the earlier separate plane and disk
+    # implementations (dense plane arithmetic, condensed bincount disk
+    # gradient), so the shared kernel is held to both
+    ref = json.loads(STRESS_REFERENCE.read_text())
+    cases = stress_cases()
+    assert sorted(ref) == sorted(cases)
+    for name, (target, pts, metric) in cases.items():
+        want = ref[name]
+        got = sammon_stress(target, pts, metric)
+        assert got == pytest.approx(want["stress"], rel=1e-12, abs=0), name
+        grad = stress_gradient(target, pts, metric)
+        expect = np.array(want["gradient"])
+        assert grad.shape == expect.shape == pts.shape, name
+        assert np.abs(grad - expect).max() <= 1e-12 * np.abs(expect).max(), \
+            name
+        if metric == "hyperbolic":  # complex points give the same values
+            z = pts[:, 0] + 1j * pts[:, 1]
+            assert sammon_stress(target, z, metric) == got
+            assert np.array_equal(stress_gradient(target, z, metric), grad)
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +293,25 @@ def test_mds_pd_iterates_stay_inside():
         res = mds_pd(target, cfg, seed=3)
         assert np.all(np.hypot(res.coordinates[:, 0],
                                res.coordinates[:, 1]) < 1.0)
+
+
+def test_mds_pd_stop_reasons():
+    rng = np.random.default_rng(59)
+    target = full_matrix(disk_points(rng, 6), "hyperbolic")
+    capped = mds_pd(target, EmbeddingConfig(max_iterations=1), seed=1)
+    assert capped.stop_reason == "cap" and capped.iterations == 1
+    assert len(capped.stress_trace) == 2
+    full = mds_pd(target, seed=1)
+    assert full.stop_reason == "converged"
+    assert full.iterations == len(full.stress_trace) - 1 > 1
+    # every pair at target zero: zero stress and zero gradient at the start
+    zero = mds_pd(np.zeros((4, 4)), seed=1)
+    assert zero.stop_reason == "stationary" and zero.iterations == 0
+    assert zero.final_stress == 0.0
+    # an exact fit ends on a zero gradient or five flat steps, not the cap
+    two = mds_pd(np.array([[0.0, 1.3], [1.3, 0.0]]))
+    assert two.stop_reason in ("stationary", "converged")
+    assert two.final_stress < 1e-10
 
 
 def test_mds_pd_deterministic():
@@ -372,6 +450,10 @@ def test_embed_hmds_keeps_best_restart():
     assert res.final_stress == min(singles)
     assert res.metric == "hyperbolic"
     assert res.distortion is not None
+    assert [r.final_stress for r in res.restarts] == singles
+    best = singles.index(res.final_stress)
+    assert res.iterations == res.restarts[best].iterations
+    assert res.stop_reason == res.restarts[best].stop_reason
 
 
 def test_embed_hisomap_composes():

@@ -446,3 +446,43 @@ def test_min_weight_cover_equals_plain_edmonds_karp():
                  if rng.random() < 0.6] or [(0, 0)]
         assert _min_weight_cover(wa, wb, edges) == \
             _plain_edmonds_karp_cover(wa, wb, edges)
+
+
+def scaled_conflict_pairs(s):
+    """Two 6-leaf pairs whose conflicting splits all have length s."""
+    leaves = tuple("abcdef")
+    for one, two in ((("ab", "abc"), ("bc", "bcd")),
+                     (("ab", "de"), ("bc", "ef"))):
+        yield (AttributedTree(leaves, {S(x): (s,) for x in one}),
+               AttributedTree(leaves, {S(x): (s,) for x in two}))
+
+
+@pytest.mark.parametrize("s", [1e-100, 1e150])
+def test_extreme_lengths_scale_the_distance(s):
+    for (t1, t2), (u1, u2) in zip(scaled_conflict_pairs(s),
+                                  scaled_conflict_pairs(1.0)):
+        want = s * geodesic_distance(u1, u2)
+        assert geodesic_distance(t1, t2) == pytest.approx(want, rel=1e-12)
+
+
+def test_one_underflowing_split_among_normal_ones_is_fine():
+    # its square is 0, a zero cover weight; only a side whose squares all
+    # underflow leaves the geodesic undefined in floating point
+    leaves = tuple("abcdef")
+    t1 = AttributedTree(leaves, {S("ab"): (1e-170,), S("abc"): (1.0,)})
+    t2 = AttributedTree(leaves, {S("bc"): (1.0,), S("bcd"): (2.0,)})
+    want = brute_force_distance(t1, t2)
+    assert geodesic_distance(t1, t2) == geodesic_distance(t2, t1) == want
+
+
+@pytest.mark.parametrize("s, word", [(1e-170, "underflow"),
+                                     (1e160, "overflow"),
+                                     (1e200, "overflow")])
+def test_unrepresentable_squared_norms_raise(s, word):
+    # squares below the smallest subnormal make a side's weights 0/0, and
+    # infinite squares make them NaN, which used to loop forever
+    for t1, t2 in scaled_conflict_pairs(s):
+        for fn in (geodesic_distance, geodesic,
+                   lambda a, b: distance_matrix([a, b])):
+            with pytest.raises(ValueError, match=word):
+                fn(t1, t2)
