@@ -49,6 +49,8 @@ __all__ = [
 ]
 
 _BOUNDARY = 1.0 - 1e-10  # |z| is clamped here; the metric blows up at 1
+_UMAX = np.nextafter(1.0, 0.0)  # u = tanh(d / 2) is capped here
+_FLAT_DROP = 1e-9  # mds_pd: a relative stress drop below this is flat
 
 
 def hyperbolic_distance(z1, z2) -> float:
@@ -70,9 +72,6 @@ def _target_values(target) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("target must be a square distance matrix")
     return arr
-
-
-_UMAX = np.nextafter(1.0, 0.0)
 
 
 def _coords(points, metric) -> np.ndarray:
@@ -108,7 +107,8 @@ def _distances(x: np.ndarray, disk: bool, iu) -> tuple:
 def _pairwise(points, metric) -> np.ndarray:
     x = _coords(points, metric)
     iu = np.triu_indices(len(x), 1)
-    return squareform(_distances(x, metric == "hyperbolic", iu)[1])
+    dist = _distances(x, metric == "hyperbolic", iu)[1]
+    return squareform(dist) if len(x) else np.zeros((0, 0))
 
 
 class _Stress:
@@ -146,6 +146,8 @@ class _Stress:
         factor 2 / ((1 - u^2) |1 - z_j conj(z_k)|) and t = q u^2.
         Coincident points (d = 0) get q = 0; their pair has no direction.
         """
+        if not len(x):  # squareform reads an empty vector as one point
+            return x.copy()
         nn, err, u2, ww2 = terms
         c = 2.0 * err * self.w
         if self.disk:
@@ -266,9 +268,6 @@ def _init_disk(n, rng) -> np.ndarray:
 def _real(z: np.ndarray) -> np.ndarray:
     """The (n, 2) real view of contiguous complex points."""
     return z.view(float).reshape(-1, 2)
-
-
-_FLAT_DROP = 1e-9  # a relative stress drop below this is a flat step
 
 
 def mds_pd(target, cfg: EmbeddingConfig | None = None,

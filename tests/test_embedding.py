@@ -308,6 +308,11 @@ def test_mds_pd_stop_reasons():
     zero = mds_pd(np.zeros((4, 4)), seed=1)
     assert zero.stop_reason == "stationary" and zero.iterations == 0
     assert zero.final_stress == 0.0
+    for n in (0, 1):  # no pairs at all
+        none = mds_pd(np.zeros((n, n)), seed=1)
+        assert none.stop_reason == "stationary"
+        assert none.coordinates.shape == (n, 2)
+        assert full_matrix(none.coordinates, "hyperbolic").shape == (n, n)
     # an exact fit ends on a zero gradient or five flat steps, not the cap
     two = mds_pd(np.array([[0.0, 1.3], [1.3, 0.0]]))
     assert two.stop_reason in ("stationary", "converged")
