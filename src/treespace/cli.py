@@ -5,11 +5,14 @@ distances, means, permutation tests, subtree features, classification,
 nearest neighbors, deviation correlations, embeddings and distortion
 reports.  Every run writes a manifest (argv, seeds, inputs, outputs,
 version, duration; ``mean`` adds the solver's iterations, stop reason and
-objective, ``embed`` each restart's, ``dist`` counts its geodesic work)
-next to its outputs, numeric
-outputs are byte-stable for a fixed seed, and ``--deterministic``
+objective, ``embed`` each restart's, ``dist`` counts its geodesic work,
+``permtest`` its group means' stop reasons and steps) next to its outputs,
+numeric outputs are byte-stable for a fixed seed, and ``--deterministic``
 additionally drops timestamps from SVG files and the manifest.
-``--threads`` is accepted and ignored.
+``--threads N`` sets the worker processes of the commands that compute
+many independent geodesic pairs or group means (``dist``, ``knn --input``
+and ``permtest``); by default they use every CPU this process may run on.
+Outputs do not depend on it.
 
 Option precedence is flags, then ``--config`` JSON, then built-in
 defaults.  Exit codes: 64 usage, 65 bad input, 70 computation failure.
@@ -97,7 +100,9 @@ def _merged(args):
 def _common(parser, cmd):
     _add(parser, cmd, "--seed", type=int, default=0)
     _add(parser, cmd, "--threads", type=int, default=None,
-         help="accepted and ignored; computations run serially")
+         help="worker processes for dist, knn --input and permtest "
+              "(default: every CPU this process may run on; 1 runs "
+              "serially); other commands run serially")
     _add(parser, cmd, "--config", default=None)
     _add(parser, cmd, "--deterministic", action="store_true")
 
@@ -338,7 +343,8 @@ def _cmd_gen(args, argv, t0):
 def _cmd_dist(args, argv, t0):
     trees, classes = _load_population(args.input)
     labels = tuple(str(c) for c in classes) if classes else None
-    dm, counts = distance_matrix_detailed(trees, labels=labels)
+    dm, counts = distance_matrix_detailed(trees, labels=labels,
+                                          workers=args.threads)
     path = _write(args.output, dm.to_csv())
     _manifest(args, argv, [args.input], [path], t0,
               Path(args.output).with_suffix(".manifest.json"),
@@ -362,10 +368,13 @@ def _cmd_permtest(args, argv, t0):
     uniq = _require_two_classes(classes, args.groups)
     g1 = [t for t, c in zip(trees, classes) if c == uniq[0]]
     g2 = [t for t, c in zip(trees, classes) if c == uniq[1]]
-    report = permutation_test(g1, g2, args.statistic, args.m, args.seed)
+    report = permutation_test(g1, g2, args.statistic, args.m, args.seed,
+                              workers=args.threads)
     path = _write(args.output, _json_text(report.to_json(args.full)))
     _manifest(args, argv, [args.groups], [path], t0,
-              Path(args.output).with_suffix(".manifest.json"))
+              Path(args.output).with_suffix(".manifest.json"),
+              diagnostics={"mean_stop_reasons": report.mean_stop_reasons,
+                           "mean_iterations": report.mean_iterations})
 
 
 def _cmd_features(args, argv, t0):
@@ -423,7 +432,8 @@ def _cmd_knn(args, argv, t0):
         if classes is None:
             raise CliError(INPUT_ERROR,
                            f"input: {args.input}: no class column")
-        dm = distance_matrix(trees, labels=tuple(map(str, classes)))
+        dm = distance_matrix(trees, labels=tuple(map(str, classes)),
+                             workers=args.threads)
         y = list(classes)
         inputs = [args.input]
     else:

@@ -36,6 +36,7 @@ from itertools import chain, product
 
 import numpy as np
 
+from ._pool import fork_map, resolve_workers
 from .distmat import DistanceMatrix
 from .trees import AttributedTree, Split, TreeError, compatible
 
@@ -57,6 +58,9 @@ _RESIDUAL_EPS = 1e-13
 # work counted by distance_matrix_detailed
 _COUNTS = ("pairs", "same_topology", "covers", "cover_early_stops",
            "refinements", "augmentations")
+# pairs from which distance_matrix_detailed starts a process pool; below
+# it, starting the pool costs about what the second CPU saves
+_POOL_MIN_PAIRS = 2000
 
 
 def _check_pair(t1: AttributedTree, t2: AttributedTree) -> None:
@@ -367,30 +371,66 @@ def geodesic_point(t1: AttributedTree, t2: AttributedTree,
     return geodesic(t1, t2).point(s)
 
 
-def distance_matrix_detailed(trees, ids=None, labels=None):
+def _check_trees(trees) -> None:
+    """Raise what ``_check_pair`` raises on the first bad pair in row
+    order, looking at each tree once."""
+    for t in trees[1:]:
+        _check_pair(trees[0], t)
+    # every tree now has the first one's leaves, and its dimension where
+    # both are set, so only two later trees can still clash
+    dims = [(i, t.k) for i, t in enumerate(trees) if t.k is not None]
+    for i, k in dims[1:]:
+        if k != dims[0][1]:
+            _check_pair(trees[dims[0][0]], trees[i])
+
+
+def distance_matrix_detailed(trees, ids=None, labels=None, workers=None):
     """All pairwise distances, and counts of the work: ``pairs``,
     ``same_topology`` pairs, ``covers`` (max-flow runs), their
     ``cover_early_stops`` (weight one, no split), ``refinements`` (support
-    pairs split) and ``augmentations`` (augmenting paths)."""
+    pairs split) and ``augmentations`` (augmenting paths).
+
+    From 2 000 pairs on, the pairs are spread over ``workers`` processes
+    (default: the CPUs this process may run on); the matrix and the counts
+    do not depend on how many.
+    """
+    workers = resolve_workers(workers)
     trees = list(trees)
     n = len(trees)
     if ids is None:
         ids = tuple(f"t{i}" for i in range(n))
+    # built here, before any fork, so that the workers inherit them
     views = [t._split_view for t in trees]
+    _check_trees(trees)
+    rows, cols = np.triu_indices(n, 1)
+    pairs = list(zip(rows.tolist(), cols.tolist()))
+    if len(pairs) < _POOL_MIN_PAIRS:
+        workers = 1
+    # pairs dealt round-robin, a few chunks per worker, so that every
+    # chunk mixes short and long rows alike
+    k = 4 * workers if workers > 1 else 1
+
+    def run(chunk):
+        work = dict.fromkeys(_COUNTS, 0)
+        return [_pair(views[i], views[j], work)[0] for i, j in chunk], work
+
+    flat = np.empty(len(pairs))
     counts = dict.fromkeys(_COUNTS, 0)
+    chunks = [pairs[c::k] for c in range(k)]
+    for c, (lengths, work) in enumerate(fork_map(run, chunks, workers)):
+        flat[c::k] = lengths
+        for key, v in work.items():
+            counts[key] += v
+    counts["pairs"] = len(pairs)
     values = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            _check_pair(trees[i], trees[j])
-            values[i, j] = values[j, i] = _pair(views[i], views[j],
-                                                counts)[0]
-    counts["pairs"] = n * (n - 1) // 2
+    values[rows, cols] = values[cols, rows] = flat
     return DistanceMatrix(tuple(ids), values, labels), counts
 
 
-def distance_matrix(trees, ids=None, labels=None) -> DistanceMatrix:
+def distance_matrix(trees, ids=None, labels=None,
+                    workers=None) -> DistanceMatrix:
     """All pairwise geodesic distances."""
-    return distance_matrix_detailed(trees, ids, labels)[0]
+    return distance_matrix_detailed(trees, ids, labels, workers)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,12 @@ significant result is never an artifact of too few permutations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._pool import fork_map, resolve_workers
 from .geodesic import geodesic, geodesic_distance
 from .trees import AttributedTree
 
@@ -182,12 +184,19 @@ def variance(trees, mean: AttributedTree) -> float:
 
 @dataclass(frozen=True)
 class PermutationTestReport:
+    """``mean_stop_reasons`` counts how the group means of the observed
+    split and of every replicate stopped (see ``MeanResult``), and
+    ``mean_iterations`` sums their steps; both stay empty and 0 when the
+    trees share one orthant and the means are plain averages."""
+
     statistic_kind: str
     observed: float
     permuted: tuple[float, ...]
     p_value: float
     seed: int
     sizes: tuple[int, int]
+    mean_stop_reasons: dict = field(default_factory=dict)
+    mean_iterations: int = 0
 
     @property
     def m(self) -> int:
@@ -219,15 +228,18 @@ def _stacked_attributes(trees):
 
 
 def _group_stat_trees(g1, g2, kind, cfg):
+    """The statistic, and (stop_reason, iterations) of both group means."""
+    r1, r2 = frechet_mean_detailed(g1, cfg), frechet_mean_detailed(g2, cfg)
     if kind == "mean":
-        return geodesic_distance(frechet_mean(g1, cfg), frechet_mean(g2, cfg))
-    v1 = variance(g1, frechet_mean(g1, cfg))
-    v2 = variance(g2, frechet_mean(g2, cfg))
-    return abs(v1 - v2)
+        value = geodesic_distance(r1.tree, r2.tree)
+    else:
+        value = abs(variance(g1, r1.tree) - variance(g2, r2.tree))
+    return value, [(r.stop_reason, r.iterations) for r in (r1, r2)]
 
 
 def permutation_test(g1, g2, kind: str = "mean", m: int = 1000,
-                     seed: int = 0) -> PermutationTestReport:
+                     seed: int = 0, workers: int | None = None) \
+        -> PermutationTestReport:
     """Two-group permutation test on tree populations.
 
     ``kind`` selects the statistic: distance between group means, or
@@ -235,8 +247,12 @@ def permutation_test(g1, g2, kind: str = "mean", m: int = 1000,
     repartitions the pooled trees into the original group sizes, using an
     RNG stream derived from (seed, replicate) so replicates are independent
     of evaluation order.  Partitions are sampled independently, so repeats
-    can occur.
+    can occur.  When the trees span several orthants, the group means of
+    the observed split and the replicates are spread over ``workers``
+    processes (default: the CPUs this process may run on); the report does
+    not depend on how many.
     """
+    workers = resolve_workers(workers)
     g1, g2 = list(g1), list(g2)
     if len(g1) < 2 or len(g2) < 2:
         raise ValueError("each group needs at least two trees")
@@ -248,9 +264,13 @@ def permutation_test(g1, g2, kind: str = "mean", m: int = 1000,
     _check_population(pool)
     n1 = len(g1)
     n = len(pool)
+    parts = [(np.arange(n1), np.arange(n1, n))]
+    for rep in range(m):
+        perm = np.random.default_rng([seed, rep]).permutation(n)
+        parts.append((perm[:n1], perm[n1:]))
 
-    single_orthant = all(t.splits == pool[0].splits for t in pool)
-    if single_orthant:
+    reasons, iterations = Counter(), 0
+    if all(t.splits == pool[0].splits for t in pool):
         x = _stacked_attributes(pool)
 
         def stat(idx1, idx2):
@@ -262,26 +282,26 @@ def permutation_test(g1, g2, kind: str = "mean", m: int = 1000,
             vb = float(((b - b.mean(axis=0)) ** 2).sum() / (len(idx2) - 1))
             return abs(va - vb)
 
-        observed = stat(np.arange(n1), np.arange(n1, n))
+        values = [stat(a, b) for a, b in parts]
     else:
         cfg = MeanConfig(seed=seed)
 
-        def stat(idx1, idx2):
-            return _group_stat_trees([pool[i] for i in idx1],
-                                     [pool[i] for i in idx2], kind, cfg)
+        def run(part):
+            return _group_stat_trees([pool[i] for i in part[0]],
+                                     [pool[i] for i in part[1]], kind, cfg)
 
-        observed = stat(list(range(n1)), list(range(n1, n)))
-
-    permuted = []
-    for rep in range(m):
-        rng = np.random.default_rng([seed, rep])
-        perm = rng.permutation(n)
-        permuted.append(stat(perm[:n1], perm[n1:]))
-    permuted = tuple(float(v) for v in permuted)
+        values = []
+        for value, means in fork_map(run, parts, workers):
+            values.append(value)
+            for reason, steps in means:
+                reasons[reason] += 1
+                iterations += steps
+    observed = values[0]
+    permuted = tuple(float(v) for v in values[1:])
     exceed = sum(1 for v in permuted if v >= observed)
     p = (1 + exceed) / (m + 1)
     return PermutationTestReport(kind, float(observed), permuted, p, seed,
-                                 (n1, n - n1))
+                                 (n1, n - n1), dict(reasons), iterations)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,193 @@
+"""The process pool behind ``workers=`` and ``--threads``: pooled runs give
+the serial bytes, and failures inside a worker surface as the serial ones.
+
+The pool is forced on small inputs by lowering the pair count at which
+``distance_matrix_detailed`` starts one.  Run under a one-CPU affinity mask
+(``taskset -c 0``), the default worker count falls back to serial, and the
+same bytes must come out.
+"""
+
+import hashlib
+import importlib
+import json
+import multiprocessing
+import os
+
+import numpy as np
+import pytest
+
+from treespace import (AttributedTree, TreeError, airway_template,
+                       distance_matrix, distance_matrix_detailed,
+                       gen_tree_population, permutation_test,
+                       serialize_population)
+from treespace._pool import fork_map, resolve_workers
+from treespace.cli import main
+
+from test_geodesic import (_PINNED_CSV_SHA256, _pinned_populations,
+                           scaled_conflict_pairs)
+
+# the package's ``geodesic`` attribute is the function of that name
+geodesic_module = importlib.import_module("treespace.geodesic")
+
+
+@pytest.fixture()
+def pool_always(monkeypatch):
+    monkeypatch.setattr(geodesic_module, "_POOL_MIN_PAIRS", 0)
+
+
+def run(*argv):
+    return main([str(a) for a in argv])
+
+
+def test_default_workers_follow_the_affinity_mask():
+    assert resolve_workers(None) == len(os.sched_getaffinity(0))
+    assert resolve_workers(3) == 3
+
+
+@pytest.mark.parametrize("fn", [
+    lambda t, w: distance_matrix(t, workers=w),
+    lambda t, w: permutation_test(t[:2], t[2:], m=3, workers=w),
+])
+def test_workers_below_one_rejected(fn):
+    trees = gen_tree_population(airway_template(), 4, seed=1).trees
+    for workers in (0, -2):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            fn(trees, workers)
+
+
+def test_pooled_distance_matrix_bytes_pinned(pool_always):
+    for trees, digest in zip(_pinned_populations(), _PINNED_CSV_SHA256):
+        serial, serial_counts = distance_matrix_detailed(trees, workers=1)
+        for workers in (2, None):
+            dm, counts = distance_matrix_detailed(trees, workers=workers)
+            text = dm.to_csv()
+            assert hashlib.sha256(text.encode()).hexdigest() == digest
+            assert text == serial.to_csv()
+            assert counts == serial_counts
+
+
+def _underflow_population():
+    """Normal trees around a pair whose conflicting squares all underflow."""
+    tiny, normal = next(scaled_conflict_pairs(1e-170)), \
+        next(scaled_conflict_pairs(1.0))
+    return [normal[0], normal[1], *tiny, normal[0]]
+
+
+def test_failure_inside_a_worker_raises_the_serial_error(pool_always):
+    trees = _underflow_population()
+    with pytest.raises(ValueError) as serial:
+        distance_matrix(trees, workers=1)
+    with pytest.raises(ValueError) as pooled:
+        distance_matrix(trees, workers=2)
+    assert "underflow" in str(serial.value)
+    assert str(pooled.value) == str(serial.value)
+    assert multiprocessing.active_children() == []
+
+
+def test_cli_failure_inside_a_worker_is_one_line(pool_always, tmp_path,
+                                                 capsys):
+    pop = tmp_path / "pop.json"
+    pop.write_text(serialize_population(_underflow_population()))
+    assert run("dist", "--input", pop, "-o", tmp_path / "d.csv",
+               "--threads", "2") == 70
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "underflow" in err
+    assert multiprocessing.active_children() == []
+
+
+def test_cli_threads_zero_is_one_line(tmp_path, capsys):
+    pop = tmp_path / "pop.json"
+    assert run("gen", "trees", "-o", pop, "--n", "4") == 0
+    capsys.readouterr()
+    assert run("dist", "--input", pop, "-o", tmp_path / "d.csv",
+               "--threads", "0") == 70
+    err = capsys.readouterr().err
+    assert err == "treespace: error: compute: workers must be at least 1\n"
+
+
+def test_pools_do_not_nest(pool_always):
+    trees = gen_tree_population(airway_template(), 8, topology_noise=0.5,
+                                seed=2).trees
+    want = distance_matrix(trees, workers=1).values
+
+    def task(_):
+        # inside a worker this asks for a pool again; it runs serially
+        # instead of failing on a daemonic process starting children
+        return distance_matrix(trees, workers=2).values
+
+    for got in fork_map(task, range(2), 2):
+        assert np.array_equal(got, want)
+
+
+def test_fork_map_keeps_input_order():
+    assert fork_map(lambda x: x * x, range(7), 3) == \
+        [x * x for x in range(7)]
+    assert fork_map(lambda x: x, [], 2) == []
+
+
+def _cli_outputs(tmp_path, name, argv, out):
+    """Run ``argv`` under --threads 1, 2 and the default; return each
+    run's output bytes and manifest diagnostics."""
+    runs = {}
+    for threads in ("1", "2", None):
+        d = tmp_path / f"{name}-{threads}"
+        flag = ["--threads", threads] if threads else []
+        assert run(*argv, "-o", d / out, *flag, "--deterministic") == 0
+        manifest = json.loads((d / out).with_suffix(".manifest.json")
+                              .read_text())
+        runs[threads] = (d / out).read_bytes(), manifest["diagnostics"]
+    return runs
+
+
+def test_cli_dist_identical_across_threads(tmp_path):
+    pop = tmp_path / "pop.json"
+    assert run("gen", "trees", "-o", pop, "--n", "64",
+               "--topology-noise", "0.5", "--seed", "3") == 0
+    runs = _cli_outputs(tmp_path, "dist", ["dist", "--input", pop],
+                        "dist.csv")
+    # 64 trees make 2 016 pairs, past the pool's crossover
+    assert runs["1"][1]["pairs"] == 2016
+    assert runs["1"] == runs["2"] == runs[None]
+
+
+def test_cli_permtest_identical_across_threads_and_counts_means(tmp_path):
+    pop = tmp_path / "pop.json"
+    assert run("gen", "trees", "-o", pop, "--n", "12",
+               "--topology-noise", "0.5", "--class-shift", '{"LMB": 0.3}',
+               "--seed", "2") == 0
+    runs = _cli_outputs(tmp_path, "perm",
+                        ["permtest", "--groups", pop, "--M", "8"],
+                        "perm.json")
+    assert json.loads(runs["1"][0])["sizes"] == [6, 6]
+    assert runs["1"] == runs["2"] == runs[None]
+    diagnostics = runs["1"][1]
+    # two group means for the observed split and for each replicate
+    assert sum(diagnostics["mean_stop_reasons"].values()) == 2 * (8 + 1)
+    assert diagnostics["mean_iterations"] > 0
+
+
+def test_permtest_single_orthant_counts_no_means(tmp_path):
+    pop = tmp_path / "pop.json"
+    assert run("gen", "trees", "-o", pop, "--n", "8",
+               "--class-shift", '{"LMB": 0.3}') == 0
+    out = tmp_path / "perm.json"
+    assert run("permtest", "--groups", pop, "-o", out, "--M", "20") == 0
+    diagnostics = json.loads(out.with_suffix(".manifest.json")
+                             .read_text())["diagnostics"]
+    assert diagnostics == {"mean_stop_reasons": {}, "mean_iterations": 0}
+
+
+def test_trees_checked_once_raise_the_first_pairwise_error():
+    # the checks run in the caller, before any fork, one tree at a time,
+    # and name the same pair a pair-by-pair check would name first
+    S = frozenset
+    edgeless = AttributedTree(tuple("abcd"), {})
+    one = AttributedTree(tuple("abcd"), {S("ab"): (1.0,)})
+    two = AttributedTree(tuple("abcd"), {S("ab"): (1.0, 2.0)})
+    other = AttributedTree(tuple("abce"), {S("ab"): (1.0,)})
+    for trees, message in (([edgeless, one, edgeless, two], "1 vs 2"),
+                           ([edgeless, two, one, one], "2 vs 1"),
+                           ([one, one, two, other], "1 vs 2"),
+                           ([one, edgeless, other, two], "leaf sets")):
+        with pytest.raises(TreeError, match=message):
+            distance_matrix(trees, workers=1)
