@@ -11,8 +11,8 @@ numeric outputs are byte-stable for a fixed seed, and ``--deterministic``
 additionally drops timestamps from SVG files and the manifest.
 ``--threads N`` sets the worker processes of the commands that compute
 many independent geodesic pairs or group means (``dist``, ``knn --input``
-and ``permtest``); by default they use every CPU this process may run on.
-Outputs do not depend on it.
+and ``permtest``); by default, and at most, they use every CPU this
+process may run on.  Outputs do not depend on it.
 
 Option precedence is flags, then ``--config`` JSON, then built-in
 defaults.  Exit codes: 64 usage, 65 bad input, 70 computation failure.
@@ -101,8 +101,8 @@ def _common(parser, cmd):
     _add(parser, cmd, "--seed", type=int, default=0)
     _add(parser, cmd, "--threads", type=int, default=None,
          help="worker processes for dist, knn --input and permtest "
-              "(default: every CPU this process may run on; 1 runs "
-              "serially); other commands run serially")
+              "(default, and at most: every CPU this process may run "
+              "on; 1 runs serially); other commands run serially")
     _add(parser, cmd, "--config", default=None)
     _add(parser, cmd, "--deterministic", action="store_true")
 

@@ -31,14 +31,15 @@ support sequences and never looks at the refinement machinery.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import chain, product
+from dataclasses import dataclass, field
+from itertools import chain, product, repeat
+from operator import add, sub
 
 import numpy as np
 
-from ._pool import fork_map, resolve_workers
+from ._pool import cpus, fork_map, resolve_workers
 from .distmat import DistanceMatrix
-from .trees import AttributedTree, Split, TreeError, compatible
+from .trees import AttributedTree, Split, TreeError, _view, compatible
 
 __all__ = [
     "GeodesicPath",
@@ -263,9 +264,11 @@ def _pair(v1, v2, counts):
     common = [(p, i2[m]) for p, m in enumerate(m1) if m in i2]
     only1 = [p for p, m in enumerate(m1) if m not in i2 and v1.live[p]]
     only2 = [q for q, m in enumerate(m2) if m not in i1 and v2.live[q]]
-    common_sq = math.fsum(
-        sum((x - y) ** 2 for x, y in zip(v1.attrs[p], v2.attrs[q]))
-        for p, q in common)
+    a1, a2 = v1.attrs, v2.attrs
+    # sum(map(...)) adds the same (x - y) ** 2 terms in the same order as a
+    # generator would, without its frame
+    common_sq = math.fsum([sum(map(pow, map(sub, a1[p], a2[q]), repeat(2)))
+                           for p, q in common])
     # masks a, b clash (are neither nested nor disjoint) unless a & b is
     # 0, a or b
     clash = {}
@@ -306,37 +309,69 @@ class GeodesicPath:
     support: tuple[tuple[tuple[Split, ...], tuple[Split, ...]], ...]
     times: tuple[float, ...]
     length: float
+    # ``common`` and ``support`` as positions in the source and target
+    # split views, recorded by ``geodesic``; None on a path built by hand
+    _positions: tuple | None = field(default=None, init=False,
+                                     compare=False, repr=False)
+
+    def _look_up_positions(self):
+        at1 = {sp: p for p, sp in enumerate(self.source._split_view.splits)}
+        at2 = {sp: q for q, sp in enumerate(self.target._split_view.splits)}
+        return (tuple((at1[sp], at2[sp]) for sp in self.common),
+                tuple((tuple(at1[sp] for sp in A), tuple(at2[sp] for sp in B))
+                      for A, B in self.support))
 
     def point(self, s: float) -> AttributedTree:
-        """The tree at arc-length fraction ``s`` along the path."""
+        """The tree at arc-length fraction ``s`` along the path.
+
+        A path from ``geodesic`` is valid by construction, so its points
+        skip the public constructor's checks and come with their split
+        view built.  A path built by hand gets every check.
+        """
         if not 0.0 <= s <= 1.0:
             raise ValueError(f"path parameter {s} outside [0, 1]")
         if s == 0.0:
             return self.source
         if s == 1.0:
             return self.target
-        edges = {}
-        for sp in self.common:
-            x = self.source.edges[sp]
-            y = self.target.edges[sp]
-            v = tuple((1.0 - s) * xi + s * yi for xi, yi in zip(x, y))
-            if any(c != 0.0 for c in v):
-                edges[sp] = v
-        for (A, B), t in zip(self.support, self.times):
+        s = float(s)  # a NumPy scalar would put NumPy floats in the tree
+        v1, v2 = self.source._split_view, self.target._split_view
+        common, support = self._positions or self._look_up_positions()
+        # edges in the order the support visits them, and the same rows
+        # as (key, split, mask, attribute) for the new split view.  The
+        # attributes are floats, so map() over the bound float methods
+        # does (1 - s) * x + s * y and c * f without a frame per split
+        edges, rows = {}, []
+        r_mul, s_mul = (1.0 - s).__mul__, s.__mul__
+        for p, q in common:
+            v = tuple(map(add, map(r_mul, v1.attrs[p]),
+                          map(s_mul, v2.attrs[q])))
+            if any(v):
+                edges[v1.splits[p]] = v
+                rows.append((v1.keys[p], v1.splits[p], v1.masks[p], v))
+        for (A, B), t in zip(support, self.times):
             if s < t:
-                f = 1.0 - s / t
-                for sp in A:
-                    edges[sp] = tuple(c * f for c in self.source.edges[sp])
+                f, view, side = 1.0 - s / t, v1, A
             elif s > t:
-                f = (s - t) / (1.0 - t)
-                for sp in B:
-                    edges[sp] = tuple(c * f for c in self.target.edges[sp])
+                f, view, side = (s - t) / (1.0 - t), v2, B
+            else:
+                continue
+            for p in side:
+                v = tuple(map(f.__mul__, view.attrs[p]))
+                edges[view.splits[p]] = v
+                rows.append((view.keys[p], view.splits[p], view.masks[p], v))
         labels = {n: sp for n, sp in self.source.branch_labels.items()
                   if sp in edges}
         for n, sp in self.target.branch_labels.items():
             if n not in labels and sp in edges:
                 labels[n] = sp
-        return AttributedTree(self.source.leaves, edges, labels)
+        if self._positions is None:
+            return AttributedTree(self.source.leaves, edges, labels)
+        # split keys are unique, so the sort never compares further
+        keys, splits, masks, attrs = zip(*sorted(rows)) if rows \
+            else ((), (), (), ())
+        return AttributedTree._trusted(self.source.leaves, edges, labels,
+                                       _view(splits, keys, masks, attrs))
 
 
 def geodesic(t1: AttributedTree, t2: AttributedTree) -> GeodesicPath:
@@ -345,17 +380,20 @@ def geodesic(t1: AttributedTree, t2: AttributedTree) -> GeodesicPath:
     v1, v2 = t1._split_view, t2._split_view
     length, common, free1, free2, support, times = _pair(
         v1, v2, dict.fromkeys(_COUNTS, 0))
-    s1, s2 = v1.splits, v2.splits
-    support = tuple((tuple(s1[p] for p in A), tuple(s2[q] for q in B))
-                    for A, B in support)
     if free2:
-        support = ((tuple(), tuple(s2[q] for q in free2)),) + support
+        support = (((), tuple(free2)),) + support
         times = (0.0,) + times
     if free1:
-        support = support + ((tuple(s1[p] for p in free1), tuple()),)
+        support = support + ((tuple(free1), ()),)
         times = times + (1.0,)
-    return GeodesicPath(t1, t2, tuple(s1[p] for p, _ in common), support,
-                        times, length)
+    s1, s2 = v1.splits, v2.splits
+    path = GeodesicPath(
+        t1, t2, tuple(s1[p] for p, _ in common),
+        tuple((tuple(s1[p] for p in A), tuple(s2[q] for q in B))
+              for A, B in support),
+        times, length)
+    object.__setattr__(path, "_positions", (tuple(common), support))
+    return path
 
 
 def geodesic_distance(t1: AttributedTree, t2: AttributedTree) -> float:
@@ -391,8 +429,8 @@ def distance_matrix_detailed(trees, ids=None, labels=None, workers=None):
     pairs split) and ``augmentations`` (augmenting paths).
 
     From 2 000 pairs on, the pairs are spread over ``workers`` processes
-    (default: the CPUs this process may run on); the matrix and the counts
-    do not depend on how many.
+    (default, and at most: the CPUs this process may run on); the matrix
+    and the counts do not depend on how many.
     """
     workers = resolve_workers(workers)
     trees = list(trees)
@@ -406,9 +444,9 @@ def distance_matrix_detailed(trees, ids=None, labels=None, workers=None):
     pairs = list(zip(rows.tolist(), cols.tolist()))
     if len(pairs) < _POOL_MIN_PAIRS:
         workers = 1
-    # pairs dealt round-robin, a few chunks per worker, so that every
-    # chunk mixes short and long rows alike
-    k = 4 * workers if workers > 1 else 1
+    # pairs dealt round-robin, a few chunks per process that fork_map can
+    # start, so that every chunk mixes short and long rows alike
+    k = 4 * min(workers, cpus()) if workers > 1 else 1
 
     def run(chunk):
         work = dict.fromkeys(_COUNTS, 0)

@@ -187,7 +187,8 @@ class PermutationTestReport:
     """``mean_stop_reasons`` counts how the group means of the observed
     split and of every replicate stopped (see ``MeanResult``), and
     ``mean_iterations`` sums their steps; both stay empty and 0 when the
-    trees share one orthant and the means are plain averages."""
+    trees share one orthant and the means are plain averages.  ``to_json``
+    carries both, so a p-value that rests on capped means says so."""
 
     statistic_kind: str
     observed: float
@@ -215,6 +216,8 @@ class PermutationTestReport:
                 f"q{q}": float(np.quantile(arr, q / 100))
                 for q in (0, 25, 50, 75, 100)
             },
+            "mean_stop_reasons": dict(self.mean_stop_reasons),
+            "mean_iterations": self.mean_iterations,
         }
         if include_permuted:
             out["permuted"] = list(self.permuted)
@@ -249,8 +252,8 @@ def permutation_test(g1, g2, kind: str = "mean", m: int = 1000,
     of evaluation order.  Partitions are sampled independently, so repeats
     can occur.  When the trees span several orthants, the group means of
     the observed split and the replicates are spread over ``workers``
-    processes (default: the CPUs this process may run on); the report does
-    not depend on how many.
+    processes (default, and at most: the CPUs this process may run on);
+    the report does not depend on how many.
     """
     workers = resolve_workers(workers)
     g1, g2 = list(g1), list(g2)

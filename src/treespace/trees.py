@@ -86,6 +86,19 @@ class _SplitView(NamedTuple):
     index: dict        # mask -> position
 
 
+def _view(splits, keys, masks, attrs) -> _SplitView:
+    """The split view of rows already in ``split_key`` order."""
+    sq = tuple(sum(map(mul, v, v)) for v in attrs)
+    if sum(sq) == math.inf:
+        # an infinite weight makes the max-flow covers NaN
+        raise ValueError("squared attribute norms overflow; geodesics "
+                         "need attributes below about 1e154")
+    return _SplitView(
+        splits, keys, masks, attrs, sq,
+        tuple(map(any, attrs)),    # any(v): some c != 0.0
+        dict(zip(masks, range(len(masks)))))
+
+
 def _check_attr(attr, split) -> tuple[float, ...]:
     vec = tuple(float(c) for c in attr)
     if not vec:
@@ -176,25 +189,31 @@ class AttributedTree:
     def sorted_splits(self) -> list[Split]:
         return sorted(self.edges, key=split_key)
 
+    @classmethod
+    def _trusted(cls, leaves, edges, labels, view) -> "AttributedTree":
+        """A tree from parts the caller has already proven valid, with
+        ``view`` as its split view: none of the public constructor's checks
+        run.  ``leaves`` is sorted, ``edges`` maps frozensets to float
+        tuples of one dimension whose splits are pairwise compatible, and
+        ``labels`` maps names to splits of ``edges``.  Only the geodesic
+        core uses it, for the points of a path."""
+        tree = object.__new__(cls)
+        # straight into the instance dict, past the frozen __setattr__; the
+        # view fills its cached_property slot, so it is never rebuilt
+        vars(tree).update(leaves=leaves, edges=edges, branch_labels=labels,
+                          _split_view=view)
+        return tree
+
     @cached_property
     def _split_view(self) -> _SplitView:
         """Built on first use and kept: the tree is immutable."""
-        # map() over builtins: a view is built for every new tree, such as
-        # each step of a Frechet mean, so its cost matters
+        # map() over builtins: a view is built for every new input tree,
+        # so its cost matters
         bit = {x: 1 << i for i, x in enumerate(self.leaves)}.__getitem__
         keyed = sorted(zip(map(split_key, self.edges), self.edges))
         keys, splits = tuple(zip(*keyed)) or ((), ())
-        masks = tuple(sum(map(bit, s)) for s in splits)
-        attrs = tuple(map(self.edges.__getitem__, splits))
-        sq = tuple(sum(map(mul, v, v)) for v in attrs)
-        if sum(sq) == math.inf:
-            # an infinite weight makes the max-flow covers NaN
-            raise ValueError("squared attribute norms overflow; geodesics "
-                             "need attributes below about 1e154")
-        return _SplitView(
-            splits, keys, masks, attrs, sq,
-            tuple(map(any, attrs)),    # any(v): some c != 0.0
-            dict(zip(masks, range(len(masks)))))
+        return _view(splits, keys, tuple(sum(map(bit, s)) for s in splits),
+                     tuple(map(self.edges.__getitem__, splits)))
 
 
 def splits_of(tree: AttributedTree) -> frozenset:

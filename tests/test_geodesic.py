@@ -4,9 +4,11 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treespace import (
     AttributedTree,
+    GeodesicPath,
     TreeError,
     brute_force_distance,
     compatible,
@@ -232,6 +234,14 @@ def test_min_weight_cover_prefers_light_side():
     assert flow == pytest.approx(0.5 + 1e-20, rel=0, abs=1e-30)
 
 
+def assert_valid_point(pt):
+    """``pt`` is the tree the public, validating constructor builds from
+    its parts, and the split view it came with is that tree's own."""
+    rebuilt = AttributedTree(pt.leaves, pt.edges, pt.branch_labels)
+    assert pt == rebuilt
+    assert pt._split_view == rebuilt._split_view
+
+
 def test_geodesic_path_structure():
     rng = np.random.default_rng(31)
 
@@ -278,7 +288,39 @@ def test_geodesic_path_structure():
                     assert all(compatible(b, a) for b in Bp for a in Aq)
             # so every point of the path is a tree
             for s in [*np.linspace(0.0, 1.0, 21), *path.times]:
-                path.point(float(s))
+                assert_valid_point(path.point(float(s)))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_leaves=st.integers(2, 10),
+       k=st.sampled_from((1, 3)), zero_prob=st.sampled_from((0.0, 0.3)),
+       s=st.floats(0.0, 1.0))
+def test_path_points_equal_the_validated_rebuild(seed, n_leaves, k,
+                                                 zero_prob, s):
+    t1, t2 = random_tree_pair(np.random.default_rng(seed), n_leaves, k,
+                              zero_prob)
+    path = geodesic(t1, t2)
+    # the same path built by hand has no recorded positions: its points
+    # come from the public constructor
+    by_hand = GeodesicPath(t1, t2, path.common, path.support, path.times,
+                           path.length)
+    assert by_hand == path and repr(by_hand) == repr(path)
+    for u in (s, *path.times):
+        pt = path.point(u)
+        assert_valid_point(pt)
+        assert pt == by_hand.point(u)
+
+
+def test_hand_built_path_with_clashing_support_raises():
+    t1, t2 = quartet("ab", "cd"), quartet("ac", "bd")
+    pendants = tuple(S(x) for x in "abcd")
+    # the target's splits grow from the start while the source's clashing
+    # ones shrink until the end
+    support = (((), (S("ac"), S("bd"))), ((S("ab"), S("cd")), ()))
+    path = GeodesicPath(t1, t2, pendants, support, (0.0, 1.0), 2.0)
+    with pytest.raises(TreeError, match="incompatible splits"):
+        path.point(0.5)
+    assert_valid_point(geodesic(t1, t2).point(0.5))
 
 
 def test_min_weight_cover_is_minimal_with_tiny_weights():

@@ -20,7 +20,7 @@ from treespace import (AttributedTree, TreeError, airway_template,
                        distance_matrix, distance_matrix_detailed,
                        gen_tree_population, permutation_test,
                        serialize_population)
-from treespace._pool import fork_map, resolve_workers
+from treespace._pool import cpus, fork_map, resolve_workers
 from treespace.cli import main
 
 from test_geodesic import (_PINNED_CSV_SHA256, _pinned_populations,
@@ -119,6 +119,78 @@ def test_pools_do_not_nest(pool_always):
         assert np.array_equal(got, want)
 
 
+class _RecordingContext:
+    """Stands in for a fork context: its pools record their size and task
+    count and map in the calling process, so no process starts."""
+
+    def __init__(self, pools):
+        self.pools = pools
+
+    def Pool(self, processes, initializer=None):
+        pools = self.pools
+
+        class Pool:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                tasks = list(tasks)
+                pools.append((processes, len(tasks)))
+                return [fn(t) for t in tasks]
+
+        return Pool()
+
+
+@pytest.fixture()
+def recorded_pools(monkeypatch):
+    pools = []
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: _RecordingContext(pools))
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["fork"])
+    return pools
+
+
+def _pool_sizes_at_most_cpus(pools):
+    # one CPU leaves one worker, and the map runs serially
+    assert all(2 <= size <= cpus() for size, _ in pools)
+    assert bool(pools) == (cpus() > 1)
+
+
+def test_fork_map_starts_at_most_one_process_per_cpu(recorded_pools):
+    for workers in (2, 5000, 100_000):
+        assert fork_map(lambda x: 2 * x, range(9), workers) == \
+            [2 * x for x in range(9)]
+    _pool_sizes_at_most_cpus(recorded_pools)
+    assert all(tasks == 9 for _, tasks in recorded_pools)
+
+
+def test_cli_huge_thread_counts_are_capped(recorded_pools, pool_always,
+                                           tmp_path):
+    pop = tmp_path / "pop.json"
+    assert run("gen", "trees", "-o", pop, "--n", "8",
+               "--topology-noise", "0.5", "--class-shift", '{"LMB": 0.3}',
+               "--seed", "2") == 0
+    outputs = {}
+    for threads in ("1", "100000"):
+        d = tmp_path / threads
+        assert run("dist", "--input", pop, "-o", d / "d.csv",
+                   "--threads", threads) == 0
+        assert run("permtest", "--groups", pop, "-o", d / "perm.json",
+                   "--M", "4", "--threads", threads) == 0
+        outputs[threads] = ((d / "d.csv").read_bytes(),
+                            (d / "perm.json").read_bytes())
+    assert outputs["1"] == outputs["100000"]
+    _pool_sizes_at_most_cpus(recorded_pools)
+    # dist deals its pairs into four chunks per process that can start,
+    # not per process asked for; permtest maps its 1 + M splits
+    assert [tasks for _, tasks in recorded_pools] == \
+        ([4 * cpus(), 5] if cpus() > 1 else [])
+
+
 def test_fork_map_keeps_input_order():
     assert fork_map(lambda x: x * x, range(7), 3) == \
         [x * x for x in range(7)]
@@ -158,12 +230,16 @@ def test_cli_permtest_identical_across_threads_and_counts_means(tmp_path):
     runs = _cli_outputs(tmp_path, "perm",
                         ["permtest", "--groups", pop, "--M", "8"],
                         "perm.json")
-    assert json.loads(runs["1"][0])["sizes"] == [6, 6]
+    report = json.loads(runs["1"][0])
+    assert report["sizes"] == [6, 6]
     assert runs["1"] == runs["2"] == runs[None]
     diagnostics = runs["1"][1]
     # two group means for the observed split and for each replicate
     assert sum(diagnostics["mean_stop_reasons"].values()) == 2 * (8 + 1)
     assert diagnostics["mean_iterations"] > 0
+    # perm.json itself says what its p-value rests on
+    assert report["mean_stop_reasons"] == diagnostics["mean_stop_reasons"]
+    assert report["mean_iterations"] == diagnostics["mean_iterations"]
 
 
 def test_permtest_single_orthant_counts_no_means(tmp_path):
@@ -175,6 +251,9 @@ def test_permtest_single_orthant_counts_no_means(tmp_path):
     diagnostics = json.loads(out.with_suffix(".manifest.json")
                              .read_text())["diagnostics"]
     assert diagnostics == {"mean_stop_reasons": {}, "mean_iterations": 0}
+    report = json.loads(out.read_text())
+    assert report["mean_stop_reasons"] == {}
+    assert report["mean_iterations"] == 0
 
 
 def test_trees_checked_once_raise_the_first_pairwise_error():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from treespace import (
     geodesic_point,
     pearson,
     permutation_test,
+    serialize_tree,
     subtree_variance_correlation,
     variance,
 )
@@ -85,6 +87,30 @@ def test_mean_objective_beats_inputs():
     for t in trees:
         obj_at_input = sum(geodesic_distance(t, s) ** 2 for s in trees)
         assert res.objective <= obj_at_input + 1e-9
+
+
+# sha256 of serialize_tree of the mean of 17 airway trees in several
+# topologies, with the walk's stop, recorded while every path point still
+# went through the public, validating constructor: building points from
+# the geodesic core's positions must keep every byte
+_PINNED_MEANS = {
+    4: ("6a916c640bc07b45c72d3e0842d63bb0c0ce1dc2c5dd6e170a7dd6cb3ac3c210",
+        "cap", 400),
+    11: ("93ef7c4a581aabc674a8fdaa25c8d2b6298db12e9212eabbcbe29d3c6f286c2d",
+         "converged", 272),
+    14: ("d854edffc503d3ee8d0045c9586975b455f4ff132a87cc621fc86bdfe7cba4d7",
+         "converged", 272),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_PINNED_MEANS))
+def test_mean_bytes_pinned(seed):
+    trees = gen_tree_population(airway_template(), 17, topology_noise=0.5,
+                                seed=seed).trees
+    assert len({t.splits for t in trees}) > 1
+    res = frechet_mean_detailed(trees, MeanConfig(max_iterations=400))
+    digest = hashlib.sha256(serialize_tree(res.tree).encode()).hexdigest()
+    assert (digest, res.stop_reason, res.iterations) == _PINNED_MEANS[seed]
 
 
 def test_mean_trace_non_increasing():
