@@ -4,11 +4,12 @@ Subcommands cover the whole pipeline: dataset generation, pairwise
 distances, means, permutation tests, subtree features, classification,
 nearest neighbors, deviation correlations, embeddings and distortion
 reports.  Every run writes a manifest (argv, seeds, inputs, outputs,
-version, duration; ``mean`` adds the solver's iterations, stop reason and
-objective, ``embed`` each restart's, ``dist`` counts its geodesic work,
-``permtest`` its group means' stop reasons and steps) next to its outputs,
-numeric outputs are byte-stable for a fixed seed, and ``--deterministic``
-additionally drops timestamps from SVG files and the manifest.
+version, duration; ``mean`` adds the solver's iterations, stop reason,
+objective and orthant-solve evaluations, ``embed`` each restart's,
+``dist`` counts its geodesic work, ``permtest`` its group means' stop
+reasons and steps) next to its outputs, numeric outputs are byte-stable
+for a fixed seed, and ``--deterministic`` additionally drops timestamps
+from SVG files and the manifest.
 ``--threads N`` sets the worker processes of the commands that compute
 many independent geodesic pairs or group means (``dist``, ``knn --input``
 and ``permtest``); by default, and at most, they use every CPU this
@@ -141,13 +142,22 @@ def build_parser() -> _Parser:
     _add(p, "dist", "-o", "--output", required=True)
     _common(p, "dist")
 
-    p = sub.add_parser("mean", help="Fréchet mean of a population")
+    p = sub.add_parser(
+        "mean", help="Fréchet mean of a population",
+        description="Fréchet mean of a population.  The search walks "
+                    "toward the inputs in turn; for scalar lengths it also "
+                    "minimises over the walk's orthant after cycles 2, 4, "
+                    "8, ... and stops as soon as that point is certified "
+                    "optimal.  mean.manifest.json says why it stopped: "
+                    "certified, converged (the walk's gap rule) or cap.")
     _add(p, "mean", "--input", required=True)
     _add(p, "mean", "-o", "--output", required=True)
-    _add(p, "mean", "--max-iterations", type=int, default=None)
+    _add(p, "mean", "--max-iterations", type=int, default=None,
+         help="cap on the walk's steps (default 1000 per tree)")
     _add(p, "mean", "--tolerance", type=float,
          default=MeanConfig.tolerance,
-         help="relative objective-gap estimate at which the search stops")
+         help="relative objective-gap estimate at which the walk stops; "
+              "the certificate does not use it")
     _common(p, "mean")
 
     p = sub.add_parser("permtest", help="two-group permutation test")
@@ -360,7 +370,8 @@ def _cmd_mean(args, argv, t0):
               Path(args.output).with_suffix(".manifest.json"),
               diagnostics={"iterations": result.iterations,
                            "stop_reason": result.stop_reason,
-                           "objective": result.objective})
+                           "objective": result.objective,
+                           "orthant_evaluations": result.evaluations})
 
 
 def _cmd_permtest(args, argv, t0):

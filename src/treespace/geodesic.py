@@ -317,9 +317,14 @@ class GeodesicPath:
     def _look_up_positions(self):
         at1 = {sp: p for p, sp in enumerate(self.source._split_view.splits)}
         at2 = {sp: q for q, sp in enumerate(self.target._split_view.splits)}
-        return (tuple((at1[sp], at2[sp]) for sp in self.common),
-                tuple((tuple(at1[sp] for sp in A), tuple(at2[sp] for sp in B))
-                      for A, B in self.support))
+        try:
+            return (tuple((at1[sp], at2[sp]) for sp in self.common),
+                    tuple((tuple(at1[sp] for sp in A),
+                           tuple(at2[sp] for sp in B))
+                          for A, B in self.support))
+        except KeyError as exc:
+            raise TreeError(f"path split {sorted(exc.args[0])} is missing "
+                            "from its source or target") from None
 
     def point(self, s: float) -> AttributedTree:
         """The tree at arc-length fraction ``s`` along the path.

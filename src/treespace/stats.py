@@ -1,17 +1,46 @@
 """Population statistics for attributed trees.
 
 The Fréchet mean generalizes the ordinary average to tree space: it is the
-tree minimizing the sum of squared geodesic distances to the inputs.  No
-closed form exists across orthants, so the mean is approximated by a
-law-of-large-numbers scheme: walk from the current iterate a fraction
-1/(step+1) of the way toward the next input, cycling the inputs in a fixed
-seeded random order.  When every input shares one topology the minimizer is
-the coordinatewise average and is returned exactly.
+tree x minimizing F(x) = sum_i d(x, t_i)^2 over the inputs t_i.  One tree
+is its own mean, two trees have their midpoint, and when every input
+shares one topology the minimizer is the coordinatewise average; all three
+are returned exactly.
 
-The walk's objective gap falls like O(1/k) in the number k of full cycles
-through the inputs, so the objective change between cycle k/2 and cycle k
-estimates the gap that remains.  The search stops once that change is
-within a relative tolerance of the current objective, or at the step cap.
+Across topologies the search starts from the best input and walks: step k
+moves a fraction 1/(k+1) of the way toward the next input, cycling the
+inputs in a fixed seeded random order.  The walk's objective gap falls
+only like O(1/k) in the number k of full cycles, worst when the mean sits
+on a face where some splits have length 0.  For scalar lengths (k = 1) the
+walk is therefore only a way into the right orthant.  After cycles 2, 4,
+8, ... F is minimised over the closed orthant of the walk's current splits
+by projected descent on the lengths, clamped at 0: a first step of
+1/(2n), exact along common splits, then Barzilai-Borwein steps with Armijo
+backtracking.  F and its gradient come straight from the geodesic core.
+Against one input, a common split pulls with 2(x_e - y_e), a split of a
+support block that collapses at switch time tau with 2 x_e / tau, and a
+source split free of conflicts with 2 x_e.
+
+The solution x is certified optimal (Miller, Owen & Provan, Adv. Appl.
+Math. 68, 2015; Skwerer, Provan & Marron, SIAM J. Optim. 28(2), 2018) when
+all of these hold, with eps = sqrt(2e-14 * n * F(x)):
+
+(i)   the projected gradient on x's face has norm at most eps;
+(ii)  every candidate split e, one that is free in the path from x to some
+      input, has D(e) = sum_i 2 (|y_i,K| - [e free toward t_i] y_i,e)
+      >= -eps, the rate at which F changes as e grows from 0; K holds the
+      splits free toward t_i that clash with e;
+(iii) no two candidates are compatible, so no direction grows two of them
+      at once (two could pay for a clashing split only once together).
+
+F is 2n-strongly convex along geodesics, so then F(x) - min F is at most
+1e-14 F(x).  A solve that does not certify keeps x only if it beats the
+walk's best iterate, and the walk goes on from its own iterate.  Attribute
+vectors with k > 1 use the walk alone.
+
+The walk has its own stop: the change of its objective between cycle k/2
+and cycle k estimates the gap that remains, and the search stops once that
+change is within ``MeanConfig.tolerance`` of the current objective, or at
+the step cap.  So a mean stops "certified", "converged" or at the "cap".
 
 Group comparisons use permutation tests on two statistics: the distance
 between group means and the absolute difference of group variances.  The
@@ -21,14 +50,16 @@ significant result is never an artifact of too few permutations.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._pool import fork_map, resolve_workers
-from .geodesic import geodesic, geodesic_distance
-from .trees import AttributedTree
+from .geodesic import (_COUNTS, _check_trees, _pair, geodesic,
+                       geodesic_distance)
+from .trees import AttributedTree, _view
 
 __all__ = [
     "MeanConfig",
@@ -43,15 +74,26 @@ __all__ = [
     "subtree_variance_correlation",
 ]
 
+# An orthant solve takes at most this many objective+gradient evaluations,
+# accepts a step when it gains at least this fraction of its first-order
+# prediction (Armijo), and certifies a point only if the certificate bounds
+# F(x) - min F by _CERT_GAP * F(x)
+_SOLVE_EVALS = 40
+_ARMIJO = 1e-4
+_CERT_GAP = 1e-14
+
+
 @dataclass(frozen=True)
 class MeanConfig:
     """Iteration budget for the mean search.
 
     ``max_iterations`` caps the walk's steps and defaults to 1000 times the
-    population size when left as None.  ``tolerance`` is the relative gap
-    estimate at which the search stops: after each full cycle k >= 4 through
-    the inputs, stop once the objective changed by at most ``tolerance``
-    times its current value since cycle k // 2.
+    population size when left as None.  ``tolerance`` drives the walk's gap
+    rule: after each full cycle k >= 4 through the inputs, the search stops
+    once the walk's objective changed by at most ``tolerance`` times its
+    current value since cycle k // 2.  It does not touch the orthant
+    solves, whose certificate has its own fixed tolerance (see the module
+    docstring).
     """
 
     max_iterations: int | None = None
@@ -67,15 +109,21 @@ class MeanConfig:
 
 @dataclass
 class MeanResult:
-    """``stop_reason`` is "converged" when the gap estimate fell within the
-    tolerance (or the mean is exact), "cap" when the step budget ran out;
-    ``iterations`` counts walk steps."""
+    """How the mean search ended.
+
+    ``stop_reason`` is "certified" when an orthant solve proved its point
+    optimal, "converged" when the walk's gap rule fired (or the mean is
+    exact: one tree, two trees or one topology), and "cap" when the step
+    budget ran out.  ``iterations`` counts walk steps and ``evaluations``
+    the objective+gradient evaluations of the orthant solves.
+    """
 
     tree: AttributedTree
     objective: float
     trace: list[float]
     iterations: int
     stop_reason: str
+    evaluations: int = 0
 
 
 def _check_population(trees):
@@ -89,6 +137,20 @@ def _check_population(trees):
 
 def _objective(tree, trees):
     return sum(geodesic_distance(tree, t) ** 2 for t in trees)
+
+
+def _input_objectives(trees):
+    """``[_objective(t, trees) for t in trees]`` with each distance computed
+    once: the geodesic core's lengths are bitwise symmetric."""
+    _check_trees(trees)
+    views = [t._split_view for t in trees]
+    counts = dict.fromkeys(_COUNTS, 0)
+    n = len(trees)
+    dist = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist[i][j] = dist[j][i] = _pair(views[i], views[j], counts)[0]
+    return [sum(d ** 2 for d in row) for row in dist]
 
 
 def _coordinate_mean(trees):
@@ -108,12 +170,161 @@ def _coordinate_mean(trees):
     return AttributedTree(first.leaves, edges, labels)
 
 
+def _walk(trees, start, max_iter, seed):
+    """Sturm's walk from ``start``: yield (step, iterate, objective) after
+    every full cycle through the inputs and at the step cap."""
+    n = len(trees)
+    order = np.random.default_rng(seed).permutation(n)
+    current = start
+    for step in range(1, max_iter + 1):
+        sample = trees[order[(step - 1) % n]]
+        current = geodesic(current, sample).point(1.0 / (step + 1))
+        if step % n == 0 or step == max_iter:
+            yield step, current, _objective(current, trees)
+
+
+def _clamp(c):
+    """``c`` projected onto [0, inf), and 0 where ``c * c`` underflows, so
+    that every positive length has a positive switch time."""
+    return c if c > 0.0 and c * c > 0.0 else 0.0
+
+
+def _orthant_solve(start, trees):
+    """Minimise F over the closed orthant of ``start``'s splits, then test
+    the optimality certificate.  Returns (tree, F, certified, evaluations).
+    """
+    n = len(trees)
+    v = start._split_view
+    views = [t._split_view for t in trees]
+    m = len(v.splits)
+
+    def evaluate(x):
+        """F(x), its gradient over the orthant's splits, D(e) for every
+        candidate mask e, and the split view of x."""
+        live = [p for p in range(m) if x[p] > 0.0]
+        attrs = tuple((x[p],) for p in live)
+        vx = _view(tuple(v.splits[p] for p in live),
+                   tuple(v.keys[p] for p in live),
+                   tuple(v.masks[p] for p in live), attrs)
+        counts = dict.fromkeys(_COUNTS, 0)
+        obj, grad, frees = 0, [0.0] * m, []
+        for vt in views:
+            length, common, free1, free2, support, times = _pair(vx, vt,
+                                                                 counts)
+            obj += length ** 2
+            for p, q in common:
+                grad[live[p]] += 2.0 * (attrs[p][0] - vt.attrs[q][0])
+            for p in free1:
+                grad[live[p]] += 2.0 * attrs[p][0]
+            # tau > 0: every live length has a positive square
+            for (A, _), tau in zip(support, times):
+                for p in A:
+                    grad[live[p]] += 2.0 * attrs[p][0] / tau
+            frees.append({vt.masks[q]: vt.attrs[q][0] for q in free2})
+        # D(e): the rate at which F changes as candidate e grows from 0;
+        # it pays for the input's free splits that clash with e and gains
+        # the input's own length of e
+        deriv = {e: math.fsum(
+            2.0 * (math.sqrt(math.fsum(y * y for f, y in free.items()
+                                       if f & e not in (0, e, f)))
+                   - free.get(e, 0.0)) for free in frees)
+            for e in set().union(*frees)}
+        # a clamped split of the orthant is a candidate if some input has
+        # it; otherwise its one-sided derivative is a sum of norms, >= 0
+        for p in range(m):
+            if x[p] == 0.0:
+                grad[p] = deriv.get(v.masks[p], 0.0)
+        return obj, grad, deriv, vx
+
+    def projected(x, grad):
+        return [g if c > 0.0 else min(g, 0.0) for c, g in zip(x, grad)]
+
+    x = [_clamp(a[0]) for a in v.attrs]
+    obj, grad, deriv, vx = evaluate(x)
+    evaluations = 1
+    step = 0.5 / n   # the exact minimiser along common splits
+    while evaluations < _SOLVE_EVALS:
+        eps = math.sqrt(2.0 * _CERT_GAP * n * obj)
+        if math.hypot(*projected(x, grad)) <= eps:
+            break
+        trial = [_clamp(c - step * g) for c, g in zip(x, grad)]
+        t_obj, t_grad, t_deriv, t_vx = evaluate(trial)
+        evaluations += 1
+        descent = math.fsum(g * (b - a) for a, b, g in zip(x, trial, grad))
+        if t_obj > obj + _ARMIJO * descent:
+            step *= 0.5
+            continue
+        # Barzilai-Borwein step from the splits positive at both points:
+        # one that reached or left 0 carries the jump of the kink there
+        pairs = [(b - a, h - g) for a, b, g, h in zip(x, trial, grad, t_grad)
+                 if a > 0.0 and b > 0.0]
+        sy = math.fsum(d * e for d, e in pairs)
+        step = math.fsum(d * d for d, _ in pairs) / sy if sy > 0.0 \
+            else 0.5 / n
+        x, obj, grad, deriv, vx = trial, t_obj, t_grad, t_deriv, t_vx
+
+    eps = math.sqrt(2.0 * _CERT_GAP * n * obj)
+    cands = list(deriv)
+    certified = (
+        math.hypot(*projected(x, grad)) <= eps
+        and all(d >= -eps for d in deriv.values())
+        and all(a & b not in (0, a, b)
+                for i, a in enumerate(cands) for b in cands[i + 1:]))
+    edges = dict(zip(vx.splits, vx.attrs))
+    labels = {}
+    for t in (start, *trees):
+        for name, sp in t.branch_labels.items():
+            if name not in labels and sp in edges:
+                labels[name] = sp
+    tree = AttributedTree._trusted(start.leaves, edges, labels, vx)
+    return tree, obj, certified, evaluations
+
+
+def _search(trees, cfg, solve):
+    """Walk from the best input; with ``solve``, run an orthant solve after
+    cycles 2, 4, 8, ... and stop as soon as one certifies."""
+    n = len(trees)
+    max_iter = cfg.max_iterations if cfg.max_iterations is not None \
+        else 1000 * n
+    # start from the best input so the result never loses to an input tree
+    input_objs = _input_objectives(trees)
+    start = int(np.argmin(input_objs))
+    best, best_obj = trees[start], input_objs[start]
+    trace = [best_obj]
+    cycle_objs = [best_obj]  # objective at the iterate after each cycle
+    evaluations, next_solve = 0, 2
+    for step, current, obj in _walk(trees, best, max_iter, cfg.seed):
+        if obj < best_obj:
+            best, best_obj = current, obj
+        if step % n:
+            trace.append(best_obj)
+            break
+        k = step // n
+        cycle_objs.append(obj)
+        if solve and k == next_solve:
+            next_solve *= 2
+            x, x_obj, certified, evals = _orthant_solve(current, trees)
+            evaluations += evals
+            if x_obj < best_obj:
+                best, best_obj = x, x_obj
+            if certified:
+                trace.append(best_obj)
+                return MeanResult(best, best_obj, trace, step, "certified",
+                                  evaluations)
+        trace.append(best_obj)
+        if k >= 4 and abs(cycle_objs[k // 2] - obj) <= cfg.tolerance * obj:
+            return MeanResult(best, best_obj, trace, step, "converged",
+                              evaluations)
+    return MeanResult(best, best_obj, trace, max_iter, "cap", evaluations)
+
+
 def frechet_mean_detailed(trees, cfg: MeanConfig | None = None) -> MeanResult:
     """Mean search with the objective trace attached.
 
     ``trace`` holds the best objective seen at each full cycle through the
     inputs (and at the cap), so it is non-increasing; the returned tree is
-    the best iterate, never a worse late one.
+    the best point seen, walk iterate or orthant solution, never a worse
+    late one.
     """
     trees = list(trees)
     _check_population(trees)
@@ -131,37 +342,8 @@ def frechet_mean_detailed(trees, cfg: MeanConfig | None = None) -> MeanResult:
         mid = geodesic(trees[0], trees[1]).point(0.5)
         obj = _objective(mid, trees)
         return MeanResult(mid, obj, [obj], 0, "converged")
-
-    max_iter = cfg.max_iterations if cfg.max_iterations is not None \
-        else 1000 * n
-    rng = np.random.default_rng(cfg.seed)
-    order = rng.permutation(n)
-
-    # start from the best input so the result never loses to an input tree
-    input_objs = [_objective(t, trees) for t in trees]
-    start = int(np.argmin(input_objs))
-    current = trees[start]
-    best = current
-    best_obj = input_objs[start]
-    trace = [best_obj]
-    cycle_objs = [best_obj]  # objective at the iterate after each cycle
-
-    for step in range(1, max_iter + 1):
-        sample = trees[order[(step - 1) % n]]
-        current = geodesic(current, sample).point(1.0 / (step + 1))
-        if step % n and step < max_iter:
-            continue
-        obj = _objective(current, trees)
-        if obj < best_obj:
-            best_obj = obj
-            best = current
-        trace.append(best_obj)
-        if step % n == 0:
-            cycle_objs.append(obj)
-            k = step // n
-            if k >= 4 and abs(cycle_objs[k // 2] - obj) <= cfg.tolerance * obj:
-                return MeanResult(best, best_obj, trace, step, "converged")
-    return MeanResult(best, best_obj, trace, max_iter, "cap")
+    # the orthant solve reads scalar lengths
+    return _search(trees, cfg, all(t.k in (None, 1) for t in trees))
 
 
 def frechet_mean(trees, cfg: MeanConfig | None = None) -> AttributedTree:

@@ -195,8 +195,8 @@ class AttributedTree:
         ``view`` as its split view: none of the public constructor's checks
         run.  ``leaves`` is sorted, ``edges`` maps frozensets to float
         tuples of one dimension whose splits are pairwise compatible, and
-        ``labels`` maps names to splits of ``edges``.  Only the geodesic
-        core uses it, for the points of a path."""
+        ``labels`` maps names to splits of ``edges``.  Only the points of a
+        path and the orthant solves of the mean search use it."""
         tree = object.__new__(cls)
         # straight into the instance dict, past the frozen __setattr__; the
         # view fills its cached_property slot, so it is never rebuilt

@@ -307,13 +307,52 @@ def test_mean_manifest_reports_stop_reason(tmp_path):
             "diagnostics"]
 
     full = diagnostics()
-    assert full["stop_reason"] == "converged"
+    assert full["stop_reason"] == "certified"
     assert 0 < full["iterations"] < 6000
     assert full["objective"] > 0.0
     capped = diagnostics("--max-iterations", "5")
     assert capped["stop_reason"] == "cap"
     assert capped["iterations"] == 5
     assert capped["objective"] >= full["objective"]
+
+
+def test_mean_manifest_counts_orthant_evaluations(tmp_path):
+    pop = tmp_path / "pop.json"
+    assert run("gen", "trees", "-o", str(pop), "--n", "9",
+               "--topology-noise", "0.5", "--seed", "4") == 0
+    out = tmp_path / "m.json"
+    manifests = []
+    for _ in range(2):
+        assert run("mean", "--input", str(pop), "-o", str(out),
+                   "--deterministic") == 0
+        manifests.append((tmp_path / "m.manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+    diagnostics = json.loads(manifests[0])["diagnostics"]
+    assert diagnostics["stop_reason"] == "certified"
+    assert diagnostics["orthant_evaluations"] >= 1
+    # capped before the first solve, after cycle 2
+    assert run("mean", "--input", str(pop), "-o", str(out),
+               "--max-iterations", "17", "--deterministic") == 0
+    capped = json.loads((tmp_path / "m.manifest.json").read_text())
+    assert capped["diagnostics"]["orthant_evaluations"] == 0
+
+
+def test_permtest_multi_orthant_counts_certified_means(tmp_path):
+    pop = tmp_path / "pop.json"
+    assert run("gen", "trees", "-o", str(pop), "--n", "12",
+               "--topology-noise", "0.5", "--class-shift", '{"LMB": 0.3}',
+               "--seed", "2") == 0
+    trees, _ = parse_population(pop.read_text())
+    assert len({t.splits for t in trees}) > 1
+    out = tmp_path / "perm.json"
+    assert run("permtest", "--groups", str(pop), "-o", str(out),
+               "--M", "8", "--deterministic") == 0
+    reasons = json.loads(out.read_text())["mean_stop_reasons"]
+    manifest = json.loads((tmp_path / "perm.manifest.json").read_text())
+    assert manifest["diagnostics"]["mean_stop_reasons"] == reasons
+    assert reasons.get("certified", 0) > 0
+    assert "cap" not in reasons
+    assert sum(reasons.values()) == 2 * (8 + 1)
 
 
 @pytest.mark.parametrize("text", [

@@ -323,6 +323,13 @@ def test_hand_built_path_with_clashing_support_raises():
     assert_valid_point(geodesic(t1, t2).point(0.5))
 
 
+def test_hand_built_path_with_missing_split_raises():
+    t = quartet("ab", "cd")
+    path = GeodesicPath(t, t, (S("abc"),), (), (), 0.0)
+    with pytest.raises(TreeError, match=r"\['a', 'b', 'c'\]"):
+        path.point(0.5)
+
+
 def test_min_weight_cover_is_minimal_with_tiny_weights():
     # a covered split without an uncovered conflict would leave a block of
     # the split pair empty, however light the split is

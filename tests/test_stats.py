@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treespace import (
     AttributedTree,
@@ -19,6 +21,7 @@ from treespace import (
     subtree_variance_correlation,
     variance,
 )
+from treespace.stats import _input_objectives, _orthant_solve, _search
 
 from helpers import random_tree
 
@@ -89,7 +92,7 @@ def test_mean_objective_beats_inputs():
         assert res.objective <= obj_at_input + 1e-9
 
 
-# sha256 of serialize_tree of the mean of 17 airway trees in several
+# sha256 of serialize_tree of the walk's mean of 17 airway trees in several
 # topologies, with the walk's stop, recorded while every path point still
 # went through the public, validating constructor: building points from
 # the geodesic core's positions must keep every byte
@@ -101,6 +104,17 @@ _PINNED_MEANS = {
     14: ("d854edffc503d3ee8d0045c9586975b455f4ff132a87cc621fc86bdfe7cba4d7",
          "converged", 272),
 }
+# the same populations' means as frechet_mean_detailed returns them: the
+# orthant solve after cycle 2 certifies
+_PINNED_CERTIFIED = {
+    4: "be4afb2baf659360fedbe55891ade2fadbfa6096b953298d20140c839eb5332c",
+    11: "a19f913bd4dd267869ae6988c9f11d8b7e5bf83d813c428b0410c7ce53b3dec0",
+    14: "5a33c27a4c8c43a33c6f87753bcede6465181ec550f6ef5b3bb25601d0900df2",
+}
+
+
+def _digest(tree):
+    return hashlib.sha256(serialize_tree(tree).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("seed", sorted(_PINNED_MEANS))
@@ -108,9 +122,29 @@ def test_mean_bytes_pinned(seed):
     trees = gen_tree_population(airway_template(), 17, topology_noise=0.5,
                                 seed=seed).trees
     assert len({t.splits for t in trees}) > 1
-    res = frechet_mean_detailed(trees, MeanConfig(max_iterations=400))
-    digest = hashlib.sha256(serialize_tree(res.tree).encode()).hexdigest()
-    assert (digest, res.stop_reason, res.iterations) == _PINNED_MEANS[seed]
+    cfg = MeanConfig(max_iterations=400)
+    walk = _search(trees, cfg, solve=False)
+    assert (_digest(walk.tree), walk.stop_reason, walk.iterations) == \
+        _PINNED_MEANS[seed]
+    res = frechet_mean_detailed(trees, cfg)
+    assert (_digest(res.tree), res.stop_reason, res.iterations) == \
+        (_PINNED_CERTIFIED[seed], "certified", 2 * 17)
+
+
+def test_input_objectives_equal_the_pairwise_sums():
+    # each distance is computed once; the per-tree sums must keep the bits
+    # of summing d(t, u) ** 2 over u for every t
+    rng = np.random.default_rng(14)
+    pops = [gen_tree_population(airway_template(), 17, topology_noise=0.5,
+                                seed=seed).trees for seed in (4, 11, 14)]
+    for k in (1, 3):
+        for _ in range(20):
+            leaves = tuple(f"L{i}" for i in range(int(rng.integers(3, 10))))
+            pops.append([random_tree(rng, leaves, k, zero_prob=0.2)
+                         for _ in range(int(rng.integers(3, 9)))])
+    for trees in pops:
+        assert _input_objectives(trees) == [
+            sum(geodesic_distance(t, u) ** 2 for u in trees) for t in trees]
 
 
 def test_mean_trace_non_increasing():
@@ -127,12 +161,93 @@ def test_mean_stops_converged_near_full_budget_objective(seed):
                               seed=seed)
     assert len({t.splits for t in pop.trees}) > 1
     res = frechet_mean_detailed(pop.trees)
-    ref = frechet_mean_detailed(pop.trees, MeanConfig(tolerance=1e-15))
-    assert res.stop_reason == "converged"
+    # the walk alone, to its full budget
+    ref = _search(pop.trees, MeanConfig(tolerance=1e-15), solve=False)
+    assert res.stop_reason == "certified"
     assert res.iterations < ref.iterations == 1000 * 17
-    assert abs(res.objective - ref.objective) <= 1e-4 * ref.objective
+    assert res.objective <= ref.objective * (1 + 1e-12)
     for a, b in zip(res.trace, res.trace[1:]):
         assert b <= a + 1e-12
+
+
+def test_sticky_seed4_mean_certifies_within_four_cycles():
+    trees = gen_tree_population(airway_template(), 17, topology_noise=0.5,
+                                seed=4).trees
+    res = frechet_mean_detailed(trees)
+    assert res.stop_reason == "certified"
+    assert res.iterations <= 4 * 17
+    assert res.evaluations >= 1
+    ref = _search(trees, MeanConfig(tolerance=1e-15), solve=False)
+    assert ref.iterations == 1000 * 17
+    assert res.objective <= ref.objective
+
+
+def test_certificate_accepts_the_three_spider_star():
+    trees = [spider("ab"), spider("ac"), spider("ad")]
+    # the solve clamps the start's interior split to 0; each candidate
+    # interior split gains 2 from its own tree and pays 2 + 2 to the others
+    tree, obj, certified, _ = _orthant_solve(spider("ab"), trees)
+    assert certified
+    assert tree == ORIGIN_STAR
+    assert obj == 3.0
+    res = frechet_mean_detailed(trees)
+    assert (res.tree, res.stop_reason) == (ORIGIN_STAR, "certified")
+
+
+def test_certificate_declines_a_descending_candidate():
+    # a long ab pulls the mean off the star: D(ab) = -2*3 + 2 + 2 < 0.
+    # Along ab, F(r) = (r - 3)^2 + 2 (r + 1)^2 is least at r = 1/3
+    trees = [spider("ab", 3.0), spider("ac"), spider("ad")]
+    tree, obj, certified, _ = _orthant_solve(ORIGIN_STAR, trees)
+    assert (tree, obj, certified) == (ORIGIN_STAR, 11.0, False)
+    res = frechet_mean_detailed(trees)
+    assert res.stop_reason == "certified"
+    assert res.tree.attribute(S("ab")) == pytest.approx((1 / 3,), abs=1e-12)
+    assert res.objective == pytest.approx(96 / 9, rel=1e-14)
+
+
+def test_certificate_declines_two_compatible_candidates():
+    # at the star, growing ab or cd alone gains 2a from t_pair and pays 2a
+    # to t_cross, whose bc clashes with both: D(ab) = D(cd) = 0.  Growing
+    # both at once pays for bc only once, so F falls along (ab + cd)
+    a = 0.5
+    pendants = {S(x): (1.0,) for x in "abcd"}
+    t_pair = AttributedTree(tuple("abcd"),
+                            {**pendants, S("ab"): (a,), S("cd"): (a,)})
+    t_cross = AttributedTree(tuple("abcd"), {**pendants, S("bc"): (a,)})
+    trees = [t_pair, t_cross]
+    tree, obj, certified, _ = _orthant_solve(ORIGIN_STAR, trees)
+    assert tree == ORIGIN_STAR
+    assert not certified
+
+    def objective(t):
+        return sum(geodesic_distance(t, u) ** 2 for u in trees)
+
+    h = 1e-3
+    for grown in ({S("ab"): (h,)}, {S("cd"): (h,)}):
+        single = AttributedTree(tuple("abcd"), {**pendants, **grown})
+        assert objective(single) >= obj
+    both = AttributedTree(tuple("abcd"),
+                          {**pendants, S("ab"): (h,), S("cd"): (h,)})
+    assert objective(both) < obj
+
+
+@settings(derandomize=True, database=None, max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_leaves=st.integers(3, 6),
+       n_trees=st.integers(3, 8))
+def test_mean_never_loses_to_inputs_or_a_long_walk(seed, n_leaves, n_trees):
+    rng = np.random.default_rng(seed)
+    leaves = tuple(f"L{i}" for i in range(n_leaves))
+    trees = [random_tree(rng, leaves) for _ in range(n_trees)]
+    res = frechet_mean_detailed(trees)
+    best_input = min(sum(geodesic_distance(t, u) ** 2 for u in trees)
+                     for t in trees)
+    assert res.objective <= best_input
+    walk = _search(trees, MeanConfig(max_iterations=2000 * n_trees,
+                                     tolerance=1e-15), solve=False)
+    assert res.objective <= walk.objective * (1 + 1e-9)
+    for a, b in zip(res.trace, res.trace[1:]):
+        assert b <= a
 
 
 def test_mean_stops_at_cap():
