@@ -363,7 +363,8 @@ def _cmd_dist(args, argv, t0):
 
 def _cmd_mean(args, argv, t0):
     trees, _ = _load_population(args.input)
-    cfg = MeanConfig(args.max_iterations, args.tolerance, args.seed)
+    cfg = MeanConfig(args.max_iterations, args.tolerance, args.seed,
+                     certify=True)
     result = frechet_mean_detailed(trees, cfg)
     path = _write(args.output, serialize_tree(result.tree) + "\n")
     _manifest(args, argv, [args.input], [path], t0,
@@ -393,8 +394,8 @@ def _cmd_features(args, argv, t0):
     scheme = _scheme(args.labels)
     if args.mode == "per-class":
         _require_two_classes(classes, args.input)
-    means = compute_reference_means(trees, classes, scheme, args.mode,
-                                    MeanConfig(seed=args.seed))
+    cfg = MeanConfig(seed=args.seed, certify=True)
+    means = compute_reference_means(trees, classes, scheme, args.mode, cfg)
     fm = feature_matrix(trees, scheme, means, y=classes)
     path = _write(args.output, fm.to_csv())
     _manifest(args, argv, [args.input], [path], t0,
@@ -409,8 +410,9 @@ def _cmd_classify(args, argv, t0):
         trees, classes = _load_population(args.input)
         _require_two_classes(classes, args.input)
         scheme = _scheme(args.labels)
+        cfg = MeanConfig(seed=args.seed, certify=True)
         builder = fold_feature_builder(trees, classes, scheme, args.mode,
-                                       MeanConfig(seed=args.seed))
+                                       cfg)
         names = builder(np.arange(len(trees))).column_names
         report = cross_validate(None, np.array(classes),
                                 alphas=tuple(args.alphas),
@@ -465,7 +467,7 @@ def _cmd_correlate(args, argv, t0):
     scheme = _scheme(args.labels)
     populations = {lab: [extract_subtree(t, lab) for t in trees]
                    for lab in scheme.labels}
-    cfg = MeanConfig(seed=args.seed)
+    cfg = MeanConfig(seed=args.seed, certify=True)
     means = {lab: frechet_mean(subs, cfg)
              for lab, subs in populations.items()}
     corr = subtree_variance_correlation(populations, means)

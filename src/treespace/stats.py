@@ -10,10 +10,11 @@ Across topologies the search starts from the best input and walks: step k
 moves a fraction 1/(k+1) of the way toward the next input, cycling the
 inputs in a fixed seeded random order.  The walk's objective gap falls
 only like O(1/k) in the number k of full cycles, worst when the mean sits
-on a face where some splits have length 0.  For scalar lengths (k = 1) the
-walk is therefore only a way into the right orthant.  After cycles 2, 4,
-8, ... F is minimised over the closed orthant of the walk's current splits
-by projected descent on the lengths, clamped at 0: a first step of
+on a face where some splits have length 0.  With ``MeanConfig.certify``
+and scalar lengths (k = 1) the walk is only a way into the right orthant.
+After cycles 2, 4, 8, ... F is minimised over the closed orthant of the
+walk's current splits by projected descent on the lengths, clamped at 0:
+a first step of
 1/(2n), exact along common splits, then Barzilai-Borwein steps with Armijo
 backtracking.  F and its gradient come straight from the geodesic core.
 Against one input, a common split pulls with 2(x_e - y_e), a split of a
@@ -35,7 +36,8 @@ all of these hold, with eps = sqrt(2e-14 * n * F(x)):
 F is 2n-strongly convex along geodesics, so then F(x) - min F is at most
 1e-14 F(x).  A solve that does not certify keeps x only if it beats the
 walk's best iterate, and the walk goes on from its own iterate.  Attribute
-vectors with k > 1 use the walk alone.
+vectors with k > 1, and every population when ``certify`` is off (the
+default of ``MeanConfig``), use the walk alone.
 
 The walk has its own stop: the change of its objective between cycle k/2
 and cycle k estimates the gap that remains, and the search stops once that
@@ -57,7 +59,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._pool import fork_map, resolve_workers
-from .geodesic import (_COUNTS, _check_trees, _pair, geodesic,
+from .geodesic import (_COUNTS, _pair, distance_matrix, geodesic,
                        geodesic_distance)
 from .trees import AttributedTree, _view
 
@@ -93,12 +95,16 @@ class MeanConfig:
     once the walk's objective changed by at most ``tolerance`` times its
     current value since cycle k // 2.  It does not touch the orthant
     solves, whose certificate has its own fixed tolerance (see the module
-    docstring).
+    docstring).  ``certify`` turns the orthant solves on for scalar
+    lengths; left off, a mean is the walk alone, and ``max_iterations``
+    counts exactly the steps a capped walk takes.  The command line and
+    ``permutation_test`` turn it on.
     """
 
     max_iterations: int | None = None
     tolerance: float = 1e-5
     seed: int = 0
+    certify: bool = False
 
     def __post_init__(self):
         if self.max_iterations is not None and self.max_iterations < 1:
@@ -112,9 +118,9 @@ class MeanResult:
     """How the mean search ended.
 
     ``stop_reason`` is "certified" when an orthant solve proved its point
-    optimal, "converged" when the walk's gap rule fired (or the mean is
-    exact: one tree, two trees or one topology), and "cap" when the step
-    budget ran out.  ``iterations`` counts walk steps and ``evaluations``
+    optimal (only with ``MeanConfig.certify``), "converged" when the walk's
+    gap rule fired (or the mean is exact: one tree, two trees or one
+    topology), and "cap" when the step budget ran out.  ``iterations`` counts walk steps and ``evaluations``
     the objective+gradient evaluations of the orthant solves.
     """
 
@@ -139,20 +145,6 @@ def _objective(tree, trees):
     return sum(geodesic_distance(tree, t) ** 2 for t in trees)
 
 
-def _input_objectives(trees):
-    """``[_objective(t, trees) for t in trees]`` with each distance computed
-    once: the geodesic core's lengths are bitwise symmetric."""
-    _check_trees(trees)
-    views = [t._split_view for t in trees]
-    counts = dict.fromkeys(_COUNTS, 0)
-    n = len(trees)
-    dist = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist[i][j] = dist[j][i] = _pair(views[i], views[j], counts)[0]
-    return [sum(d ** 2 for d in row) for row in dist]
-
-
 def _coordinate_mean(trees):
     """Exact mean for a single-topology population (orthants are convex)."""
     first = trees[0]
@@ -162,12 +154,18 @@ def _coordinate_mean(trees):
         m = vals.mean(axis=0)
         if np.any(m != 0.0):
             edges[s] = tuple(float(v) for v in m)
+    return AttributedTree(first.leaves, edges, _labels(trees, edges))
+
+
+def _labels(trees, edges):
+    """Branch labels for a tree on ``edges``: each name goes to the split
+    of the first tree that names a split still present."""
     labels = {}
     for t in trees:
         for name, sp in t.branch_labels.items():
             if name not in labels and sp in edges:
                 labels[name] = sp
-    return AttributedTree(first.leaves, edges, labels)
+    return labels
 
 
 def _walk(trees, start, max_iter, seed):
@@ -271,23 +269,24 @@ def _orthant_solve(start, trees):
         and all(a & b not in (0, a, b)
                 for i, a in enumerate(cands) for b in cands[i + 1:]))
     edges = dict(zip(vx.splits, vx.attrs))
-    labels = {}
-    for t in (start, *trees):
-        for name, sp in t.branch_labels.items():
-            if name not in labels and sp in edges:
-                labels[name] = sp
-    tree = AttributedTree._trusted(start.leaves, edges, labels, vx)
+    tree = AttributedTree._trusted(start.leaves, edges,
+                                   _labels((start, *trees), edges), vx)
     return tree, obj, certified, evaluations
 
 
-def _search(trees, cfg, solve):
-    """Walk from the best input; with ``solve``, run an orthant solve after
-    cycles 2, 4, 8, ... and stop as soon as one certifies."""
+def _search(trees, cfg):
+    """Walk from the best input; with ``cfg.certify`` and scalar lengths,
+    run an orthant solve after cycles 2, 4, 8, ... and stop as soon as one
+    certifies."""
     n = len(trees)
     max_iter = cfg.max_iterations if cfg.max_iterations is not None \
         else 1000 * n
-    # start from the best input so the result never loses to an input tree
-    input_objs = _input_objectives(trees)
+    # the orthant solve reads scalar lengths
+    solve = cfg.certify and all(t.k in (None, 1) for t in trees)
+    # start from the best input so the result never loses to an input tree;
+    # each row sums d ** 2 in input order, as _objective does
+    dist = distance_matrix(trees, workers=1).values.tolist()
+    input_objs = [sum(d ** 2 for d in row) for row in dist]
     start = int(np.argmin(input_objs))
     best, best_obj = trees[start], input_objs[start]
     trace = [best_obj]
@@ -342,8 +341,7 @@ def frechet_mean_detailed(trees, cfg: MeanConfig | None = None) -> MeanResult:
         mid = geodesic(trees[0], trees[1]).point(0.5)
         obj = _objective(mid, trees)
         return MeanResult(mid, obj, [obj], 0, "converged")
-    # the orthant solve reads scalar lengths
-    return _search(trees, cfg, all(t.k in (None, 1) for t in trees))
+    return _search(trees, cfg)
 
 
 def frechet_mean(trees, cfg: MeanConfig | None = None) -> AttributedTree:
@@ -432,8 +430,9 @@ def permutation_test(g1, g2, kind: str = "mean", m: int = 1000,
     repartitions the pooled trees into the original group sizes, using an
     RNG stream derived from (seed, replicate) so replicates are independent
     of evaluation order.  Partitions are sampled independently, so repeats
-    can occur.  When the trees span several orthants, the group means of
-    the observed split and the replicates are spread over ``workers``
+    can occur.  When the trees span several orthants, the group means
+    are searched with ``certify`` on, and those of the observed split and
+    the replicates are spread over ``workers``
     processes (default, and at most: the CPUs this process may run on);
     the report does not depend on how many.
     """
@@ -469,7 +468,7 @@ def permutation_test(g1, g2, kind: str = "mean", m: int = 1000,
 
         values = [stat(a, b) for a, b in parts]
     else:
-        cfg = MeanConfig(seed=seed)
+        cfg = MeanConfig(seed=seed, certify=True)
 
         def run(part):
             return _group_stat_trees([pool[i] for i in part[0]],

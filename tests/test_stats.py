@@ -21,7 +21,7 @@ from treespace import (
     subtree_variance_correlation,
     variance,
 )
-from treespace.stats import _input_objectives, _orthant_solve, _search
+from treespace.stats import _orthant_solve
 
 from helpers import random_tree
 
@@ -104,8 +104,8 @@ _PINNED_MEANS = {
     14: ("d854edffc503d3ee8d0045c9586975b455f4ff132a87cc621fc86bdfe7cba4d7",
          "converged", 272),
 }
-# the same populations' means as frechet_mean_detailed returns them: the
-# orthant solve after cycle 2 certifies
+# the same populations' means with certify on: the orthant solve after
+# cycle 2 certifies
 _PINNED_CERTIFIED = {
     4: "be4afb2baf659360fedbe55891ade2fadbfa6096b953298d20140c839eb5332c",
     11: "a19f913bd4dd267869ae6988c9f11d8b7e5bf83d813c428b0410c7ce53b3dec0",
@@ -122,29 +122,13 @@ def test_mean_bytes_pinned(seed):
     trees = gen_tree_population(airway_template(), 17, topology_noise=0.5,
                                 seed=seed).trees
     assert len({t.splits for t in trees}) > 1
-    cfg = MeanConfig(max_iterations=400)
-    walk = _search(trees, cfg, solve=False)
+    walk = frechet_mean_detailed(trees, MeanConfig(max_iterations=400))
     assert (_digest(walk.tree), walk.stop_reason, walk.iterations) == \
         _PINNED_MEANS[seed]
-    res = frechet_mean_detailed(trees, cfg)
+    res = frechet_mean_detailed(trees, MeanConfig(max_iterations=400,
+                                                  certify=True))
     assert (_digest(res.tree), res.stop_reason, res.iterations) == \
         (_PINNED_CERTIFIED[seed], "certified", 2 * 17)
-
-
-def test_input_objectives_equal_the_pairwise_sums():
-    # each distance is computed once; the per-tree sums must keep the bits
-    # of summing d(t, u) ** 2 over u for every t
-    rng = np.random.default_rng(14)
-    pops = [gen_tree_population(airway_template(), 17, topology_noise=0.5,
-                                seed=seed).trees for seed in (4, 11, 14)]
-    for k in (1, 3):
-        for _ in range(20):
-            leaves = tuple(f"L{i}" for i in range(int(rng.integers(3, 10))))
-            pops.append([random_tree(rng, leaves, k, zero_prob=0.2)
-                         for _ in range(int(rng.integers(3, 9)))])
-    for trees in pops:
-        assert _input_objectives(trees) == [
-            sum(geodesic_distance(t, u) ** 2 for u in trees) for t in trees]
 
 
 def test_mean_trace_non_increasing():
@@ -160,9 +144,9 @@ def test_mean_stops_converged_near_full_budget_objective(seed):
     pop = gen_tree_population(airway_template(), 17, topology_noise=0.5,
                               seed=seed)
     assert len({t.splits for t in pop.trees}) > 1
-    res = frechet_mean_detailed(pop.trees)
+    res = frechet_mean_detailed(pop.trees, MeanConfig(certify=True))
     # the walk alone, to its full budget
-    ref = _search(pop.trees, MeanConfig(tolerance=1e-15), solve=False)
+    ref = frechet_mean_detailed(pop.trees, MeanConfig(tolerance=1e-15))
     assert res.stop_reason == "certified"
     assert res.iterations < ref.iterations == 1000 * 17
     assert res.objective <= ref.objective * (1 + 1e-12)
@@ -173,11 +157,11 @@ def test_mean_stops_converged_near_full_budget_objective(seed):
 def test_sticky_seed4_mean_certifies_within_four_cycles():
     trees = gen_tree_population(airway_template(), 17, topology_noise=0.5,
                                 seed=4).trees
-    res = frechet_mean_detailed(trees)
+    res = frechet_mean_detailed(trees, MeanConfig(certify=True))
     assert res.stop_reason == "certified"
     assert res.iterations <= 4 * 17
     assert res.evaluations >= 1
-    ref = _search(trees, MeanConfig(tolerance=1e-15), solve=False)
+    ref = frechet_mean_detailed(trees, MeanConfig(tolerance=1e-15))
     assert ref.iterations == 1000 * 17
     assert res.objective <= ref.objective
 
@@ -190,7 +174,7 @@ def test_certificate_accepts_the_three_spider_star():
     assert certified
     assert tree == ORIGIN_STAR
     assert obj == 3.0
-    res = frechet_mean_detailed(trees)
+    res = frechet_mean_detailed(trees, MeanConfig(certify=True))
     assert (res.tree, res.stop_reason) == (ORIGIN_STAR, "certified")
 
 
@@ -200,7 +184,7 @@ def test_certificate_declines_a_descending_candidate():
     trees = [spider("ab", 3.0), spider("ac"), spider("ad")]
     tree, obj, certified, _ = _orthant_solve(ORIGIN_STAR, trees)
     assert (tree, obj, certified) == (ORIGIN_STAR, 11.0, False)
-    res = frechet_mean_detailed(trees)
+    res = frechet_mean_detailed(trees, MeanConfig(certify=True))
     assert res.stop_reason == "certified"
     assert res.tree.attribute(S("ab")) == pytest.approx((1 / 3,), abs=1e-12)
     assert res.objective == pytest.approx(96 / 9, rel=1e-14)
@@ -239,12 +223,12 @@ def test_mean_never_loses_to_inputs_or_a_long_walk(seed, n_leaves, n_trees):
     rng = np.random.default_rng(seed)
     leaves = tuple(f"L{i}" for i in range(n_leaves))
     trees = [random_tree(rng, leaves) for _ in range(n_trees)]
-    res = frechet_mean_detailed(trees)
+    res = frechet_mean_detailed(trees, MeanConfig(certify=True))
     best_input = min(sum(geodesic_distance(t, u) ** 2 for u in trees)
                      for t in trees)
     assert res.objective <= best_input
-    walk = _search(trees, MeanConfig(max_iterations=2000 * n_trees,
-                                     tolerance=1e-15), solve=False)
+    walk = frechet_mean_detailed(
+        trees, MeanConfig(max_iterations=2000 * n_trees, tolerance=1e-15))
     assert res.objective <= walk.objective * (1 + 1e-9)
     for a, b in zip(res.trace, res.trace[1:]):
         assert b <= a
