@@ -16,7 +16,8 @@ and ``permtest``); by default, and at most, they use every CPU this
 process may run on.  Outputs do not depend on it.
 
 Option precedence is flags, then ``--config`` JSON, then built-in
-defaults.  Exit codes: 64 usage, 65 bad input, 70 computation failure.
+defaults; config values pass the same checks as flags.  Exit codes: 64
+usage, 65 bad input, 70 computation failure.
 """
 
 from __future__ import annotations
@@ -60,52 +61,16 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(USAGE_ERROR, f"usage: {message}")
 
 
-# Defaults live outside argparse so config-file values can slot in between
-# explicit flags and the built-ins.
-_DEFAULTS: dict = {}
-
-
-def _add(parser, cmd, *names, **kwargs):
-    default = kwargs.pop("default", None)
-    action = kwargs.get("action")
-    dest = kwargs.get("dest") or names[-1].lstrip("-").replace("-", "_")
-    _DEFAULTS.setdefault(cmd, {})[dest] = False if action == "store_true" \
-        else default
-    kwargs["default"] = argparse.SUPPRESS
-    parser.add_argument(*names, **kwargs)
-
-
-def _merged(args):
-    cmd = getattr(args, "cmd", None)
-    space = getattr(args, "space", None)
-    merged = dict(_DEFAULTS.get(cmd, {}))
-    if space:
-        merged.update(_DEFAULTS.get(f"{cmd}.{space}", {}))
-    given = vars(args)
-    config_path = given.get("config") or merged.get("config")
-    if config_path:
-        try:
-            cfg = json.loads(Path(config_path).read_text())
-        except (OSError, json.JSONDecodeError) as e:
-            raise CliError(INPUT_ERROR, f"config: {e}")
-        if not isinstance(cfg, dict):
-            raise CliError(INPUT_ERROR, "config: expected a JSON object")
-        for key, value in cfg.items():
-            key = key.replace("-", "_")
-            if key in merged:
-                merged[key] = value
-    merged.update(given)
-    return argparse.Namespace(**merged)
-
-
-def _common(parser, cmd):
-    _add(parser, cmd, "--seed", type=int, default=0)
-    _add(parser, cmd, "--threads", type=int, default=None,
-         help="worker processes for dist, knn --input and permtest "
-              "(default, and at most: every CPU this process may run "
-              "on; 1 runs serially); other commands run serially")
-    _add(parser, cmd, "--config", default=None)
-    _add(parser, cmd, "--deterministic", action="store_true")
+def _common(parser, handler):
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--threads", type=int, default=None,
+        help="worker processes for dist, knn --input and permtest "
+             "(default, and at most: every CPU this process may run on; "
+             "1 runs serially); other commands run serially")
+    parser.add_argument("--config", default=None)
+    parser.add_argument("--deterministic", action="store_true")
+    parser.set_defaults(handler=handler, parser=parser)
 
 
 def build_parser() -> _Parser:
@@ -118,29 +83,30 @@ def build_parser() -> _Parser:
     gensub = gen.add_subparsers(dest="space", metavar="SPACE")
     for space in ("corner", "sheets", "trees"):
         p = gensub.add_parser(space)
-        key = f"gen.{space}"
-        _add(p, key, "-o", "--output", required=True)
+        p.add_argument("-o", "--output", required=True)
         if space == "corner":
-            _add(p, key, "--n", type=int, default=250)
+            p.add_argument("--n", type=int, default=250)
         elif space == "sheets":
-            _add(p, key, "--sheets", type=int, default=5)
-            _add(p, key, "--dim", type=int, default=2)
-            _add(p, key, "--per-sheet", type=int, default=50)
+            p.add_argument("--sheets", type=int, default=5)
+            p.add_argument("--dim", type=int, default=2)
+            p.add_argument("--per-sheet", type=int, default=50)
         else:
-            _add(p, key, "--n", type=int, default=50)
-            _add(p, key, "--k", type=int, default=1)
-            _add(p, key, "--attr-sigma", type=float, default=0.1)
-            _add(p, key, "--topology-noise", type=float, default=0.0)
-            _add(p, key, "--class-shift", default=None,
-                 help="JSON object mapping branch labels to offsets")
-            _add(p, key, "--template", default=None,
-                 help="tree JSON file; defaults to the airway template")
-        _common(p, key)
+            p.add_argument("--n", type=int, default=50)
+            p.add_argument("--k", type=int, default=1)
+            p.add_argument("--attr-sigma", type=float, default=0.1)
+            p.add_argument("--topology-noise", type=float, default=0.0)
+            p.add_argument("--class-shift", default=None,
+                           help="JSON object mapping branch labels to "
+                                "offsets")
+            p.add_argument("--template", default=None,
+                           help="tree JSON file; defaults to the airway "
+                                "template")
+        _common(p, _cmd_gen)
 
     p = sub.add_parser("dist", help="pairwise geodesic distance matrix")
-    _add(p, "dist", "--input", required=True)
-    _add(p, "dist", "-o", "--output", required=True)
-    _common(p, "dist")
+    p.add_argument("--input", required=True)
+    p.add_argument("-o", "--output", required=True)
+    _common(p, _cmd_dist)
 
     p = sub.add_parser(
         "mean", help="Fréchet mean of a population",
@@ -150,86 +116,137 @@ def build_parser() -> _Parser:
                     "8, ... and stops as soon as that point is certified "
                     "optimal.  mean.manifest.json says why it stopped: "
                     "certified, converged (the walk's gap rule) or cap.")
-    _add(p, "mean", "--input", required=True)
-    _add(p, "mean", "-o", "--output", required=True)
-    _add(p, "mean", "--max-iterations", type=int, default=None,
-         help="cap on the walk's steps (default 1000 per tree)")
-    _add(p, "mean", "--tolerance", type=float,
-         default=MeanConfig.tolerance,
-         help="relative objective-gap estimate at which the walk stops; "
-              "the certificate does not use it")
-    _common(p, "mean")
+    p.add_argument("--input", required=True)
+    p.add_argument("-o", "--output", required=True)
+    p.add_argument("--max-iterations", type=int, default=None,
+                   help="cap on the walk's steps (default 1000 per tree)")
+    p.add_argument("--tolerance", type=float, default=MeanConfig.tolerance,
+                   help="relative objective-gap estimate at which the walk "
+                        "stops; the certificate does not use it")
+    _common(p, _cmd_mean)
 
     p = sub.add_parser("permtest", help="two-group permutation test")
-    _add(p, "permtest", "--groups", required=True,
-         help="population JSON with exactly two classes")
-    _add(p, "permtest", "--statistic", choices=("mean", "variance"),
-         default="mean")
-    _add(p, "permtest", "--M", type=int, default=1000, dest="m")
-    _add(p, "permtest", "--full", action="store_true",
-         help="include all permuted statistics in the report")
-    _add(p, "permtest", "-o", "--output", required=True)
-    _common(p, "permtest")
+    p.add_argument("--groups", required=True,
+                   help="population JSON with exactly two classes")
+    p.add_argument("--statistic", choices=("mean", "variance"),
+                   default="mean")
+    p.add_argument("--M", type=int, default=1000, dest="m")
+    p.add_argument("--full", action="store_true",
+                   help="include all permuted statistics in the report")
+    p.add_argument("-o", "--output", required=True)
+    _common(p, _cmd_permtest)
 
     p = sub.add_parser("subtree-features",
                        help="subtree-distance feature matrix")
-    _add(p, "subtree-features", "--input", required=True)
-    _add(p, "subtree-features", "--mode",
-         choices=("per-class", "pooled"), default="per-class")
-    _add(p, "subtree-features", "--labels", nargs="+", default=None)
-    _add(p, "subtree-features", "-o", "--output", required=True)
-    _common(p, "subtree-features")
+    p.add_argument("--input", required=True)
+    p.add_argument("--mode", choices=("per-class", "pooled"),
+                   default="per-class")
+    p.add_argument("--labels", nargs="+", default=None)
+    p.add_argument("-o", "--output", required=True)
+    _common(p, _cmd_features)
 
     p = sub.add_parser("classify", help="elastic-net cross-validation")
-    _add(p, "classify", "--input", default=None,
-         help="population JSON; features rebuilt per fold")
-    _add(p, "classify", "--features", default=None,
-         help="precomputed feature CSV")
-    _add(p, "classify", "--mode", choices=("per-class", "pooled"),
-         default="per-class")
-    _add(p, "classify", "--labels", nargs="+", default=None)
-    _add(p, "classify", "--alphas", nargs="+", type=float,
-         default=[1.0, 0.75, 0.5, 0.25])
-    _add(p, "classify", "--folds", type=int, default=5)
-    _add(p, "classify", "--repeats", type=int, default=10)
-    _add(p, "classify", "-o", "--output", required=True)
-    _common(p, "classify")
+    p.add_argument("--input", default=None,
+                   help="population JSON; features rebuilt per fold")
+    p.add_argument("--features", default=None,
+                   help="precomputed feature CSV")
+    p.add_argument("--mode", choices=("per-class", "pooled"),
+                   default="per-class")
+    p.add_argument("--labels", nargs="+", default=None)
+    p.add_argument("--alphas", nargs="+", type=float,
+                   default=[1.0, 0.75, 0.5, 0.25])
+    p.add_argument("--folds", type=int, default=5)
+    p.add_argument("--repeats", type=int, default=10)
+    p.add_argument("-o", "--output", required=True)
+    _common(p, _cmd_classify)
 
     p = sub.add_parser("knn", help="nearest-neighbor baseline")
-    _add(p, "knn", "--input", default=None, help="population JSON")
-    _add(p, "knn", "--matrix", default=None, help="distance CSV")
-    _add(p, "knn", "--k", type=int, default=5)
-    _add(p, "knn", "--folds", type=int, default=5)
-    _add(p, "knn", "-o", "--output", required=True)
-    _common(p, "knn")
+    p.add_argument("--input", default=None, help="population JSON")
+    p.add_argument("--matrix", default=None, help="distance CSV")
+    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--folds", type=int, default=5)
+    p.add_argument("-o", "--output", required=True)
+    _common(p, _cmd_knn)
 
     p = sub.add_parser("correlate",
                        help="subtree deviation correlations")
-    _add(p, "correlate", "--input", required=True)
-    _add(p, "correlate", "--labels", nargs="+", default=None)
-    _add(p, "correlate", "-o", "--output", required=True,
-         help="output directory")
-    _common(p, "correlate")
+    p.add_argument("--input", required=True)
+    p.add_argument("--labels", nargs="+", default=None)
+    p.add_argument("-o", "--output", required=True, help="output directory")
+    _common(p, _cmd_correlate)
 
     p = sub.add_parser("embed", help="2-D embedding of a distance matrix")
-    _add(p, "embed", "--input", required=True, help="distance CSV")
-    _add(p, "embed", "--method",
-         choices=("mds", "isomap", "hmds", "hisomap"), default="hmds")
-    _add(p, "embed", "--isomap-k", type=int, default=10)
-    _add(p, "embed", "--restarts", type=int, default=5)
-    _add(p, "embed", "--max-iterations", type=int, default=10000)
-    _add(p, "embed", "--bins", type=int, default=20)
-    _add(p, "embed", "-o", "--output", required=True,
-         help="output directory")
-    _common(p, "embed")
+    p.add_argument("--input", required=True, help="distance CSV")
+    p.add_argument("--method", choices=("mds", "isomap", "hmds", "hisomap"),
+                   default="hmds")
+    p.add_argument("--isomap-k", type=int, default=10)
+    p.add_argument("--restarts", type=int, default=5)
+    p.add_argument("--max-iterations", type=int, default=10000)
+    p.add_argument("--bins", type=int, default=20)
+    p.add_argument("-o", "--output", required=True, help="output directory")
+    _common(p, _cmd_embed)
 
     p = sub.add_parser("distortion", help="compare two distance matrices")
-    _add(p, "distortion", "--original", required=True)
-    _add(p, "distortion", "--embedded", required=True)
-    _add(p, "distortion", "--bins", type=int, default=20)
-    _add(p, "distortion", "-o", "--output", required=True)
-    _common(p, "distortion")
+    p.add_argument("--original", required=True)
+    p.add_argument("--embedded", required=True)
+    p.add_argument("--bins", type=int, default=20)
+    p.add_argument("-o", "--output", required=True)
+    _common(p, _cmd_distortion)
     return top
+
+
+def _config_tokens(parser, path):
+    """The ``--config`` JSON object as option tokens for the command
+    ``parser``, so its values meet the same checks as flags.  Keys name
+    option dests (``-`` or ``_``); keys of no option, and null values, are
+    skipped.  A switch takes true or false, an option of several values a
+    list or one value."""
+    try:
+        cfg = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as e:
+        raise CliError(INPUT_ERROR, f"config: {e}")
+    if not isinstance(cfg, dict):
+        raise CliError(INPUT_ERROR, "config: expected a JSON object")
+    options = {a.dest: a for a in parser._actions
+               if a.option_strings and a.dest not in ("help", "config")}
+    tokens = []
+    for key, value in cfg.items():
+        action = options.get(key.replace("-", "_"))
+        if action is None or value is None:
+            continue
+        flag = action.option_strings[-1]
+        if action.nargs == 0:
+            if not isinstance(value, bool):
+                raise CliError(USAGE_ERROR,
+                               f"usage: config: {flag} takes true or false")
+            if value:
+                tokens.append(flag)
+        elif action.nargs == "+" and isinstance(value, list):
+            tokens += [flag, *map(_token, value)]
+        else:
+            tokens.append(f"{flag}={_token(value)}")
+    return tokens
+
+
+def _token(value):
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+def _parse(argv):
+    """Parse ``argv``; with ``--config``, parse again with the config's
+    tokens after the command words, so the user's flags still win."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if not getattr(args, "cmd", None):
+        raise CliError(USAGE_ERROR, "usage: missing subcommand")
+    if args.cmd == "gen" and not args.space:
+        raise CliError(USAGE_ERROR, "usage: gen needs corner|sheets|trees")
+    if args.config:
+        words = 2 if args.cmd == "gen" else 1
+        args = parser.parse_args([*argv[:words],
+                                  *_config_tokens(args.parser, args.config),
+                                  *argv[words:]])
+    return args
 
 
 # ---------------------------------------------------------------------------
@@ -243,24 +260,11 @@ def _read_text(path):
         raise CliError(INPUT_ERROR, f"input: {e}")
 
 
-def _load_population(path):
+def _load(path, parse):
+    """``parse`` applied to the text of ``path``; any failure is bad input."""
     try:
-        return parse_population(_read_text(path))
-    except (TreeError, ValueError, KeyError, json.JSONDecodeError) as e:
-        raise CliError(INPUT_ERROR, f"input: {path}: {e}")
-
-
-def _load_matrix(path):
-    try:
-        return DistanceMatrix.from_csv(_read_text(path))
-    except ValueError as e:
-        raise CliError(INPUT_ERROR, f"input: {path}: {e}")
-
-
-def _load_features(path):
-    try:
-        return FeatureMatrix.from_csv(_read_text(path))
-    except ValueError as e:
+        return parse(_read_text(path))
+    except (ValueError, KeyError) as e:  # TreeError and JSON errors too
         raise CliError(INPUT_ERROR, f"input: {path}: {e}")
 
 
@@ -282,11 +286,17 @@ def _timestamp(args):
     return time.strftime("%Y-%m-%dT%H:%M:%S")
 
 
-def _manifest(args, argv, inputs, outputs, t0, where, diagnostics=None):
+def _manifest(args, argv, inputs, outputs, diagnostics, t0):
+    """Write the run's manifest: ``manifest.json`` inside the output
+    directory of ``correlate`` and ``embed``, else ``<output
+    stem>.manifest.json``."""
+    out = Path(args.output)
+    where = out / "manifest.json" if args.cmd in ("correlate", "embed") \
+        else out.with_suffix(".manifest.json")
     data = {
         "command": args.cmd,
         "argv": list(argv),
-        "seed": getattr(args, "seed", None),
+        "seed": args.seed,
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
         "version": __version__,
@@ -298,10 +308,14 @@ def _manifest(args, argv, inputs, outputs, t0, where, diagnostics=None):
     _write(where, _json_text(data))
 
 
-def _require_two_classes(classes, path):
-    if classes is None:
+def _require_classes(classes, path):
+    if classes is None or None in classes:
         raise CliError(INPUT_ERROR,
-                       f"input: {path}: population has no class column")
+                       f"input: {path}: every tree needs a class")
+
+
+def _require_two_classes(classes, path):
+    _require_classes(classes, path)
     uniq = sorted(set(classes))
     if len(uniq) != 2:
         raise CliError(INPUT_ERROR,
@@ -319,13 +333,9 @@ def _scheme(label_args):
 # command handlers
 # ---------------------------------------------------------------------------
 
-def _cmd_gen(args, argv, t0):
+def _cmd_gen(args):
     out = Path(args.output)
-    if args.space == "corner":
-        ds = gen_corner(args.n, args.seed)
-    elif args.space == "sheets":
-        ds = gen_sheets(args.sheets, args.dim, args.per_sheet, args.seed)
-    elif args.space == "trees":
+    if args.space == "trees":
         if args.template:
             template = parse_tree(_read_text(args.template))
         else:
@@ -336,134 +346,114 @@ def _cmd_gen(args, argv, t0):
                 shift = json.loads(args.class_shift)
             except json.JSONDecodeError as e:
                 raise CliError(INPUT_ERROR, f"class-shift: {e}")
+            if not isinstance(shift, dict):
+                raise CliError(INPUT_ERROR,
+                               "class-shift: expected a JSON object")
         pop = gen_tree_population(template, args.n, args.topology_noise,
                                   args.attr_sigma, shift, args.seed)
-        path = _write(out, serialize_population(pop.trees, pop.classes))
-        _manifest(args, argv, [], [path], t0,
-                  out.with_suffix(".manifest.json"))
-        return
+        return [], [_write(out, serialize_population(pop.trees,
+                                                     pop.classes))], None
+    if args.space == "corner":
+        ds = gen_corner(args.n, args.seed)
     else:
-        raise CliError(USAGE_ERROR, "usage: gen needs corner|sheets|trees")
-    ds_path = _write(out, _json_text(ds.to_json()))
-    csv_path = _write(out.with_suffix(".csv"), ds.matrix.to_csv())
-    _manifest(args, argv, [], [ds_path, csv_path], t0,
-              out.with_suffix(".manifest.json"))
+        ds = gen_sheets(args.sheets, args.dim, args.per_sheet, args.seed)
+    return [], [_write(out, _json_text(ds.to_json())),
+                _write(out.with_suffix(".csv"), ds.matrix.to_csv())], None
 
 
-def _cmd_dist(args, argv, t0):
-    trees, classes = _load_population(args.input)
+def _cmd_dist(args):
+    trees, classes = _load(args.input, parse_population)
     labels = tuple(str(c) for c in classes) if classes else None
     dm, counts = distance_matrix_detailed(trees, labels=labels,
                                           workers=args.threads)
-    path = _write(args.output, dm.to_csv())
-    _manifest(args, argv, [args.input], [path], t0,
-              Path(args.output).with_suffix(".manifest.json"),
-              diagnostics=counts)
+    return [args.input], [_write(args.output, dm.to_csv())], counts
 
 
-def _cmd_mean(args, argv, t0):
-    trees, _ = _load_population(args.input)
+def _cmd_mean(args):
+    trees, _ = _load(args.input, parse_population)
     cfg = MeanConfig(args.max_iterations, args.tolerance, args.seed,
                      certify=True)
     result = frechet_mean_detailed(trees, cfg)
     path = _write(args.output, serialize_tree(result.tree) + "\n")
-    _manifest(args, argv, [args.input], [path], t0,
-              Path(args.output).with_suffix(".manifest.json"),
-              diagnostics={"iterations": result.iterations,
-                           "stop_reason": result.stop_reason,
-                           "objective": result.objective,
-                           "orthant_evaluations": result.evaluations})
+    return [args.input], [path], {
+        "iterations": result.iterations,
+        "stop_reason": result.stop_reason,
+        "objective": result.objective,
+        "orthant_evaluations": result.evaluations}
 
 
-def _cmd_permtest(args, argv, t0):
-    trees, classes = _load_population(args.groups)
+def _cmd_permtest(args):
+    trees, classes = _load(args.groups, parse_population)
     uniq = _require_two_classes(classes, args.groups)
     g1 = [t for t, c in zip(trees, classes) if c == uniq[0]]
     g2 = [t for t, c in zip(trees, classes) if c == uniq[1]]
     report = permutation_test(g1, g2, args.statistic, args.m, args.seed,
                               workers=args.threads)
     path = _write(args.output, _json_text(report.to_json(args.full)))
-    _manifest(args, argv, [args.groups], [path], t0,
-              Path(args.output).with_suffix(".manifest.json"),
-              diagnostics={"mean_stop_reasons": report.mean_stop_reasons,
-                           "mean_iterations": report.mean_iterations})
+    return [args.groups], [path], {
+        "mean_stop_reasons": report.mean_stop_reasons,
+        "mean_iterations": report.mean_iterations}
 
 
-def _cmd_features(args, argv, t0):
-    trees, classes = _load_population(args.input)
+def _cmd_features(args):
+    trees, classes = _load(args.input, parse_population)
     scheme = _scheme(args.labels)
     if args.mode == "per-class":
         _require_two_classes(classes, args.input)
     cfg = MeanConfig(seed=args.seed, certify=True)
     means = compute_reference_means(trees, classes, scheme, args.mode, cfg)
     fm = feature_matrix(trees, scheme, means, y=classes)
-    path = _write(args.output, fm.to_csv())
-    _manifest(args, argv, [args.input], [path], t0,
-              Path(args.output).with_suffix(".manifest.json"))
+    return [args.input], [_write(args.output, fm.to_csv())], None
 
 
-def _cmd_classify(args, argv, t0):
+def _cmd_classify(args):
     if bool(args.input) == bool(args.features):
         raise CliError(USAGE_ERROR,
                        "usage: classify needs --input or --features")
     if args.input:
-        trees, classes = _load_population(args.input)
-        _require_two_classes(classes, args.input)
-        scheme = _scheme(args.labels)
+        trees, y = _load(args.input, parse_population)
+        _require_two_classes(y, args.input)
         cfg = MeanConfig(seed=args.seed, certify=True)
-        builder = fold_feature_builder(trees, classes, scheme, args.mode,
-                                       cfg)
-        names = builder(np.arange(len(trees))).column_names
-        report = cross_validate(None, np.array(classes),
-                                alphas=tuple(args.alphas),
-                                folds=args.folds, repeats=args.repeats,
-                                seed=args.seed, fold_features=builder,
-                                column_names=names)
-        inputs = [args.input]
+        builder = fold_feature_builder(trees, y, _scheme(args.labels),
+                                       args.mode, cfg)
+        x, names = None, builder(np.arange(len(trees))).column_names
     else:
-        fm = _load_features(args.features)
+        fm = _load(args.features, FeatureMatrix.from_csv)
         if fm.y is None:
             raise CliError(INPUT_ERROR,
                            f"input: {args.features}: no class column")
-        report = cross_validate(fm.values, np.array(fm.y),
-                                alphas=tuple(args.alphas),
-                                folds=args.folds, repeats=args.repeats,
-                                seed=args.seed,
-                                column_names=fm.column_names)
-        inputs = [args.features]
+        x, y, names, builder = fm.values, fm.y, fm.column_names, None
+    report = cross_validate(x, np.array(y), alphas=tuple(args.alphas),
+                            folds=args.folds, repeats=args.repeats,
+                            seed=args.seed, fold_features=builder,
+                            column_names=names)
     path = _write(args.output, _json_text(report.to_json()))
-    _manifest(args, argv, inputs, [path], t0,
-              Path(args.output).with_suffix(".manifest.json"),
-              diagnostics={"stop_reasons": report.stop_reasons})
+    return [args.input or args.features], [path], {
+        "stop_reasons": report.stop_reasons}
 
 
-def _cmd_knn(args, argv, t0):
+def _cmd_knn(args):
     if bool(args.input) == bool(args.matrix):
         raise CliError(USAGE_ERROR, "usage: knn needs --input or --matrix")
     if args.input:
-        trees, classes = _load_population(args.input)
-        if classes is None:
-            raise CliError(INPUT_ERROR,
-                           f"input: {args.input}: no class column")
+        trees, classes = _load(args.input, parse_population)
+        _require_classes(classes, args.input)
         dm = distance_matrix(trees, labels=tuple(map(str, classes)),
                              workers=args.threads)
         y = list(classes)
-        inputs = [args.input]
     else:
-        dm = _load_matrix(args.matrix)
+        dm = _load(args.matrix, DistanceMatrix.from_csv)
         if dm.labels is None:
             raise CliError(INPUT_ERROR,
                            f"input: {args.matrix}: no label column")
         y = list(dm.labels)
-        inputs = [args.matrix]
     report = knn_classify(dm, y, args.k, args.folds, args.seed)
     path = _write(args.output, _json_text(report.to_json()))
-    _manifest(args, argv, inputs, [path], t0,
-              Path(args.output).with_suffix(".manifest.json"))
+    return [args.input or args.matrix], [path], None
 
 
-def _cmd_correlate(args, argv, t0):
-    trees, _ = _load_population(args.input)
+def _cmd_correlate(args):
+    trees, _ = _load(args.input, parse_population)
     scheme = _scheme(args.labels)
     populations = {lab: [extract_subtree(t, lab) for t in trees]
                    for lab in scheme.labels}
@@ -479,7 +469,7 @@ def _cmd_correlate(args, argv, t0):
             [name, *(f"{v:.17g}" for v in row)]
             for name, row in zip(names, rows)])
 
-    outputs = [
+    return [args.input], [
         _write(out / "correlation.csv",
                table("label", corr.labels, corr.matrix)),
         _write(out / "deviations.csv",
@@ -488,12 +478,11 @@ def _cmd_correlate(args, argv, t0):
         _write(out / "pairs.svg",
                svg_pair_grid(corr.deviations, corr.labels,
                              timestamp=stamp)),
-    ]
-    _manifest(args, argv, [args.input], outputs, t0, out / "manifest.json")
+    ], None
 
 
-def _cmd_embed(args, argv, t0):
-    dm = _load_matrix(args.input)
+def _cmd_embed(args):
+    dm = _load(args.input, DistanceMatrix.from_csv)
     cfg = EmbeddingConfig(args.method, args.isomap_k, args.max_iterations,
                           seed=args.seed, restarts=args.restarts,
                           bins=args.bins)
@@ -525,57 +514,37 @@ def _cmd_embed(args, argv, t0):
     ]
     runs = result.restarts or (result,)  # a flat fit is its only run
     stresses = [r.final_stress for r in runs]
-    _manifest(args, argv, [args.input], outputs, t0, out / "manifest.json",
-              diagnostics={"restarts": [
-                  {"iterations": r.iterations, "stop_reason": r.stop_reason,
-                   "final_stress": r.final_stress} for r in runs],
-                  "best": stresses.index(result.final_stress)})
+    return [args.input], outputs, {
+        "restarts": [{"iterations": r.iterations,
+                      "stop_reason": r.stop_reason,
+                      "final_stress": r.final_stress} for r in runs],
+        "best": stresses.index(result.final_stress)}
 
 
-def _cmd_distortion(args, argv, t0):
-    orig = _load_matrix(args.original)
-    emb = _load_matrix(args.embedded)
+def _cmd_distortion(args):
+    orig = _load(args.original, DistanceMatrix.from_csv)
+    emb = _load(args.embedded, DistanceMatrix.from_csv)
     if orig.ids != emb.ids:
         raise CliError(INPUT_ERROR, "input: matrices have different ids")
     report = distortion_report(orig, emb, args.bins)
     path = _write(args.output, _json_text(report.to_json()))
-    _manifest(args, argv, [args.original, args.embedded], [path], t0,
-              Path(args.output).with_suffix(".manifest.json"))
-
-
-_HANDLERS = {
-    "gen": _cmd_gen,
-    "dist": _cmd_dist,
-    "mean": _cmd_mean,
-    "permtest": _cmd_permtest,
-    "subtree-features": _cmd_features,
-    "classify": _cmd_classify,
-    "knn": _cmd_knn,
-    "correlate": _cmd_correlate,
-    "embed": _cmd_embed,
-    "distortion": _cmd_distortion,
-}
+    return [args.original, args.embedded], [path], None
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     t0 = time.time()
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        if not getattr(args, "cmd", None):
-            raise CliError(USAGE_ERROR, "usage: missing subcommand")
-        if args.cmd == "gen" and not getattr(args, "space", None):
-            raise CliError(USAGE_ERROR, "usage: gen needs corner|sheets|trees")
-        args = _merged(args)
+        args = _parse(argv)
         try:
-            _HANDLERS[args.cmd](args, argv, t0)
+            inputs, outputs, diagnostics = args.handler(args)
         except CliError:
             raise
-        except (TreeError,) as e:
+        except TreeError as e:
             raise CliError(INPUT_ERROR, f"input: {e}")
         except (ValueError, KeyError, ArithmeticError) as e:
             raise CliError(COMPUTE_ERROR, f"compute: {e}")
+        _manifest(args, argv, inputs, outputs, diagnostics, t0)
         return 0
     except CliError as e:
         print(f"treespace: error: {e}", file=sys.stderr)

@@ -39,7 +39,8 @@ import numpy as np
 
 from ._pool import cpus, fork_map, resolve_workers
 from .distmat import DistanceMatrix
-from .trees import AttributedTree, Split, TreeError, _view, compatible
+from .trees import (AttributedTree, Split, TreeError, _labels, _view,
+                    compatible)
 
 __all__ = [
     "GeodesicPath",
@@ -365,11 +366,7 @@ class GeodesicPath:
                 v = tuple(map(f.__mul__, view.attrs[p]))
                 edges[view.splits[p]] = v
                 rows.append((view.keys[p], view.splits[p], view.masks[p], v))
-        labels = {n: sp for n, sp in self.source.branch_labels.items()
-                  if sp in edges}
-        for n, sp in self.target.branch_labels.items():
-            if n not in labels and sp in edges:
-                labels[n] = sp
+        labels = _labels((self.source, self.target), edges)
         if self._positions is None:
             return AttributedTree(self.source.leaves, edges, labels)
         # split keys are unique, so the sort never compares further

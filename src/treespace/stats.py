@@ -61,7 +61,7 @@ import numpy as np
 from ._pool import fork_map, resolve_workers
 from .geodesic import (_COUNTS, _pair, distance_matrix, geodesic,
                        geodesic_distance)
-from .trees import AttributedTree, _view
+from .trees import AttributedTree, _labels, _view
 
 __all__ = [
     "MeanConfig",
@@ -155,17 +155,6 @@ def _coordinate_mean(trees):
         if np.any(m != 0.0):
             edges[s] = tuple(float(v) for v in m)
     return AttributedTree(first.leaves, edges, _labels(trees, edges))
-
-
-def _labels(trees, edges):
-    """Branch labels for a tree on ``edges``: each name goes to the split
-    of the first tree that names a split still present."""
-    labels = {}
-    for t in trees:
-        for name, sp in t.branch_labels.items():
-            if name not in labels and sp in edges:
-                labels[name] = sp
-    return labels
 
 
 def _walk(trees, start, max_iter, seed):

@@ -100,7 +100,11 @@ def _view(splits, keys, masks, attrs) -> _SplitView:
 
 
 def _check_attr(attr, split) -> tuple[float, ...]:
-    vec = tuple(float(c) for c in attr)
+    try:
+        vec = tuple(float(c) for c in attr)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise TreeError(f"non-numeric attribute on split {sorted(split)}: "
+                        f"{exc}") from exc
     if not vec:
         raise TreeError(f"empty attribute vector on split {sorted(split)}")
     if any(not math.isfinite(c) for c in vec):
@@ -216,6 +220,18 @@ class AttributedTree:
                      tuple(map(self.edges.__getitem__, splits)))
 
 
+def _labels(trees, edges) -> dict:
+    """Branch labels for a tree on ``edges``, inherited from ``trees``:
+    each name goes to the split of the first tree that names a split
+    still present."""
+    labels = {}
+    for t in trees:
+        for name, sp in t.branch_labels.items():
+            if name not in labels and sp in edges:
+                labels[name] = sp
+    return labels
+
+
 def splits_of(tree: AttributedTree) -> frozenset:
     """The set of splits present in ``tree``."""
     return tree.splits
@@ -248,12 +264,12 @@ def tree_from_dict(doc: Mapping) -> AttributedTree:
             frozenset(str(x) for x in e["split"]): tuple(e["attr"])
             for e in doc["edges"]
         }
-    except (KeyError, TypeError) as exc:
+        labels = {
+            str(name): frozenset(str(x) for x in split)
+            for name, split in doc.get("labels", {}).items()
+        }
+    except (AttributeError, KeyError, TypeError) as exc:
         raise TreeError(f"malformed tree document: {exc}") from exc
-    labels = {
-        str(name): frozenset(str(x) for x in split)
-        for name, split in doc.get("labels", {}).items()
-    }
     return AttributedTree(leaves, edges, labels)
 
 
@@ -289,7 +305,7 @@ def parse_population(text: str) -> tuple[list[AttributedTree], list[str] | None]
     """Parse a JSON array of tree documents.
 
     Returns the trees plus their per-tree "class" strings, or None when no
-    document carries a class.
+    document carries a class.  A class that is not a string is malformed.
     """
     try:
         docs = json.loads(text)
@@ -299,6 +315,8 @@ def parse_population(text: str) -> tuple[list[AttributedTree], list[str] | None]
         raise TreeError("expected a JSON array of tree documents")
     trees = [tree_from_dict(doc) for doc in docs]
     classes = [doc.get("class") for doc in docs]
+    if not all(c is None or isinstance(c, str) for c in classes):
+        raise TreeError("a tree's class must be a string")
     if all(c is None for c in classes):
         return trees, None
     return trees, classes

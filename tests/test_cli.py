@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import treespace
 from treespace.cli import main
@@ -221,6 +224,23 @@ def test_exit_codes(tmp_path):
                "-o", str(tmp_path / "p.json"), "--M", "5") == 70
 
 
+def test_malformed_populations_exit_65(pop_file, tmp_path, capsys):
+    docs = json.loads(pop_file.read_text())
+    del docs[0]["class"]
+    partial = tmp_path / "partial.json"
+    partial.write_text(json.dumps(docs))
+    labels = tmp_path / "labels.json"
+    labels.write_text('[{"leaves": ["a"], "edges": [], "labels": 5}]')
+    for argv in (("dist", "--input", str(labels)),
+                 ("knn", "--input", str(partial), "--folds", "2"),
+                 ("permtest", "--groups", str(partial), "--M", "3")):
+        capsys.readouterr()
+        assert run(*argv, "-o", str(tmp_path / "out")) == 65, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"treespace: error: input: {argv[2]}: ")
+        assert len(err.splitlines()) == 1
+
+
 def test_config_file_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 6, "seed": 9}))
@@ -236,6 +256,159 @@ def test_config_file_precedence(tmp_path):
                "--n", "4") == 0
     trees, _ = parse_population(out.read_text())
     assert len(trees) == 4
+
+
+def test_config_values_pass_flag_checks(pop_file, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+
+    def with_config(config, *argv):
+        cfg.write_text(json.dumps(config))
+        capsys.readouterr()
+        code = run(*argv, "--config", str(cfg))
+        return code, capsys.readouterr().err
+
+    pop, feats = str(pop_file), str(tmp_path / "f.csv")
+    # a wrong-typed value, a value outside choices and a non-boolean
+    # switch are usage errors that name the option, as flags would be
+    for config, argv, option in [
+        ({"n": "abc"}, ("gen", "trees", "-o", str(tmp_path / "p.json")),
+         "--n"),
+        ({"threads": "x"}, ("dist", "--input", pop, "-o",
+                            str(tmp_path / "d.csv")), "--threads"),
+        ({"method": "bogus"}, ("embed", "--input", str(tmp_path / "d.csv"),
+                               "-o", str(tmp_path / "emb")), "--method"),
+        ({"deterministic": "yes"}, ("dist", "--input", pop, "-o",
+                                    str(tmp_path / "d.csv")),
+         "--deterministic"),
+        ({"labels": []}, ("subtree-features", "--input", pop, "-o", feats),
+         "--labels"),
+    ]:
+        code, err = with_config(config, *argv)
+        assert code == 64, config
+        assert err.startswith("treespace: error: usage:") and option in err
+        assert len(err.splitlines()) == 1
+
+    # a list serves an option of several values; the flag still wins
+    config = {"labels": ["LMB", "RMB"], "mode": "pooled"}
+    argv = ("subtree-features", "--input", pop, "-o", feats)
+    assert with_config(config, *argv)[0] == 0
+    assert Path(feats).read_text().splitlines()[0] == "id,class,LMB,RMB"
+    assert with_config(config, *argv, "--labels", "LUL")[0] == 0
+    assert Path(feats).read_text().splitlines()[0] == "id,class,LUL"
+
+    # true turns a switch on; unknown keys and other commands' keys are
+    # ignored; a number given as a string parses as the flag would
+    out = tmp_path / "d.csv"
+    assert with_config({"deterministic": True, "threads": "1", "M": 3,
+                        "no_such_option": [1]},
+                       "dist", "--input", pop, "-o", str(out)) == (0, "")
+    man = json.loads((tmp_path / "d.manifest.json").read_text())
+    assert man["duration_s"] == 0.0
+
+
+def test_every_command_writes_its_manifest_beside_its_outputs(pop_file,
+                                                              tmp_path):
+    o, pop = tmp_path, str(pop_file)
+    runs = [
+        ("gen", "corner", "-o", f"{o}/c.json", "--n", "12"),
+        ("gen", "sheets", "-o", f"{o}/s.json", "--sheets", "2",
+         "--per-sheet", "3"),
+        ("gen", "trees", "-o", f"{o}/t.json", "--n", "4"),
+        ("dist", "--input", pop, "-o", f"{o}/d.csv"),
+        ("mean", "--input", pop, "-o", f"{o}/m.json"),
+        ("permtest", "--groups", pop, "-o", f"{o}/p.json", "--M", "5"),
+        ("subtree-features", "--input", pop, "-o", f"{o}/f.csv",
+         "--mode", "pooled"),
+        ("classify", "--features", f"{o}/f.csv", "-o", f"{o}/cv.json",
+         "--alphas", "1.0", "--folds", "2", "--repeats", "1"),
+        ("classify", "--input", pop, "-o", f"{o}/cvin.json",
+         "--labels", "LMB", "--alphas", "1.0", "--folds", "2",
+         "--repeats", "1"),
+        ("knn", "--matrix", f"{o}/d.csv", "-o", f"{o}/k.json",
+         "--folds", "2"),
+        ("knn", "--input", pop, "-o", f"{o}/kin.json", "--folds", "2"),
+        ("correlate", "--input", pop, "-o", f"{o}/corr"),
+        ("embed", "--input", f"{o}/c.csv", "-o", f"{o}/emb",
+         "--restarts", "1", "--max-iterations", "20"),
+        ("distortion", "--original", f"{o}/c.csv", "--embedded",
+         f"{o}/c.csv", "-o", f"{o}/x.json"),
+    ]
+    where = ["c", "s", "t", "d", "m", "p", "f", "cv", "cvin", "k", "kin"]
+    where = [f"{o}/{w}.manifest.json" for w in where] + [
+        f"{o}/corr/manifest.json", f"{o}/emb/manifest.json",
+        f"{o}/x.manifest.json"]
+    for argv, path in zip(runs, where):
+        assert run(*argv, "--deterministic") == 0, argv
+        man = json.loads(Path(path).read_text())
+        assert man["command"] == argv[0]
+        assert man["argv"] == [*argv, "--deterministic"]
+        assert man["outputs"] and all(Path(p).is_file()
+                                      for p in man["outputs"])
+    assert sorted(map(str, tmp_path.rglob("*manifest.json"))) == sorted(
+        [*where, str(pop_file.with_suffix(".manifest.json"))])
+
+
+# Option names (either spelling) of three commands, keys no option has,
+# and any JSON value.  Integers stay small so that valid values run fast.
+_FUZZ_KEYS = {
+    "gen": ["n", "k", "attr_sigma", "topology-noise", "class_shift",
+            "template", "output"],
+    "permtest": ["statistic", "M", "m", "full", "groups"],
+    "embed": ["method", "isomap_k", "restarts", "max-iterations", "bins",
+              "input"],
+}
+_COMMON_KEYS = ["seed", "threads", "deterministic", "config", "help",
+                "unknown"]
+_FUZZ_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12)
+    | st.integers(-3, 12).map(str) | st.text(max_size=6)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(["mean", "variance", "hmds", "isomap", "hisomap",
+                       '{"LMB": 0.5}', "[1]"]),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=3), kids, max_size=2),
+    max_leaves=4)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    assert run("gen", "trees", "-o", str(d / "pop.json"), "--n", "6",
+               "--class-shift", '{"LMB": 0.5}') == 0
+    assert run("gen", "corner", "-o", str(d / "corner.json"),
+               "--n", "8") == 0
+    return d
+
+
+@pytest.mark.parametrize("cmd", sorted(_FUZZ_KEYS))
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_config_fuzz_exits_cleanly(fuzz_dir, cmd, data):
+    keys = st.sampled_from(_FUZZ_KEYS[cmd] + _COMMON_KEYS)
+    config = data.draw(st.dictionaries(keys, _FUZZ_VALUE, max_size=4))
+    cfg = fuzz_dir / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    d = str(fuzz_dir)
+    argv = {
+        "gen": ["gen", "trees", "-o", f"{d}/out.json"],
+        "permtest": ["permtest", "--groups", f"{d}/pop.json",
+                     "-o", f"{d}/perm.json"],
+        # the flag bounds the cost; the config's value is still checked
+        "embed": ["embed", "--input", f"{d}/corner.csv", "-o", f"{d}/emb",
+                  "--max-iterations", "30"],
+    }[cmd]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([*argv, "--config", str(cfg)])
+    err = err.getvalue()
+    if code == 0:
+        assert err == ""
+        return
+    # 70 is a well-formed value the computation rejects (--n 0, --seed -1,
+    # --restarts 0), exactly as the same flag would be
+    prefix = {64: "usage:", 65: "", 70: "compute:"}[code]
+    assert err.startswith(f"treespace: error: {prefix}"), err
+    assert len(err.splitlines()) == 1, err
 
 
 def test_dist_manifest_counts_geodesic_work(tmp_path):

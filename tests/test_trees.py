@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treespace import (
     AttributedTree,
@@ -128,6 +131,53 @@ def test_parse_errors():
         parse_tree("[1, 2]")
     with pytest.raises(TreeError):
         tree_from_dict({"leaves": ["a"]})
+
+
+@pytest.mark.parametrize("doc", [
+    {"leaves": ["a"], "edges": [], "labels": 5},
+    {"leaves": ["a"], "edges": [], "labels": {"x": 5}},
+    {"leaves": ["a"], "edges": [], "labels": None},
+    {"leaves": ["a"], "edges": [{"split": ["a"], "attr": ["x"]}]},
+    {"leaves": ["a"], "edges": [{"split": ["a"], "attr": [[1.0]]}]},
+    {"leaves": ["a"], "edges": [{"split": ["a"], "attr": [10 ** 400]}]},
+    {"leaves": ["a"], "edges": [], "class": ["case"]},
+], ids=["labels-number", "labels-split-number", "labels-null",
+        "attr-text", "attr-nested", "attr-overflow", "class-list"])
+def test_malformed_population_documents(doc):
+    with pytest.raises(TreeError):
+        parse_population(json.dumps([doc]))
+
+
+# any JSON value, and tree documents whose fields hold any JSON value
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=6)
+_LEAVES = st.lists(st.sampled_from("abcd"), min_size=1, max_size=4)
+_EDGE = st.fixed_dictionaries({
+    "split": _LEAVES | _JSON,
+    "attr": st.lists(st.floats(-2, 2), min_size=1, max_size=2) | _JSON})
+_DOC = st.fixed_dictionaries({
+    "leaves": _LEAVES | _JSON,
+    "edges": st.lists(_EDGE, max_size=3) | _JSON,
+}, optional={
+    "labels": st.dictionaries(st.text(max_size=2), _LEAVES | _JSON,
+                              max_size=2) | _JSON,
+    "class": st.sampled_from(["case", "control"]) | _JSON})
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(st.lists(_DOC, max_size=3) | _JSON)
+def test_parse_population_returns_trees_or_raises_tree_error(docs):
+    try:
+        trees, classes = parse_population(json.dumps(docs))
+    except TreeError:
+        return
+    assert all(isinstance(t, AttributedTree) for t in trees)
+    assert classes is None or all(c is None or isinstance(c, str)
+                                  for c in classes)
 
 
 def test_population_roundtrip():
