@@ -15,6 +15,10 @@ Cross-validation is stratified and repeated.  Accuracies are reported on a
 common lambda grid, and additionally with a nested protocol where each
 training fold picks its own lambda by an inner 5-fold split, so the nested
 accuracy never peeks at its test fold.
+
+SciPy (for ``expit``) is imported inside the functions that fit, apply or
+check a model, so importing this module, as every CLI call does, does not
+load it.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .distmat import DistanceMatrix
 
@@ -153,6 +156,7 @@ def fit_elastic_net(X, y, lam: float, alpha: float, *, tol: float = 1e-8,
     "line_search" when no step length lowers the objective (e.g. lam = 0 on
     separable data, where the coefficients diverge).
     """
+    from scipy.special import expit
     X, y = _check_xy(X, y)
     if lam < 0 or not 0.0 <= alpha <= 1.0:
         raise ValueError("need lam >= 0 and alpha in [0, 1]")
@@ -206,6 +210,7 @@ def fit_elastic_net(X, y, lam: float, alpha: float, *, tol: float = 1e-8,
 
 def predict_proba(model: ElasticNetModel, X) -> np.ndarray:
     """Class-1 probabilities, clipped into the open interval (0, 1)."""
+    from scipy.special import expit
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != len(model.beta):
         raise ValueError(
@@ -236,6 +241,7 @@ def kkt_residual(model: ElasticNetModel, X, y) -> float:
     inside (at zero) or on the matching edge of (when active) the interval
     [-lambda alpha, lambda alpha]; the intercept gradient must vanish.
     """
+    from scipy.special import expit
     X, y = _check_xy(X, y)
     p = expit(model.intercept + X @ model.beta)
     grad = X.T @ (p - y) + model.lam * (1 - model.alpha) * model.beta

@@ -17,7 +17,8 @@ process may run on.  Outputs do not depend on it.
 
 Option precedence is flags, then ``--config`` JSON, then built-in
 defaults; config values pass the same checks as flags.  Exit codes: 64
-usage, 65 bad input, 70 computation failure.
+usage (a negative ``--seed`` or an output path that cannot be written
+included), 65 bad input, 70 computation failure.
 """
 
 from __future__ import annotations
@@ -61,8 +62,20 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(USAGE_ERROR, f"usage: {message}")
 
 
+def _seed(text):
+    """The ``--seed`` type: NumPy seeds are non-negative integers."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return seed
+
+
 def _common(parser, handler):
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_seed, default=0)
     parser.add_argument(
         "--threads", type=int, default=None,
         help="worker processes for dist, knn --input and permtest "
@@ -274,9 +287,12 @@ def _json_text(data):
 
 def _write(path, text):
     path = Path(path)
-    if path.parent != Path(""):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    try:
+        if path.parent != Path(""):
+            path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as e:
+        raise CliError(USAGE_ERROR, f"output: {e}")
     return str(path)
 
 
@@ -329,6 +345,10 @@ def _scheme(label_args):
     return SubtreeScheme(labels)
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 # ---------------------------------------------------------------------------
 # command handlers
 # ---------------------------------------------------------------------------
@@ -349,6 +369,12 @@ def _cmd_gen(args):
             if not isinstance(shift, dict):
                 raise CliError(INPUT_ERROR,
                                "class-shift: expected a JSON object")
+            for label, off in shift.items():
+                if not (_is_number(off) or isinstance(off, list)
+                        and all(map(_is_number, off))):
+                    raise CliError(
+                        INPUT_ERROR, f"class-shift: {label}: expected a "
+                                     f"number or a list of numbers")
         pop = gen_tree_population(template, args.n, args.topology_noise,
                                   args.attr_sigma, shift, args.seed)
         return [], [_write(out, serialize_population(pop.trees,

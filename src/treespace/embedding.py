@@ -21,6 +21,9 @@ k-nearest-neighbor graph.
 Embedded-versus-original quality is summarized by the per-pair ratios
 original/embedded: the dataset distortion is max ratio over min ratio, and
 additive errors (embedded - original) are binned for histograms.
+
+SciPy is imported inside the functions that use it, so importing this
+module, as every CLI call does, does not load it.
 """
 
 from __future__ import annotations
@@ -29,8 +32,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components, shortest_path
-from scipy.spatial.distance import pdist, squareform
 
 from .distmat import DistanceMatrix
 
@@ -92,6 +93,7 @@ def _distances(x: np.ndarray, disk: bool, iu) -> tuple:
     """Condensed (pdist-order) distances of the pairs iu of the real
     points x, with the disk's u^2 and |1 - z_j conj(z_k)|^2 (None in the
     plane), which the stress gradient reuses."""
+    from scipy.spatial.distance import pdist
     nn = pdist(x)
     if not disk:
         return nn, nn, None, None
@@ -105,6 +107,7 @@ def _distances(x: np.ndarray, disk: bool, iu) -> tuple:
 
 
 def _pairwise(points, metric) -> np.ndarray:
+    from scipy.spatial.distance import squareform
     x = _coords(points, metric)
     iu = np.triu_indices(len(x), 1)
     dist = _distances(x, metric == "hyperbolic", iu)[1]
@@ -146,6 +149,7 @@ class _Stress:
         factor 2 / ((1 - u^2) |1 - z_j conj(z_k)|) and t = q u^2.
         Coincident points (d = 0) get q = 0; their pair has no direction.
         """
+        from scipy.spatial.distance import squareform
         if not len(x):  # squareform reads an empty vector as one point
             return x.copy()
         nn, err, u2, ww2 = terms
@@ -369,6 +373,7 @@ def isomap_graph_distances(target, k: int) -> DistanceMatrix:
     Neighborhoods are symmetrized by union.  Raises when the graph is
     disconnected, naming the components, so the caller can raise ``k``.
     """
+    from scipy.sparse.csgraph import connected_components, shortest_path
     if k < 1:
         raise ValueError("k must be at least 1")
     dm = target if isinstance(target, DistanceMatrix) else None

@@ -224,6 +224,56 @@ def test_exit_codes(tmp_path):
                "-o", str(tmp_path / "p.json"), "--M", "5") == 70
 
 
+@pytest.mark.parametrize("argv", [
+    ("gen", "corner"), ("gen", "sheets"), ("gen", "trees"),
+    ("dist", "--input", "p.json"), ("mean", "--input", "p.json"),
+    ("permtest", "--groups", "p.json"),
+    ("subtree-features", "--input", "p.json"),
+    ("classify", "--features", "f.csv"), ("knn", "--matrix", "d.csv"),
+    ("correlate", "--input", "p.json"),
+    ("embed", "--input", "d.csv", "--method", "mds"),
+    ("embed", "--input", "d.csv", "--method", "isomap"),
+    ("embed", "--input", "d.csv", "--method", "hmds"),
+    ("distortion", "--original", "d.csv", "--embedded", "d.csv"),
+], ids=lambda argv: "-".join(a for a in argv
+                             if a[0] != "-" and "." not in a))
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"seed": -1}')
+    for seed in (("--seed", "-1"), ("--config", str(cfg))):
+        capsys.readouterr()
+        assert run(*argv, "-o", str(out), *seed) == 64, seed
+        err = capsys.readouterr().err
+        assert err.startswith("treespace: error: usage: argument --seed:")
+        assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("shift", ['{"LMB": "a"}', '{"LMB": [0.5, "a"]}',
+                                   '{"LMB": null}', '{"LMB": true}'])
+def test_malformed_class_shift_exits_65(tmp_path, capsys, shift):
+    out = tmp_path / "pop.json"
+    assert run("gen", "trees", "-o", str(out), "--n", "4",
+               "--class-shift", shift) == 65
+    assert capsys.readouterr().err == (
+        "treespace: error: class-shift: LMB: expected a number or a list "
+        "of numbers\n")
+    assert not out.exists()
+
+
+def test_output_that_cannot_be_created_is_a_usage_error(pop_file, tmp_path,
+                                                       capsys):
+    blocker = tmp_path / "c.json"
+    blocker.write_text("{}")
+    capsys.readouterr()
+    assert run("dist", "--input", str(pop_file),
+               "-o", str(blocker / "x.csv")) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("treespace: error: output: ")
+    assert str(blocker) in err and len(err.splitlines()) == 1
+
+
 def test_malformed_populations_exit_65(pop_file, tmp_path, capsys):
     docs = json.loads(pop_file.read_text())
     del docs[0]["class"]
@@ -404,7 +454,7 @@ def test_config_fuzz_exits_cleanly(fuzz_dir, cmd, data):
     if code == 0:
         assert err == ""
         return
-    # 70 is a well-formed value the computation rejects (--n 0, --seed -1,
+    # 70 is a well-formed value the computation rejects (--n 0,
     # --restarts 0), exactly as the same flag would be
     prefix = {64: "usage:", 65: "", 70: "compute:"}[code]
     assert err.startswith(f"treespace: error: {prefix}"), err
