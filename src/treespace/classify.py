@@ -313,8 +313,8 @@ def _standardize(train_X, full_X):
 class CvReport:
     """Cross-validated accuracy over the (alpha, lambda) grid.
 
-    ``grid_mean``/``grid_sd`` hold per-alpha accuracy arrays over the
-    common lambda grid; ``nested_mean``/``nested_sd`` score the protocol
+    ``grid_mean`` holds per-alpha mean accuracy arrays over the common
+    lambda grid; ``nested_mean``/``nested_sd`` score the protocol
     where each fold picks lambda on an inner split.  ``stable_features``
     lists columns selected by every outer fit at the chosen lambda.
     ``stop_reasons`` counts how every fit, outer and inner, stopped.
@@ -323,7 +323,6 @@ class CvReport:
     alphas: tuple[float, ...]
     lambdas: dict
     grid_mean: dict
-    grid_sd: dict
     chosen_lambda: dict
     stable_features: dict
     nested_mean: dict
@@ -382,10 +381,11 @@ def cross_validate(X, y, alphas=(1.0, 0.75, 0.5, 0.25), num_lambda=50,
                    column_names=None) -> CvReport:
     """Repeated stratified CV of the elastic net over an (alpha, lambda) grid.
 
-    ``fold_features(train_idx) -> FeatureMatrix`` rebuilds features per
-    outer fold so reference means never see test subjects; without it ``X``
-    is used as-is.  Standardization statistics always come from the
-    training rows only.
+    ``X`` holds every subject's features and sets the lambda grid.
+    ``fold_features(train_idx) -> FeatureMatrix`` rebuilds them per outer
+    fold so reference means never see test subjects; without it ``X`` is
+    used as-is.  Standardization statistics always come from the training
+    rows only.
     """
     if folds < 2 or inner_folds < 2 or repeats < 1:
         raise ValueError("need folds >= 2, inner_folds >= 2 and repeats >= 1")
@@ -394,24 +394,16 @@ def cross_validate(X, y, alphas=(1.0, 0.75, 0.5, 0.25), num_lambda=50,
     if len(uniq) != 2:
         raise ValueError("need exactly two classes")
     ybin = (y == uniq[1]).astype(float)
-    if X is not None:
-        X = np.asarray(X, dtype=float)
-        base_X = X
-    elif fold_features is None:
-        raise ValueError("need X or fold_features")
-    else:
-        base_X = np.asarray(fold_features(np.arange(len(ybin))).values,
-                            dtype=float)
+    X = np.asarray(X, dtype=float)
 
     # common candidate grid; per-fold training data only shifts lambda_max
     # slightly, and shared candidates are what makes accuracies poolable
-    grids = {a: lambda_grid(lambda_max(_standardize(base_X, base_X), ybin,
-                                       a), num_lambda) for a in alphas}
+    grids = {a: lambda_grid(lambda_max(_standardize(X, X), ybin, a),
+                            num_lambda) for a in alphas}
 
     acc = {a: [] for a in alphas}          # rows over folds x repeats
     nested = {a: [] for a in alphas}
     sel_sets = {a: None for a in alphas}   # running intersection
-    chosen_per_fold = {a: [] for a in alphas}
     reasons = Counter()
 
     for rep in range(repeats):
@@ -422,7 +414,7 @@ def cross_validate(X, y, alphas=(1.0, 0.75, 0.5, 0.25), num_lambda=50,
                 fm = fold_features(train_idx)
                 full = np.asarray(fm.values, dtype=float)
             else:
-                full = base_X
+                full = X
             Xs = _standardize(full[train_idx], full)
             Xtr, ytr = Xs[train_idx], ybin[train_idx]
             Xte, yte = Xs[test_idx], ybin[test_idx]
@@ -454,19 +446,15 @@ def cross_validate(X, y, alphas=(1.0, 0.75, 0.5, 0.25), num_lambda=50,
                         for mm in ipath]
                 best_j = int(np.flatnonzero(
                     inner_acc == inner_acc.max())[0])  # ties: larger lambda
-                chosen_per_fold[a].append(float(grids[a][best_j]))
                 nested[a].append(_accuracy(path[best_j], Xte, yte))
                 live = set(path[best_j].selected)
                 sel_sets[a] = live if sel_sets[a] is None \
                     else sel_sets[a] & live
 
-    grid_mean, grid_sd, chosen, stable = {}, {}, {}, {}
+    grid_mean, chosen, stable = {}, {}, {}
     nested_mean, nested_sd = {}, {}
     for a in alphas:
-        arr = np.array(acc[a])
-        grid_mean[a] = arr.mean(axis=0)
-        grid_sd[a] = arr.std(axis=0, ddof=1) if len(arr) > 1 \
-            else np.zeros(arr.shape[1])
+        grid_mean[a] = np.array(acc[a]).mean(axis=0)
         best_j = int(np.flatnonzero(
             grid_mean[a] == grid_mean[a].max())[0])
         chosen[a] = float(grids[a][best_j])
@@ -474,7 +462,7 @@ def cross_validate(X, y, alphas=(1.0, 0.75, 0.5, 0.25), num_lambda=50,
         nested_mean[a] = float(np.mean(nested[a]))
         nested_sd[a] = float(np.std(nested[a], ddof=1)) \
             if len(nested[a]) > 1 else 0.0
-    return CvReport(tuple(alphas), grids, grid_mean, grid_sd, chosen,
+    return CvReport(tuple(alphas), grids, grid_mean, chosen,
                     stable, nested_mean, nested_sd, folds, repeats, seed,
                     None if column_names is None else tuple(column_names),
                     dict(reasons))

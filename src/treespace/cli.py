@@ -349,6 +349,30 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _class_shift(text, template):
+    """The ``--class-shift`` JSON object, checked against ``template``."""
+    try:
+        shift = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise CliError(INPUT_ERROR, f"class-shift: {e}")
+    if not isinstance(shift, dict):
+        raise CliError(INPUT_ERROR, "class-shift: expected a JSON object")
+    k = template.k or 1
+    for label, off in shift.items():
+        if not (_is_number(off) or isinstance(off, list)
+                and all(map(_is_number, off))):
+            raise CliError(INPUT_ERROR, f"class-shift: {label}: expected a "
+                                        f"number or a list of numbers")
+        if label not in template.branch_labels:
+            raise CliError(INPUT_ERROR, f"class-shift: {label}: the "
+                                        f"template has no such branch")
+        if isinstance(off, list) and len(off) != k:
+            raise CliError(INPUT_ERROR, f"class-shift: {label}: got "
+                                        f"{len(off)} numbers for "
+                                        f"{k}-dimensional attributes")
+    return shift
+
+
 # ---------------------------------------------------------------------------
 # command handlers
 # ---------------------------------------------------------------------------
@@ -357,24 +381,11 @@ def _cmd_gen(args):
     out = Path(args.output)
     if args.space == "trees":
         if args.template:
-            template = parse_tree(_read_text(args.template))
+            template = _load(args.template, parse_tree)
         else:
             template = airway_template(args.k)
-        shift = None
-        if args.class_shift:
-            try:
-                shift = json.loads(args.class_shift)
-            except json.JSONDecodeError as e:
-                raise CliError(INPUT_ERROR, f"class-shift: {e}")
-            if not isinstance(shift, dict):
-                raise CliError(INPUT_ERROR,
-                               "class-shift: expected a JSON object")
-            for label, off in shift.items():
-                if not (_is_number(off) or isinstance(off, list)
-                        and all(map(_is_number, off))):
-                    raise CliError(
-                        INPUT_ERROR, f"class-shift: {label}: expected a "
-                                     f"number or a list of numbers")
+        shift = _class_shift(args.class_shift, template) \
+            if args.class_shift else None
         pop = gen_tree_population(template, args.n, args.topology_noise,
                                   args.attr_sigma, shift, args.seed)
         return [], [_write(out, serialize_population(pop.trees,
@@ -442,7 +453,8 @@ def _cmd_classify(args):
         cfg = MeanConfig(seed=args.seed, certify=True)
         builder = fold_feature_builder(trees, y, _scheme(args.labels),
                                        args.mode, cfg)
-        x, names = None, builder(np.arange(len(trees))).column_names
+        fm = builder(np.arange(len(trees)))
+        x, names = fm.values, fm.column_names
     else:
         fm = _load(args.features, FeatureMatrix.from_csv)
         if fm.y is None:

@@ -31,13 +31,13 @@ support sequences and never looks at the refinement machinery.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, product, repeat
 from operator import add, sub
 
 import numpy as np
 
-from ._pool import cpus, fork_map, resolve_workers
+from ._pool import fork_map, resolve_workers
 from .distmat import DistanceMatrix
 from .trees import (AttributedTree, Split, TreeError, _labels, _view,
                     compatible)
@@ -301,38 +301,37 @@ class GeodesicPath:
     ``support`` lists the pairs (A_i, B_i) in visiting order, including the
     free splits as a leading pair with empty A (grow from the start) and a
     trailing pair with empty B (shrink until the end).  ``times`` holds the
-    matching switch times.
+    matching switch times.  The path keeps its splits only as positions in
+    the source and target split views; ``common`` and ``support`` map them
+    back to frozensets.  Paths come from ``geodesic``, which proves every
+    point a tree: building one by hand is not supported.
     """
 
     source: AttributedTree
     target: AttributedTree
-    common: tuple[Split, ...]
-    support: tuple[tuple[tuple[Split, ...], tuple[Split, ...]], ...]
     times: tuple[float, ...]
     length: float
-    # ``common`` and ``support`` as positions in the source and target
-    # split views, recorded by ``geodesic``; None on a path built by hand
-    _positions: tuple | None = field(default=None, init=False,
-                                     compare=False, repr=False)
+    # (common, support) as view positions: ((p, q), ...) and
+    # (((p, ...), (q, ...)), ...)
+    _positions: tuple
 
-    def _look_up_positions(self):
-        at1 = {sp: p for p, sp in enumerate(self.source._split_view.splits)}
-        at2 = {sp: q for q, sp in enumerate(self.target._split_view.splits)}
-        try:
-            return (tuple((at1[sp], at2[sp]) for sp in self.common),
-                    tuple((tuple(at1[sp] for sp in A),
-                           tuple(at2[sp] for sp in B))
-                          for A, B in self.support))
-        except KeyError as exc:
-            raise TreeError(f"path split {sorted(exc.args[0])} is missing "
-                            "from its source or target") from None
+    @property
+    def common(self) -> tuple[Split, ...]:
+        s1 = self.source._split_view.splits
+        return tuple(s1[p] for p, _ in self._positions[0])
+
+    @property
+    def support(self) -> tuple[tuple[tuple[Split, ...], ...], ...]:
+        s1 = self.source._split_view.splits
+        s2 = self.target._split_view.splits
+        return tuple((tuple(s1[p] for p in A), tuple(s2[q] for q in B))
+                     for A, B in self._positions[1])
 
     def point(self, s: float) -> AttributedTree:
         """The tree at arc-length fraction ``s`` along the path.
 
-        A path from ``geodesic`` is valid by construction, so its points
-        skip the public constructor's checks and come with their split
-        view built.  A path built by hand gets every check.
+        The path is valid by construction, so its points skip the public
+        constructor's checks and come with their split view built.
         """
         if not 0.0 <= s <= 1.0:
             raise ValueError(f"path parameter {s} outside [0, 1]")
@@ -342,7 +341,7 @@ class GeodesicPath:
             return self.target
         s = float(s)  # a NumPy scalar would put NumPy floats in the tree
         v1, v2 = self.source._split_view, self.target._split_view
-        common, support = self._positions or self._look_up_positions()
+        common, support = self._positions
         # edges in the order the support visits them, and the same rows
         # as (key, split, mask, attribute) for the new split view.  The
         # attributes are floats, so map() over the bound float methods
@@ -367,8 +366,6 @@ class GeodesicPath:
                 edges[view.splits[p]] = v
                 rows.append((view.keys[p], view.splits[p], view.masks[p], v))
         labels = _labels((self.source, self.target), edges)
-        if self._positions is None:
-            return AttributedTree(self.source.leaves, edges, labels)
         # split keys are unique, so the sort never compares further
         keys, splits, masks, attrs = zip(*sorted(rows)) if rows \
             else ((), (), (), ())
@@ -379,23 +376,15 @@ class GeodesicPath:
 def geodesic(t1: AttributedTree, t2: AttributedTree) -> GeodesicPath:
     """Build the shortest path between two trees on one leaf set."""
     _check_pair(t1, t2)
-    v1, v2 = t1._split_view, t2._split_view
     length, common, free1, free2, support, times = _pair(
-        v1, v2, dict.fromkeys(_COUNTS, 0))
+        t1._split_view, t2._split_view, dict.fromkeys(_COUNTS, 0))
     if free2:
         support = (((), tuple(free2)),) + support
         times = (0.0,) + times
     if free1:
         support = support + ((tuple(free1), ()),)
         times = times + (1.0,)
-    s1, s2 = v1.splits, v2.splits
-    path = GeodesicPath(
-        t1, t2, tuple(s1[p] for p, _ in common),
-        tuple((tuple(s1[p] for p in A), tuple(s2[q] for q in B))
-              for A, B in support),
-        times, length)
-    object.__setattr__(path, "_positions", (tuple(common), support))
-    return path
+    return GeodesicPath(t1, t2, times, length, (tuple(common), support))
 
 
 def geodesic_distance(t1: AttributedTree, t2: AttributedTree) -> float:
@@ -430,9 +419,9 @@ def distance_matrix_detailed(trees, ids=None, labels=None, workers=None):
     ``cover_early_stops`` (weight one, no split), ``refinements`` (support
     pairs split) and ``augmentations`` (augmenting paths).
 
-    From 2 000 pairs on, the pairs are spread over ``workers`` processes
-    (default, and at most: the CPUs this process may run on); the matrix
-    and the counts do not depend on how many.
+    From 2 000 pairs on, the rows of the matrix are spread over ``workers``
+    processes (default, and at most: the CPUs this process may run on); the
+    matrix and the counts do not depend on how many.
     """
     workers = resolve_workers(workers)
     trees = list(trees)
@@ -442,28 +431,23 @@ def distance_matrix_detailed(trees, ids=None, labels=None, workers=None):
     # built here, before any fork, so that the workers inherit them
     views = [t._split_view for t in trees]
     _check_trees(trees)
-    rows, cols = np.triu_indices(n, 1)
-    pairs = list(zip(rows.tolist(), cols.tolist()))
-    if len(pairs) < _POOL_MIN_PAIRS:
+    pairs = n * (n - 1) // 2
+    if pairs < _POOL_MIN_PAIRS:
         workers = 1
-    # pairs dealt round-robin, a few chunks per process that fork_map can
-    # start, so that every chunk mixes short and long rows alike
-    k = 4 * min(workers, cpus()) if workers > 1 else 1
 
-    def run(chunk):
+    def row(i):
+        """Distances from tree i to trees i+1 ... n-1, and their work."""
         work = dict.fromkeys(_COUNTS, 0)
-        return [_pair(views[i], views[j], work)[0] for i, j in chunk], work
+        return [_pair(views[i], views[j], work)[0]
+                for j in range(i + 1, n)], work
 
-    flat = np.empty(len(pairs))
+    values = np.zeros((n, n))
     counts = dict.fromkeys(_COUNTS, 0)
-    chunks = [pairs[c::k] for c in range(k)]
-    for c, (lengths, work) in enumerate(fork_map(run, chunks, workers)):
-        flat[c::k] = lengths
+    for i, (lengths, work) in enumerate(fork_map(row, range(n), workers)):
+        values[i, i + 1:] = values[i + 1:, i] = lengths
         for key, v in work.items():
             counts[key] += v
-    counts["pairs"] = len(pairs)
-    values = np.zeros((n, n))
-    values[rows, cols] = values[cols, rows] = flat
+    counts["pairs"] = pairs
     return DistanceMatrix(tuple(ids), values, labels), counts
 
 

@@ -59,8 +59,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._pool import fork_map, resolve_workers
-from .geodesic import (_COUNTS, _pair, distance_matrix, geodesic,
-                       geodesic_distance)
+from .geodesic import (_COUNTS, _check_trees, _pair, distance_matrix,
+                       geodesic, geodesic_distance)
 from .trees import AttributedTree, _labels, _view
 
 __all__ = [
@@ -130,15 +130,6 @@ class MeanResult:
     iterations: int
     stop_reason: str
     evaluations: int = 0
-
-
-def _check_population(trees):
-    if not trees:
-        raise ValueError("empty population")
-    leaves = trees[0].leaves
-    for t in trees[1:]:
-        if t.leaves != leaves:
-            raise ValueError("trees have different leaf sets")
 
 
 def _objective(tree, trees):
@@ -315,7 +306,9 @@ def frechet_mean_detailed(trees, cfg: MeanConfig | None = None) -> MeanResult:
     late one.
     """
     trees = list(trees)
-    _check_population(trees)
+    if not trees:
+        raise ValueError("empty population")
+    _check_trees(trees)
     cfg = cfg or MeanConfig()
     n = len(trees)
     if n == 1:
@@ -434,7 +427,7 @@ def permutation_test(g1, g2, kind: str = "mean", m: int = 1000,
     if m < 1:
         raise ValueError("m must be at least 1")
     pool = g1 + g2
-    _check_population(pool)
+    _check_trees(pool)
     n1 = len(g1)
     n = len(pool)
     parts = [(np.arange(n1), np.arange(n1, n))]
@@ -510,16 +503,6 @@ class SubtreeCorrelation:
     labels: tuple[str, ...]
     deviations: np.ndarray
     matrix: np.ndarray
-
-    def scatter(self, label_a: str, label_b: str):
-        ja = self.labels.index(label_a)
-        jb = self.labels.index(label_b)
-        return self.deviations[:, ja], self.deviations[:, jb]
-
-    def histogram(self, label: str, bins: int = 20):
-        j = self.labels.index(label)
-        counts, edges = np.histogram(self.deviations[:, j], bins=bins)
-        return counts, edges
 
 
 def subtree_variance_correlation(populations: dict, means: dict) \

@@ -14,7 +14,8 @@ import treespace
 from treespace.cli import main
 from treespace.distmat import DistanceMatrix, csv_rows
 from treespace.geodesic import distance_matrix_detailed
-from treespace.trees import parse_population, parse_tree
+from treespace.trees import (AttributedTree, parse_population, parse_tree,
+                             serialize_tree)
 
 
 def run(*argv):
@@ -262,6 +263,51 @@ def test_malformed_class_shift_exits_65(tmp_path, capsys, shift):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("shift, k, message", [
+    ('{"XYZ": 0.5}', "1", "XYZ: the template has no such branch"),
+    ('{"LMB": [0.5, 1]}', "1", "LMB: got 2 numbers for 1-dimensional "
+                               "attributes"),
+    ('{"LMB": [0.5]}', "3", "LMB: got 1 numbers for 3-dimensional "
+                            "attributes"),
+], ids=["unknown-label", "long-vector", "short-vector"])
+def test_class_shift_that_misfits_the_template_exits_65(tmp_path, capsys,
+                                                        shift, k, message):
+    out = tmp_path / "pop.json"
+    assert run("gen", "trees", "-o", str(out), "--n", "4", "--k", k,
+               "--class-shift", shift) == 65
+    assert capsys.readouterr().err == \
+        f"treespace: error: class-shift: {message}\n"
+    assert not out.exists()
+
+
+def test_gen_trees_from_a_template_file(tmp_path, capsys):
+    S = frozenset
+    template = AttributedTree(
+        tuple("abcd"), {S("ab"): (1.0,), S("a"): (0.5,), S("b"): (0.5,),
+                        S("c"): (0.5,), S("d"): (0.5,)},
+        {"AB": S("ab")})
+    path = tmp_path / "template.json"
+    path.write_text(serialize_tree(template))
+    out = tmp_path / "pop.json"
+    assert run("gen", "trees", "-o", str(out), "--n", "6",
+               "--template", str(path), "--class-shift", '{"AB": 2.0}',
+               "--attr-sigma", "0.0") == 0
+    trees, classes = parse_population(out.read_text())
+    assert classes == ["control"] * 3 + ["case"] * 3
+    for t, c in zip(trees, classes):
+        assert t.leaves == template.leaves
+        assert t.splits == template.splits
+        assert t.edges[S("ab")] == ((3.0,) if c == "case" else (1.0,))
+    # a template that is not a tree is bad input naming the file
+    path.write_text("{not json")
+    capsys.readouterr()
+    assert run("gen", "trees", "-o", str(out), "--template",
+               str(path)) == 65
+    err = capsys.readouterr().err
+    assert err.startswith(f"treespace: error: input: {path}: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_output_that_cannot_be_created_is_a_usage_error(pop_file, tmp_path,
                                                        capsys):
     blocker = tmp_path / "c.json"
@@ -289,6 +335,137 @@ def test_malformed_populations_exit_65(pop_file, tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"treespace: error: input: {argv[2]}: ")
         assert len(err.splitlines()) == 1
+
+
+def _mixed_population(pop_file, tmp_path, kind):
+    """``pop_file`` with its last tree given another leaf name, or attribute
+    vectors of another dimension."""
+    docs = json.loads(pop_file.read_text())
+    last = json.loads(serialize_tree(parse_tree(json.dumps(docs[-1]))))
+    if kind == "leaves":
+        last = json.loads(json.dumps(last).replace('"r3"', '"r9"'))
+    else:
+        for e in last["edges"]:
+            e["attr"] = e["attr"] * 2
+    docs[-1] = {**last, "class": docs[-1]["class"]}
+    path = tmp_path / f"mixed-{kind}.json"
+    path.write_text(json.dumps(docs))
+    return path
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("leaves", "trees have different leaf sets"),
+    ("dimensions", "attribute dimensions differ: 1 vs 2"),
+])
+@pytest.mark.parametrize("argv", [
+    ("dist", "--input"), ("mean", "--input"),
+    ("permtest", "--M", "3", "--groups"), ("subtree-features", "--input"),
+], ids=lambda argv: argv[0])
+def test_mixed_populations_exit_65(pop_file, tmp_path, capsys, kind,
+                                   message, argv):
+    mixed = _mixed_population(pop_file, tmp_path, kind)
+    capsys.readouterr()
+    assert run(*argv, str(mixed), "-o", str(tmp_path / "out")) == 65
+    assert capsys.readouterr().err == f"treespace: error: input: {message}\n"
+
+
+def test_subtree_features_per_class_mode(pop_file, tmp_path, capsys):
+    feats = tmp_path / "f.csv"
+    assert run("subtree-features", "--input", str(pop_file),
+               "-o", str(feats), "--labels", "LMB", "RMB") == 0
+    header = feats.read_text().splitlines()[0]
+    assert header == ("id,class,LMB:case,LMB:control,RMB:case,RMB:control")
+    # per-class distances need a mean for each of two classes
+    docs = json.loads(pop_file.read_text())
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps([d for d in docs if d["class"] == "case"]))
+    capsys.readouterr()
+    assert run("subtree-features", "--input", str(one),
+               "-o", str(tmp_path / "g.csv")) == 65
+    assert capsys.readouterr().err == (
+        f"treespace: error: input: {one}: need exactly two classes, "
+        f"found ['case']\n")
+
+
+def _distance_csv(ids=("a", "b", "c"), row_ids=None, values=None):
+    values = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]]
+                      if values is None else values)
+    rows = [["id", "label", *ids]] + [
+        [i, "x", *(f"{v:.17g}" for v in row)]
+        for i, row in zip(ids if row_ids is None else row_ids, values)]
+    return "".join(",".join(map(str, r)) + "\n" for r in rows)
+
+
+def _symmetric(i, j, v):
+    m = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
+    m[i, j] = m[j, i] = v
+    return m
+
+
+_BAD_DISTANCE_CSVS = {
+    "duplicate-ids": (_distance_csv(ids=("a", "a", "c")),
+                      "duplicate ids in distance matrix"),
+    "row-count": (_distance_csv()[:_distance_csv().rindex("c,")],
+                  "expected 3 data rows, found 2"),
+    "id-mismatch": (_distance_csv(row_ids=("a", "z", "c")),
+                    "row 1: id 'z' does not match header"),
+    "negative": (_distance_csv(values=_symmetric(0, 1, -1.0)),
+                 "negative distances"),
+    "non-finite": (_distance_csv(values=_symmetric(0, 2, np.inf)),
+                   "non-finite distances"),
+    "diagonal": (_distance_csv(values=_symmetric(1, 1, 0.5)),
+                 "nonzero diagonal"),
+    "asymmetric": (_distance_csv(values=_symmetric(0, 1, 1.0)
+                                 + np.eye(3, k=1) * 1e-9),
+                   "matrix is not symmetric"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_DISTANCE_CSVS))
+@pytest.mark.parametrize("argv", [
+    ("knn", "--matrix", "{bad}"),
+    ("embed", "--method", "mds", "--input", "{bad}"),
+    ("distortion", "--original", "{bad}", "--embedded", "{good}"),
+    ("distortion", "--original", "{good}", "--embedded", "{bad}"),
+], ids=["knn", "embed", "distortion-original", "distortion-embedded"])
+def test_malformed_distance_csvs_exit_65(tmp_path, capsys, case, argv):
+    bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
+    text, message = _BAD_DISTANCE_CSVS[case]
+    bad.write_text(text)
+    good.write_text(_distance_csv())
+    out = tmp_path / "out"
+    assert run(*[a.format(bad=bad, good=good) for a in argv],
+               "-o", str(out)) == 65
+    assert capsys.readouterr().err == \
+        f"treespace: error: input: {bad}: {message}\n"
+    assert not out.exists()
+
+
+def test_distance_csv_asymmetry_within_tolerance_is_read(tmp_path):
+    # rounding-level asymmetry is averaged away, not rejected
+    near = tmp_path / "near.csv"
+    near.write_text(_distance_csv(values=_symmetric(0, 1, 1.0)
+                                  + np.eye(3, k=1) * 1e-13))
+    out = tmp_path / "d.json"
+    assert run("distortion", "--original", str(near), "--embedded",
+               str(near), "-o", str(out)) == 0
+
+
+@pytest.mark.parametrize("config, message", [
+    (None, "config: [Errno 2] No such file or directory"),
+    ("{not json", "config: Expecting property name"),
+    ("[1, 2]", "config: expected a JSON object"),
+], ids=["missing", "not-json", "not-an-object"])
+def test_unreadable_config_exits_65(tmp_path, capsys, config, message):
+    cfg = tmp_path / "cfg.json"
+    if config is not None:
+        cfg.write_text(config)
+    out = tmp_path / "pop.json"
+    assert run("gen", "trees", "-o", str(out), "--config", str(cfg)) == 65
+    err = capsys.readouterr().err
+    assert err.startswith(f"treespace: error: {message}")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_config_file_precedence(tmp_path):
@@ -576,6 +753,24 @@ def test_permtest_multi_orthant_counts_certified_means(tmp_path):
     assert reasons.get("certified", 0) > 0
     assert "cap" not in reasons
     assert sum(reasons.values()) == 2 * (8 + 1)
+
+
+def test_permtest_variance_on_several_orthants(tmp_path):
+    pop = tmp_path / "pop.json"
+    assert run("gen", "trees", "-o", str(pop), "--n", "12",
+               "--topology-noise", "0.5", "--class-shift", '{"LMB": 0.3}',
+               "--seed", "2") == 0
+    out = tmp_path / "perm.json"
+    assert run("permtest", "--groups", str(pop), "-o", str(out),
+               "--statistic", "variance", "--M", "4", "--full",
+               "--deterministic") == 0
+    report = json.loads(out.read_text())
+    assert report["kind"] == "variance" and report["M"] == 4
+    assert report["observed"] >= 0.0
+    assert len(report["permuted"]) == 4
+    assert min(report["permuted"]) >= 0.0
+    assert 0.0 < report["p_value"] <= 1.0
+    assert sum(report["mean_stop_reasons"].values()) == 2 * (4 + 1)
 
 
 @pytest.mark.parametrize("text", [

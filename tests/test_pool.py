@@ -171,7 +171,9 @@ def test_fork_map_starts_at_most_one_process_per_cpu(recorded_pools):
 def test_cli_huge_thread_counts_are_capped(recorded_pools, pool_always,
                                            tmp_path):
     pop = tmp_path / "pop.json"
-    assert run("gen", "trees", "-o", pop, "--n", "8",
+    # ten trees make ten row tasks, a count that four tasks per CPU
+    # could not give
+    assert run("gen", "trees", "-o", pop, "--n", "10",
                "--topology-noise", "0.5", "--class-shift", '{"LMB": 0.3}',
                "--seed", "2") == 0
     outputs = {}
@@ -185,10 +187,10 @@ def test_cli_huge_thread_counts_are_capped(recorded_pools, pool_always,
                             (d / "perm.json").read_bytes())
     assert outputs["1"] == outputs["100000"]
     _pool_sizes_at_most_cpus(recorded_pools)
-    # dist deals its pairs into four chunks per process that can start,
-    # not per process asked for; permtest maps its 1 + M splits
+    # dist maps one task per tree row, whatever the processes; permtest
+    # maps its 1 + M splits
     assert [tasks for _, tasks in recorded_pools] == \
-        ([4 * cpus(), 5] if cpus() > 1 else [])
+        ([10, 5] if cpus() > 1 else [])
 
 
 def test_fork_map_keeps_input_order():
