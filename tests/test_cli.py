@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import treespace
 from treespace.cli import main
-from treespace.distmat import DistanceMatrix, csv_rows
+from treespace.distmat import DistanceMatrix, csv_rows, csv_text
 from treespace.geodesic import distance_matrix_detailed
 from treespace.trees import (AttributedTree, parse_population, parse_tree,
                              serialize_tree)
@@ -341,13 +341,11 @@ def _mixed_population(pop_file, tmp_path, kind):
     """``pop_file`` with its last tree given another leaf name, or attribute
     vectors of another dimension."""
     docs = json.loads(pop_file.read_text())
-    last = json.loads(serialize_tree(parse_tree(json.dumps(docs[-1]))))
     if kind == "leaves":
-        last = json.loads(json.dumps(last).replace('"r3"', '"r9"'))
+        docs[-1] = json.loads(json.dumps(docs[-1]).replace('"r3"', '"r9"'))
     else:
-        for e in last["edges"]:
+        for e in docs[-1]["edges"]:
             e["attr"] = e["attr"] * 2
-    docs[-1] = {**last, "class": docs[-1]["class"]}
     path = tmp_path / f"mixed-{kind}.json"
     path.write_text(json.dumps(docs))
     return path
@@ -374,7 +372,7 @@ def test_subtree_features_per_class_mode(pop_file, tmp_path, capsys):
     assert run("subtree-features", "--input", str(pop_file),
                "-o", str(feats), "--labels", "LMB", "RMB") == 0
     header = feats.read_text().splitlines()[0]
-    assert header == ("id,class,LMB:case,LMB:control,RMB:case,RMB:control")
+    assert header == "id,class,LMB:case,LMB:control,RMB:case,RMB:control"
     # per-class distances need a mean for each of two classes
     docs = json.loads(pop_file.read_text())
     one = tmp_path / "one.json"
@@ -387,17 +385,17 @@ def test_subtree_features_per_class_mode(pop_file, tmp_path, capsys):
         f"found ['case']\n")
 
 
-def _distance_csv(ids=("a", "b", "c"), row_ids=None, values=None):
-    values = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]]
-                      if values is None else values)
-    rows = [["id", "label", *ids]] + [
+_D3 = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
+
+
+def _distance_csv(values=_D3, ids=("a", "b", "c"), row_ids=None):
+    return csv_text([["id", "label", *ids]] + [
         [i, "x", *(f"{v:.17g}" for v in row)]
-        for i, row in zip(ids if row_ids is None else row_ids, values)]
-    return "".join(",".join(map(str, r)) + "\n" for r in rows)
+        for i, row in zip(row_ids or ids, values)])
 
 
-def _symmetric(i, j, v):
-    m = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
+def _d3_with(i, j, v):
+    m = _D3.copy()
     m[i, j] = m[j, i] = v
     return m
 
@@ -405,18 +403,14 @@ def _symmetric(i, j, v):
 _BAD_DISTANCE_CSVS = {
     "duplicate-ids": (_distance_csv(ids=("a", "a", "c")),
                       "duplicate ids in distance matrix"),
-    "row-count": (_distance_csv()[:_distance_csv().rindex("c,")],
-                  "expected 3 data rows, found 2"),
+    "row-count": (_distance_csv(_D3[:2]), "expected 3 data rows, found 2"),
     "id-mismatch": (_distance_csv(row_ids=("a", "z", "c")),
                     "row 1: id 'z' does not match header"),
-    "negative": (_distance_csv(values=_symmetric(0, 1, -1.0)),
-                 "negative distances"),
-    "non-finite": (_distance_csv(values=_symmetric(0, 2, np.inf)),
+    "negative": (_distance_csv(_d3_with(0, 1, -1.0)), "negative distances"),
+    "non-finite": (_distance_csv(_d3_with(0, 2, np.inf)),
                    "non-finite distances"),
-    "diagonal": (_distance_csv(values=_symmetric(1, 1, 0.5)),
-                 "nonzero diagonal"),
-    "asymmetric": (_distance_csv(values=_symmetric(0, 1, 1.0)
-                                 + np.eye(3, k=1) * 1e-9),
+    "diagonal": (_distance_csv(_d3_with(1, 1, 0.5)), "nonzero diagonal"),
+    "asymmetric": (_distance_csv(_D3 + np.eye(3, k=1) * 1e-9),
                    "matrix is not symmetric"),
 }
 
@@ -444,8 +438,7 @@ def test_malformed_distance_csvs_exit_65(tmp_path, capsys, case, argv):
 def test_distance_csv_asymmetry_within_tolerance_is_read(tmp_path):
     # rounding-level asymmetry is averaged away, not rejected
     near = tmp_path / "near.csv"
-    near.write_text(_distance_csv(values=_symmetric(0, 1, 1.0)
-                                  + np.eye(3, k=1) * 1e-13))
+    near.write_text(_distance_csv(_D3 + np.eye(3, k=1) * 1e-13))
     out = tmp_path / "d.json"
     assert run("distortion", "--original", str(near), "--embedded",
                str(near), "-o", str(out)) == 0
