@@ -29,12 +29,11 @@ from .stats import (
     MeanConfig,
     MeanResult,
     PermutationTestReport,
-    SubtreeCorrelation,
+    correlation_matrix,
     frechet_mean,
     frechet_mean_detailed,
     pearson,
     permutation_test,
-    subtree_variance_correlation,
     variance,
 )
 from .subtrees import (

@@ -52,23 +52,12 @@ class ElasticNetModel:
     intercept: float
     lam: float
     alpha: float
-    columns: tuple[str, ...] | None = None
     iterations: int = 0                 # Newton steps taken by the fit
     stop_reason: str | None = None      # converged, cap or line_search
 
     @property
     def selected(self) -> tuple[int, ...]:
         return tuple(int(j) for j in np.flatnonzero(self.beta))
-
-    def to_json(self) -> dict:
-        names = self.columns or tuple(f"x{j}" for j in range(len(self.beta)))
-        return {
-            "alpha": self.alpha,
-            "lambda": self.lam,
-            "intercept": self.intercept,
-            "beta": {names[j]: float(b) for j, b in enumerate(self.beta)},
-            "selected": [names[j] for j in self.selected],
-        }
 
 
 def _check_xy(X, y):
@@ -141,8 +130,7 @@ def _newton_direction(H, g, w, thr, l2, tol):
 
 def fit_elastic_net(X, y, lam: float, alpha: float, *, tol: float = 1e-8,
                     max_sweeps: int = 10000,
-                    warm: ElasticNetModel | None = None,
-                    columns=None) -> ElasticNetModel:
+                    warm: ElasticNetModel | None = None) -> ElasticNetModel:
     """Penalized logistic fit by proximal Newton steps.
 
     Each step minimizes the loss's quadratic model plus the exact penalty
@@ -204,7 +192,6 @@ def fit_elastic_net(X, y, lam: float, alpha: float, *, tol: float = 1e-8,
     beta = np.zeros(d)
     beta[live] = w[1:]
     return ElasticNetModel(beta, float(w[0]), float(lam), float(alpha),
-                           None if columns is None else tuple(columns),
                            steps, stop)
 
 
@@ -360,13 +347,12 @@ class CvReport:
         }
 
 
-def _fit_path(X, y, lams, alpha, columns=None, tol=1e-8):
+def _fit_path(X, y, lams, alpha, tol=1e-8):
     """Warm-started fits along a descending lambda path."""
     out = []
     warm = None
     for lam in lams:
-        warm = fit_elastic_net(X, y, lam, alpha, warm=warm, columns=columns,
-                               tol=tol)
+        warm = fit_elastic_net(X, y, lam, alpha, warm=warm, tol=tol)
         out.append(warm)
     return out
 

@@ -17,8 +17,8 @@ process may run on.  Outputs do not depend on it.
 
 Option precedence is flags, then ``--config`` JSON, then built-in
 defaults; config values pass the same checks as flags.  Exit codes: 64
-usage (a negative ``--seed`` or an output path that cannot be written
-included), 65 bad input, 70 computation failure.
+usage (a negative ``--seed``, a ``--threads`` below 1 or an output path
+that cannot be written included), 65 bad input, 70 computation failure.
 """
 
 from __future__ import annotations
@@ -35,13 +35,14 @@ from . import __version__
 from .classify import cross_validate, knn_classify
 from .distmat import DistanceMatrix, csv_text
 from .embedding import EmbeddingConfig, distortion_report, embed
+# geodesic_distance is unused here, but bench/test_bench.py checks that the
+# benchmark tracer wraps this module's binding of it
 from .geodesic import (distance_matrix, distance_matrix_detailed,
                        geodesic_distance)
-from .stats import (MeanConfig, frechet_mean, frechet_mean_detailed,
-                    permutation_test, subtree_variance_correlation)
+from .stats import (MeanConfig, correlation_matrix, frechet_mean_detailed,
+                    permutation_test)
 from .subtrees import (DEFAULT_BRANCH_LABELS, SubtreeScheme,
-                       compute_reference_means, extract_subtree,
-                       feature_matrix, fold_feature_builder, FeatureMatrix)
+                       fold_feature_builder, FeatureMatrix)
 from .svgfig import svg_histogram, svg_pair_grid, svg_scatter
 from .synthetic import (airway_template, gen_corner, gen_sheets,
                         gen_tree_population, MetricDataset)
@@ -62,22 +63,28 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(USAGE_ERROR, f"usage: {message}")
 
 
-def _seed(text):
-    """The ``--seed`` type: NumPy seeds are non-negative integers."""
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = -1
-    if seed < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {text!r}")
-    return seed
+def _int_from(low, kind):
+    """An argparse type that takes integers of at least ``low``."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected a {kind} integer, got {text!r}")
+        return value
+    return parse
+
+
+_seed = _int_from(0, "non-negative")    # NumPy seeds
+_threads = _int_from(1, "positive")     # a pool needs one worker
 
 
 def _common(parser, handler):
     parser.add_argument("--seed", type=_seed, default=0)
     parser.add_argument(
-        "--threads", type=int, default=None,
+        "--threads", type=_threads, default=None,
         help="worker processes for dist, knn --input and permtest "
              "(default, and at most: every CPU this process may run on; "
              "1 runs serially); other commands run serially")
@@ -340,9 +347,13 @@ def _require_two_classes(classes, path):
     return uniq
 
 
-def _scheme(label_args):
-    labels = tuple(label_args) if label_args else DEFAULT_BRANCH_LABELS
-    return SubtreeScheme(labels)
+def _features(args, trees, classes, mode):
+    """The fold feature builder for ``--labels`` and ``--seed``, and the
+    feature matrix it builds with means over every tree."""
+    scheme = SubtreeScheme(tuple(args.labels or DEFAULT_BRANCH_LABELS))
+    cfg = MeanConfig(seed=args.seed, certify=True)
+    builder = fold_feature_builder(trees, classes, scheme, mode, cfg)
+    return builder, builder(np.arange(len(trees)))
 
 
 def _is_number(value):
@@ -434,12 +445,11 @@ def _cmd_permtest(args):
 
 def _cmd_features(args):
     trees, classes = _load(args.input, parse_population)
-    scheme = _scheme(args.labels)
     if args.mode == "per-class":
         _require_two_classes(classes, args.input)
-    cfg = MeanConfig(seed=args.seed, certify=True)
-    means = compute_reference_means(trees, classes, scheme, args.mode, cfg)
-    fm = feature_matrix(trees, scheme, means, y=classes)
+    elif classes is not None:
+        _require_classes(classes, args.input)
+    _, fm = _features(args, trees, classes, args.mode)
     return [args.input], [_write(args.output, fm.to_csv())], None
 
 
@@ -450,10 +460,7 @@ def _cmd_classify(args):
     if args.input:
         trees, y = _load(args.input, parse_population)
         _require_two_classes(y, args.input)
-        cfg = MeanConfig(seed=args.seed, certify=True)
-        builder = fold_feature_builder(trees, y, _scheme(args.labels),
-                                       args.mode, cfg)
-        fm = builder(np.arange(len(trees)))
+        builder, fm = _features(args, trees, y, args.mode)
         x, names = fm.values, fm.column_names
     else:
         fm = _load(args.features, FeatureMatrix.from_csv)
@@ -492,30 +499,21 @@ def _cmd_knn(args):
 
 def _cmd_correlate(args):
     trees, _ = _load(args.input, parse_population)
-    scheme = _scheme(args.labels)
-    populations = {lab: [extract_subtree(t, lab) for t in trees]
-                   for lab in scheme.labels}
-    cfg = MeanConfig(seed=args.seed, certify=True)
-    means = {lab: frechet_mean(subs, cfg)
-             for lab, subs in populations.items()}
-    corr = subtree_variance_correlation(populations, means)
+    _, fm = _features(args, trees, None, "pooled")
+    labels = fm.column_names
     out = Path(args.output)
-    stamp = _timestamp(args)
 
     def table(corner, names, rows):
-        return csv_text([[corner, *corr.labels]] + [
+        return csv_text([[corner, *labels]] + [
             [name, *(f"{v:.17g}" for v in row)]
             for name, row in zip(names, rows)])
 
     return [args.input], [
         _write(out / "correlation.csv",
-               table("label", corr.labels, corr.matrix)),
-        _write(out / "deviations.csv",
-               table("id", (f"s{i}" for i in range(len(corr.deviations))),
-                     corr.deviations)),
+               table("label", labels, correlation_matrix(fm.values))),
+        _write(out / "deviations.csv", table("id", fm.ids, fm.values)),
         _write(out / "pairs.svg",
-               svg_pair_grid(corr.deviations, corr.labels,
-                             timestamp=stamp)),
+               svg_pair_grid(fm.values, labels, timestamp=_timestamp(args))),
     ], None
 
 

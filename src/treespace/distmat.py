@@ -34,6 +34,20 @@ def csv_rows(text: str) -> list[list[str]]:
     return [r for r in rows if r and not (len(r) == 1 and not r[0].strip())]
 
 
+def float_cells(cells, names, row) -> list[float]:
+    """``cells`` as floats; a cell that is not a number raises a
+    ValueError naming ``row`` and the cell's column in ``names``."""
+    try:
+        return [float(c) for c in cells]
+    except ValueError:
+        for name, c in zip(names, cells):
+            try:
+                float(c)
+            except ValueError:
+                raise ValueError(f"row {row}, column {name!r}: {c!r} is "
+                                 f"not a number") from None
+
+
 @dataclass
 class DistanceMatrix:
     ids: tuple[str, ...]
@@ -106,7 +120,7 @@ class DistanceMatrix:
             if cells[0] != ids[i]:
                 raise ValueError(f"row {i}: id {cells[0]!r} does not match header")
             labels.append(cells[1])
-            values[i] = [float(c) for c in cells[2:]]
+            values[i] = float_cells(cells[2:], ids, i)
         lab = None if all(x == "" for x in labels) else tuple(labels)
         return cls(ids, values, lab)
 

@@ -212,9 +212,10 @@ class EmbeddingConfig:
 
 @dataclass
 class DistortionReport:
-    max_distortion: float
-    min_distortion: float
-    multiplicative: float
+    # None when no pair has a positive original distance
+    max_distortion: float | None
+    min_distortion: float | None
+    multiplicative: float | None
     ratios: np.ndarray
     histogram_counts: np.ndarray
     histogram_edges: np.ndarray
@@ -404,9 +405,10 @@ def distortion_report(original, embedded, bins: int = 20) \
         -> DistortionReport:
     """Per-pair ratios original/embedded plus additive error histogram.
 
-    Pairs at original distance zero are left out of the ratios; a zero
-    embedded distance between distinct points is an error.  The histogram
-    of embedded - original covers every pair.
+    Pairs at original distance zero are left out of the ratios, and with
+    no pair left the ratio summaries are None; a zero embedded distance
+    between distinct points is an error.  The histogram of embedded -
+    original covers every pair.
     """
     orig = _target_values(original)
     emb = _target_values(embedded)
@@ -421,11 +423,10 @@ def distortion_report(original, embedded, bins: int = 20) \
             f"pairs")
     keep = ov > 0.0
     ratios = ov[keep] / ev[keep]
+    mx = mn = mult = None
     if len(ratios):
         mx, mn = float(ratios.max()), float(ratios.min())
         mult = mx / mn
-    else:
-        mx = mn = mult = float("nan")
     errors = ev - ov
     counts, edges = np.histogram(errors, bins=bins)
     return DistortionReport(mx, mn, mult, ratios, counts, edges)

@@ -72,8 +72,7 @@ __all__ = [
     "PermutationTestReport",
     "permutation_test",
     "pearson",
-    "SubtreeCorrelation",
-    "subtree_variance_correlation",
+    "correlation_matrix",
 ]
 
 # An orthant solve takes at most this many objective+gradient evaluations,
@@ -491,44 +490,15 @@ def pearson(x, y) -> float:
     return r
 
 
-@dataclass
-class SubtreeCorrelation:
-    """Pairwise correlation of per-subject deviations from subtree means.
-
-    ``deviations[i, j]`` is the distance from subject i's subtree j to that
-    subtree's population mean; ``matrix[j, k]`` the Pearson correlation of
-    deviation columns j and k.
-    """
-
-    labels: tuple[str, ...]
-    deviations: np.ndarray
-    matrix: np.ndarray
-
-
-def subtree_variance_correlation(populations: dict, means: dict) \
-        -> SubtreeCorrelation:
-    """Correlate how far subjects sit from each labeled subtree mean.
-
-    ``populations`` maps a label to the list of that subtree across
-    subjects (same subjects, same order for every label); ``means`` maps
-    the label to the reference mean subtree.
-    """
-    labels = tuple(populations)
-    if not labels:
-        raise ValueError("no subtree populations given")
-    sizes = {len(populations[lab]) for lab in labels}
-    if len(sizes) != 1:
-        raise ValueError("subtree populations differ in length")
-    missing = [lab for lab in labels if lab not in means]
-    if missing:
-        raise ValueError(f"no mean for labels: {missing}")
-    n = sizes.pop()
-    dev = np.zeros((n, len(labels)))
-    for j, lab in enumerate(labels):
-        mu = means[lab]
-        dev[:, j] = [geodesic_distance(t, mu) for t in populations[lab]]
-    mat = np.ones((len(labels), len(labels)))
-    for j in range(len(labels)):
-        for k in range(j + 1, len(labels)):
-            mat[j, k] = mat[k, j] = pearson(dev[:, j], dev[:, k])
-    return SubtreeCorrelation(labels, dev, mat)
+def correlation_matrix(values) -> np.ndarray:
+    """Pearson correlations of the columns of ``values`` (subjects by
+    rows), with ones on the diagonal."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2:
+        raise ValueError("values must be a 2-D array")
+    d = values.shape[1]
+    mat = np.ones((d, d))
+    for j in range(d):
+        for k in range(j + 1, d):
+            mat[j, k] = mat[k, j] = pearson(values[:, j], values[:, k])
+    return mat

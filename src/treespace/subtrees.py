@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distmat import csv_rows, csv_text
+from .distmat import csv_rows, csv_text, float_cells
 from .geodesic import geodesic_distance
 from .stats import MeanConfig, frechet_mean
 from .trees import AttributedTree
@@ -154,7 +154,7 @@ class FeatureMatrix:
                                  f"found {len(parts)}")
             ids.append(parts[0])
             ys.append(parts[1])
-            values.append([float(v) for v in parts[2:]])
+            values.append(float_cells(parts[2:], header[2:], i))
         y = None if all(v == "" for v in ys) else tuple(ys)
         return cls(np.array(values), tuple(columns), tuple(ids), y)
 

@@ -195,15 +195,6 @@ def test_fit_rejects_bad_inputs():
         lambda_max(X, y, 0.0)
 
 
-def test_model_json_shape():
-    X, y = logistic_data(seed=19, d=3)
-    m = fit_elastic_net(X, y, 0.05, 1.0, columns=("u", "v", "w"))
-    js = m.to_json()
-    assert set(js) == {"alpha", "lambda", "intercept", "beta", "selected"}
-    assert set(js["beta"]) == {"u", "v", "w"}
-    assert all(name in js["beta"] for name in js["selected"])
-
-
 # ---------------------------------------------------------------------------
 # prediction
 # ---------------------------------------------------------------------------

@@ -126,6 +126,25 @@ def test_correlate_outputs(pop_file, tmp_path):
     assert man["duration_s"] == 0.0
 
 
+def test_correlate_deviations_are_the_pooled_features(tmp_path):
+    # several topologies, so the reference means are certified, not exact
+    pop = tmp_path / "pop.json"
+    assert run("gen", "trees", "-o", str(pop), "--n", "10",
+               "--topology-noise", "0.5", "--class-shift", '{"LMB": 0.3}',
+               "--seed", "2") == 0
+    labels = ("LMB", "LLB", "RMB")
+    assert run("correlate", "--input", str(pop), "--labels", *labels,
+               "--seed", "5", "-o", str(tmp_path / "corr")) == 0
+    assert run("subtree-features", "--input", str(pop), "--mode", "pooled",
+               "--labels", *labels, "--seed", "5",
+               "-o", str(tmp_path / "f.csv")) == 0
+    dev = csv_rows((tmp_path / "corr" / "deviations.csv").read_text())
+    feats = csv_rows((tmp_path / "f.csv").read_text())
+    assert dev[0] == ["id", *labels]
+    assert feats[0] == ["id", "class", *labels]
+    assert dev[1:] == [[r[0], *r[2:]] for r in feats[1:]]
+
+
 def test_dist_rejects_unrepresentable_lengths(tmp_path, capsys):
     # squared lengths of 1e160 overflow; the max-flow used to spin on them
     pop = tmp_path / "pop.json"
@@ -203,6 +222,32 @@ def test_embed_and_distortion(tmp_path):
                "-o", str(out)) == 0
     rep = json.loads(out.read_text())
     assert rep["multiplicative"] == pytest.approx(1.0)
+
+
+def _strict_json(path):
+    def reject(name):
+        raise ValueError(f"{path}: {name} is not JSON")
+    return json.loads(Path(path).read_text(), parse_constant=reject)
+
+
+@pytest.mark.parametrize("text", [
+    "id,label,a\na,,0\n",
+    "id,label,a,b\na,,0,0\nb,,0,0\n",
+], ids=["one-point", "all-zero"])
+def test_distortion_without_positive_pairs_is_null(tmp_path, text):
+    # no pair has a ratio, so its summaries are null rather than NaN
+    matrix = tmp_path / "d.csv"
+    matrix.write_text(text)
+    out, emb = tmp_path / "distortion.json", tmp_path / "emb"
+    assert run("distortion", "--original", str(matrix),
+               "--embedded", str(matrix), "-o", str(out)) == 0
+    assert run("embed", "--input", str(matrix), "--restarts", "2",
+               "-o", str(emb)) == 0
+    _strict_json(emb / "manifest.json")
+    for rep in (_strict_json(out),
+                _strict_json(emb / "embedding.json")["distortion"]):
+        assert (rep["max"], rep["min"], rep["multiplicative"]) == \
+            (None, None, None)
 
 
 def test_exit_codes(tmp_path):
@@ -329,7 +374,9 @@ def test_malformed_populations_exit_65(pop_file, tmp_path, capsys):
     labels.write_text('[{"leaves": ["a"], "edges": [], "labels": 5}]')
     for argv in (("dist", "--input", str(labels)),
                  ("knn", "--input", str(partial), "--folds", "2"),
-                 ("permtest", "--groups", str(partial), "--M", "3")):
+                 ("permtest", "--groups", str(partial), "--M", "3"),
+                 ("subtree-features", "--input", str(partial),
+                  "--mode", "pooled")):
         capsys.readouterr()
         assert run(*argv, "-o", str(tmp_path / "out")) == 65, argv
         err = capsys.readouterr().err
@@ -385,6 +432,21 @@ def test_subtree_features_per_class_mode(pop_file, tmp_path, capsys):
         f"found ['case']\n")
 
 
+def test_pooled_features_of_a_population_without_classes(pop_file,
+                                                        tmp_path):
+    docs = json.loads(pop_file.read_text())
+    for doc in docs:
+        del doc["class"]
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(docs))
+    feats = tmp_path / "f.csv"
+    assert run("subtree-features", "--input", str(bare), "--mode", "pooled",
+               "--labels", "LMB", "-o", str(feats)) == 0
+    rows = csv_rows(feats.read_text())
+    assert rows[0] == ["id", "class", "LMB"]
+    assert [r[1] for r in rows[1:]] == [""] * len(docs)
+
+
 _D3 = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
 
 
@@ -412,6 +474,8 @@ _BAD_DISTANCE_CSVS = {
     "diagonal": (_distance_csv(_d3_with(1, 1, 0.5)), "nonzero diagonal"),
     "asymmetric": (_distance_csv(_D3 + np.eye(3, k=1) * 1e-9),
                    "matrix is not symmetric"),
+    "non-numeric": (_distance_csv().replace("x,2,3,0", "x,2,abc,0"),
+                    "row 2, column 'b': 'abc' is not a number"),
 }
 
 
@@ -766,19 +830,22 @@ def test_permtest_variance_on_several_orthants(tmp_path):
     assert sum(report["mean_stop_reasons"].values()) == 2 * (4 + 1)
 
 
-@pytest.mark.parametrize("text", [
-    "",
-    "id,class,A,B\n",
-    "id,class,A,B\ns0,case,1.0,2.0\ns1,control,3.0\n",
-], ids=["empty", "header-only", "ragged"])
-def test_classify_rejects_malformed_features(tmp_path, capsys, text):
+@pytest.mark.parametrize("text, message", [
+    ("", "empty feature CSV"),
+    ("id,class,A,B\n", "feature CSV has no data rows"),
+    ("id,class,A,B\ns0,case,1.0,2.0\ns1,control,3.0\n",
+     "row 1: expected 4 cells, found 3"),
+    ("id,class,A,B\ns0,case,1.0,2.0\ns1,control,3.0,x\n",
+     "row 1, column 'B': 'x' is not a number"),
+], ids=["empty", "header-only", "ragged", "non-numeric"])
+def test_classify_rejects_malformed_features(tmp_path, capsys, text,
+                                             message):
     feats = tmp_path / "f.csv"
     feats.write_text(text)
     assert run("classify", "--features", str(feats),
                "-o", str(tmp_path / "cv.json")) == 65
-    err = capsys.readouterr().err
-    assert err.startswith("treespace: error: input:")
-    assert len(err.strip().splitlines()) == 1
+    assert capsys.readouterr().err == \
+        f"treespace: error: input: {feats}: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -96,13 +96,21 @@ def test_cli_failure_inside_a_worker_is_one_line(pool_always, tmp_path,
 
 
 def test_cli_threads_zero_is_one_line(tmp_path, capsys):
+    # a usage error for every command, whether it pools or not, and
+    # whether the value comes from a flag or from --config
     pop = tmp_path / "pop.json"
     assert run("gen", "trees", "-o", pop, "--n", "4") == 0
-    capsys.readouterr()
-    assert run("dist", "--input", pop, "-o", tmp_path / "d.csv",
-               "--threads", "0") == 70
-    err = capsys.readouterr().err
-    assert err == "treespace: error: compute: workers must be at least 1\n"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"threads": 0}')
+    for cmd in ("dist", "mean"):
+        for option in (["--threads", "0"], ["--config", cfg]):
+            capsys.readouterr()
+            out = tmp_path / f"{cmd}.out"
+            assert run(cmd, "--input", pop, "-o", out, *option) == 64
+            assert capsys.readouterr().err == (
+                "treespace: error: usage: argument --threads: expected a "
+                "positive integer, got '0'\n")
+            assert not out.exists()
 
 
 def test_pools_do_not_nest(pool_always):

@@ -30,6 +30,8 @@ for argv in (
     ["mean", "--input", pop, "-o", f"{o}/mean.json"],
     ["subtree-features", "--input", pop, "--mode", "pooled",
      "--labels", "LMB", "RMB", "-o", f"{o}/feats.csv"],
+    ["correlate", "--input", pop, "--labels", "LMB", "RMB",
+     "-o", f"{o}/corr"],
     ["knn", "--matrix", dist, "--k", "3", "--folds", "2",
      "-o", f"{o}/knn.json"],
     ["permtest", "--groups", pop, "--M", "3", "-o", f"{o}/perm.json"],

@@ -10,6 +10,7 @@ from treespace import (
     AttributedTree,
     MeanConfig,
     airway_template,
+    correlation_matrix,
     frechet_mean,
     frechet_mean_detailed,
     gen_tree_population,
@@ -18,7 +19,6 @@ from treespace import (
     pearson,
     permutation_test,
     serialize_tree,
-    subtree_variance_correlation,
     variance,
 )
 from treespace.stats import _orthant_solve
@@ -383,21 +383,23 @@ def test_pearson_errors():
         pearson([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
+def _deviations(populations, means):
+    """Subjects by rows, one column of distances to a mean per population."""
+    return np.column_stack([[geodesic_distance(t, mu) for t in pop]
+                            for pop, mu in zip(populations, means)])
+
+
 def test_subtree_correlation_copied_population():
     rng = np.random.default_rng(41)
     pop = [random_tree(rng, ("a", "b", "c")) for _ in range(12)]
     mean = frechet_mean(pop)
-    corr = subtree_variance_correlation(
-        {"left": pop, "right": list(pop)},
-        {"left": mean, "right": mean},
-    )
-    assert corr.labels == ("left", "right")
-    assert corr.matrix.shape == (2, 2)
-    assert corr.matrix[0, 0] == 1.0
-    assert corr.matrix[1, 1] == 1.0
+    matrix = correlation_matrix(_deviations([pop, list(pop)], [mean, mean]))
+    assert matrix.shape == (2, 2)
+    assert matrix[0, 0] == 1.0
+    assert matrix[1, 1] == 1.0
     # identical deviation vectors correlate perfectly
-    assert corr.matrix[0, 1] == pytest.approx(1.0, abs=1e-12)
-    assert np.array_equal(corr.matrix, corr.matrix.T)
+    assert matrix[0, 1] == pytest.approx(1.0, abs=1e-12)
+    assert np.array_equal(matrix, matrix.T)
 
 
 def test_subtree_correlation_deviations_definition():
@@ -406,12 +408,13 @@ def test_subtree_correlation_deviations_definition():
     pb = [random_tree(rng, ("a", "b")) for _ in range(8)]
     ma = frechet_mean(pa)
     mb = frechet_mean(pb)
-    corr = subtree_variance_correlation({"A": pa, "B": pb}, {"A": ma, "B": mb})
+    deviations = _deviations([pa, pb], [ma, mb])
+    matrix = correlation_matrix(deviations)
     for i, t in enumerate(pa):
-        assert corr.deviations[i, 0] == pytest.approx(
+        assert deviations[i, 0] == pytest.approx(
             geodesic_distance(t, ma), abs=1e-12)
-    r_direct = pearson(corr.deviations[:, 0], corr.deviations[:, 1])
-    assert corr.matrix[0, 1] == pytest.approx(r_direct, abs=1e-12)
+    r_direct = pearson(deviations[:, 0], deviations[:, 1])
+    assert matrix[0, 1] == pytest.approx(r_direct, abs=1e-12)
 
 
 def test_subtree_correlation_independent_null():
@@ -425,8 +428,6 @@ def test_subtree_correlation_independent_null():
                                 for x in "abc"}) for _ in range(n)]
 
     pa, pb = stars(200), stars(200)
-    corr = subtree_variance_correlation(
-        {"A": pa, "B": pb},
-        {"A": frechet_mean(pa), "B": frechet_mean(pb)},
-    )
-    assert abs(corr.matrix[0, 1]) <= 0.2
+    matrix = correlation_matrix(
+        _deviations([pa, pb], [frechet_mean(pa), frechet_mean(pb)]))
+    assert abs(matrix[0, 1]) <= 0.2
