@@ -93,7 +93,7 @@ class DistanceMatrix:
     def to_csv(self) -> str:
         labels = self.labels or ("",) * len(self.ids)
         return csv_text([["id", "label", *self.ids]] + [
-            [pid, lab, *(f"{v:.17g}" for v in self.values[i])]
+            [pid, lab, *(f"{v:.17g}" for v in self.values[i].tolist())]
             for i, (pid, lab) in enumerate(zip(self.ids, labels))])
 
     def write_csv(self, path) -> None:

@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, product, repeat
-from operator import add, sub
+from itertools import chain, compress, product, repeat
+from operator import add, not_, sub
 
 import numpy as np
 
@@ -92,100 +92,128 @@ def _side_splits(t1: AttributedTree, t2: AttributedTree):
 def _min_weight_cover(wa, wb, edges, counts=None):
     """Minimum-weight vertex cover of a bipartite conflict graph.
 
-    ``wa``/``wb`` are positive vertex weights, ``edges`` index pairs (i, j).
-    Runs max-flow (source -> a: wa, a -> b: inf, b -> sink: wb); the min cut
-    weight equals the cover weight, and the cover itself is read off the
-    residual reachability and pruned to a minimal one, so every covered
-    vertex has an uncovered neighbour.  Returns (weight, in_cover_a,
-    in_cover_b), or (flow, None, None) as soon as the flow reaches
-    1 - _COVER_TOL: a pair that heavy is never split.  Augmenting paths are
-    added to ``counts["augmentations"]`` when ``counts`` is given.
+    ``wa``/``wb`` are positive vertex weights, ``edges`` distinct index
+    pairs (i, j), which must come sorted by (i, j), as support refinement
+    lists them.  Runs max-flow (source -> a: wa, a -> b: inf, b -> sink:
+    wb); the min cut weight equals the cover weight, and the cover itself
+    is read off the residual reachability and pruned to a minimal one, so
+    every covered vertex has an uncovered neighbour.  Returns (weight,
+    in_cover_a, in_cover_b), or (flow, None, None) as soon as the flow
+    reaches 1 - _COVER_TOL: a pair that heavy is never split.  Augmenting
+    paths are added to ``counts["augmentations"]`` when ``counts`` is
+    given.
+
+    Neighbours are held as bitmasks and searched in ascending bit order.
+    With sorted edges that is edge order, so every augmenting path, and
+    every rounding, is that of plain Edmonds-Karp.
     """
     na, nb = len(wa), len(wb)
     # a residual at or below _RESIDUAL_EPS times the most flow the arc can
-    # carry counts as zero, so rounding never hides a light vertex; the
-    # flow on a conflict arc never exceeds either endpoint's weight
+    # carry counts as zero, so rounding never hides a light vertex.  The
+    # flow on a conflict arc never exceeds either endpoint's weight, and
+    # rounding is monotone, so its tolerance min(ta[i], tb[j]) is
+    # _RESIDUAL_EPS * min(wa[i], wb[j]) exactly
     ra, rb = list(wa), list(wb)
     ta = [_RESIDUAL_EPS * w for w in wa]
     tb = [_RESIDUAL_EPS * w for w in wb]
-    te = [_RESIDUAL_EPS * min(wa[i], wb[j]) for i, j in edges]
-    fe = [0.0] * len(edges)
-    out_a = [[] for _ in range(na)]
-    in_b = [[] for _ in range(nb)]
-    for e, (i, j) in enumerate(edges):
-        out_a[i].append(e)
-        in_b[j].append(e)
+    # adj[i]: the b's that a_i clashes with; back[j]: the a's whose flow
+    # into b_j is above tolerance, so that the residual arc b_j -> a_i is
+    # open; fe[i * nb + j]: the flow on conflict edge (i, j)
+    adj, back, fe = [0] * na, [0] * nb, [0.0] * (na * nb)
     flow, paths = 0.0, 0
     # the direct paths source -> a -> b -> sink are the shortest, and with
     # edges sorted by (i, j) breadth-first search takes them in edge order
-    for e, (i, j) in enumerate(edges):
-        if ra[i] > ta[i] and rb[j] > tb[j]:
-            d = min(ra[i], rb[j])
-            ra[i] -= d
-            rb[j] -= d
-            fe[e] += d
-            flow += d
-            paths += 1
+    for i, j in edges:
+        adj[i] |= 1 << j
+        a = ra[i]
+        if a > ta[i]:
+            b = rb[j]
+            if b > tb[j]:
+                d = a if a < b else b
+                ra[i] = a - d
+                rb[j] = b - d
+                fe[i * nb + j] = d
+                back[j] |= 1 << i   # d > min(ta[i], tb[j])
+                flow += d
+                paths += 1
+    via_a, via_b = [0] * na, [0] * nb
     reach = None
     while flow < 1.0 - _COVER_TOL:
-        # breadth-first search for the sink; queue holds a as i, b as ~j
-        via_a, via_b = [None] * na, [None] * nb
-        queue = [i for i in range(na) if ra[i] > ta[i]]
-        for i in queue:
-            via_a[i] = -1
+        # breadth-first search for the sink; queue holds a as i, b as ~j,
+        # via_* the vertex each was reached from (-1: the source), seen_*
+        # the vertices reached
+        queue, seen_a, seen_b = [], 0, 0
+        for i in range(na):
+            if ra[i] > ta[i]:
+                via_a[i] = -1
+                seen_a |= 1 << i
+                queue.append(i)
         sink = -1
         for u in queue:
             if u >= 0:
-                for e in out_a[u]:
-                    j = edges[e][1]
-                    if via_b[j] is None:
-                        via_b[j] = e
-                        queue.append(~j)
-            elif rb[~u] > tb[~u]:
-                sink = ~u
-                break
+                new = adj[u] & ~seen_b
+                seen_b |= new
+                while new:
+                    low = new & -new
+                    j = low.bit_length() - 1
+                    via_b[j] = u
+                    queue.append(~j)
+                    new ^= low
             else:
-                for e in in_b[~u]:
-                    i = edges[e][0]
-                    if via_a[i] is None and fe[e] > te[e]:
-                        via_a[i] = e
-                        queue.append(i)
+                j = ~u
+                if rb[j] > tb[j]:
+                    sink = j
+                    break
+                new = back[j] & ~seen_a
+                seen_a |= new
+                while new:
+                    low = new & -new
+                    i = low.bit_length() - 1
+                    via_a[i] = j
+                    queue.append(i)
+                    new ^= low
         if sink < 0:
-            reach = via_a, via_b
+            reach = seen_a, seen_b
             break
-        # walk back: forward along conflict edges, backward against them
-        fwd, back, j = [], [], sink
+        # walk back, forward along conflict edges and backward against
+        # them, taking the bottleneck on the way
+        d, fwd, bwd, j = rb[sink], [], [], sink
         while True:
-            fwd.append(via_b[j])
-            i = edges[via_b[j]][0]
-            if via_a[i] < 0:
+            i = via_b[j]
+            fwd.append((i, j))
+            j = via_a[i]
+            if j < 0:
                 break
-            back.append(via_a[i])
-            j = edges[via_a[i]][1]
-        d = min(rb[sink], ra[i], *(fe[e] for e in back))
+            bwd.append((i, j))
+            if fe[i * nb + j] < d:
+                d = fe[i * nb + j]
+        if ra[i] < d:
+            d = ra[i]
         rb[sink] -= d
         ra[i] -= d
-        for e in fwd:
-            fe[e] += d
-        for e in back:
-            fe[e] -= d
+        for i, j in fwd:
+            f = fe[i * nb + j] = fe[i * nb + j] + d
+            if f > ta[i] or f > tb[j]:
+                back[j] |= 1 << i
+        for i, j in bwd:
+            f = fe[i * nb + j] = fe[i * nb + j] - d
+            if not (f > ta[i] or f > tb[j]):
+                back[j] &= ~(1 << i)
         flow += d
         paths += 1
     if counts is not None:
         counts["augmentations"] += paths
     if reach is None:
         return flow, None, None
-    cov_b = [v is not None for v in reach[1]]
+    seen_a, seen_b = reach
     # a covered (reached) b was reached from an uncovered neighbour.  A
     # covered a has one too unless its weight is nil next to the tolerance
     # (a squared length that underflowed): drop such an a, so that the
     # cover stays minimal
-    needed = [False] * na
-    for i, j in edges:
-        if not cov_b[j]:
-            needed[i] = True
-    return flow, [v is None and needed[i]
-                  for i, v in enumerate(reach[0])], cov_b
+    return (flow,
+            [not (seen_a >> i & 1) and adj[i] & ~seen_b != 0
+             for i in range(na)],
+            [bool(seen_b >> j & 1) for j in range(nb)])
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +236,11 @@ def _refine_pairs(clash, con2, sq1, sq2, counts):
             # it alone weighs exactly one: the pair is never split
             done.append((A, B))
             continue
-        edges = [(i, j) for i, p in enumerate(A) for j, q in enumerate(B)
-                 if q in clash[p]]
-        asq = sum(sq1[p] for p in A)
-        bsq = sum(sq2[q] for q in B)
+        across = tuple(enumerate(B))
+        edges = [(i, j) for i, hit in enumerate([clash[p] for p in A])
+                 for j, q in across if q in hit]
+        asq = sum([sq1[p] for p in A])
+        bsq = sum([sq2[q] for q in B])
         if not (asq and bsq):
             raise ValueError("squared attribute norms underflow to zero on "
                              "conflicting splits; geodesics need "
@@ -230,41 +259,32 @@ def _refine_pairs(clash, con2, sq1, sq2, counts):
         # minimal, each covered split has an uncovered conflict.  So no
         # block is empty and both blocks keep the property.
         counts["refinements"] += 1
-        todo.append((tuple(p for p, c in zip(A, ca) if c),
-                     tuple(q for q, c in zip(B, cb) if not c)))
-        todo.append((tuple(p for p, c in zip(A, ca) if not c),
-                     tuple(q for q, c in zip(B, cb) if c)))
+        todo.append((tuple(compress(A, ca)),
+                     tuple(compress(B, map(not_, cb)))))
+        todo.append((tuple(compress(A, map(not_, ca))),
+                     tuple(compress(B, cb))))
     return done
-
-
-def _order_support(pairs, v1, v2):
-    """Sort support pairs by switch time; tie-break on smallest split."""
-    items = []
-    for A, B in pairs:
-        # fsum: correctly rounded, so swapping source and target mirrors
-        # the arithmetic exactly and d(t1,t2) == d(t2,t1) bitwise
-        an = math.sqrt(math.fsum(v1.sq[p] for p in A))
-        bn = math.sqrt(math.fsum(v2.sq[q] for q in B))
-        total = an + bn
-        t = an / total if total > 0 else 0.0
-        tie = min(min(v1.keys[p] for p in A), min(v2.keys[q] for q in B))
-        items.append((t, tie, A, B, an, bn))
-    items.sort(key=lambda it: (it[0], it[1]))
-    support = tuple((it[2], it[3]) for it in items)
-    times = tuple(it[0] for it in items)
-    seg_sq = math.fsum((it[4] + it[5]) ** 2 for it in items)
-    return support, times, seg_sq
 
 
 def _pair(v1, v2, counts):
     """(length, common, free1, free2, support, times) of the geodesic
-    between two split views, splits given as view positions."""
+    between two split views, splits given as view positions.  The support
+    pairs and their switch times come in no particular order: the length
+    does not depend on it, and only ``geodesic`` needs the visiting order.
+    """
     m1, m2, i1, i2 = v1.masks, v2.masks, v1.index, v2.index
+    sq1, sq2 = v1.sq, v2.sq
     if m1 == m2:
         counts["same_topology"] += 1
-    common = [(p, i2[m]) for p, m in enumerate(m1) if m in i2]
-    only1 = [p for p, m in enumerate(m1) if m not in i2 and v1.live[p]]
-    only2 = [q for q, m in enumerate(m2) if m not in i1 and v2.live[q]]
+    common, only1 = [], []
+    for p, m in enumerate(m1):
+        q = i2.get(m)
+        if q is not None:
+            common.append((p, q))
+        elif v1.live[p]:
+            only1.append(p)
+    live2 = v2.live
+    only2 = [q for q, m in enumerate(m2) if m not in i1 and live2[q]]
     a1, a2 = v1.attrs, v2.attrs
     # sum(map(...)) adds the same (x - y) ** 2 terms in the same order as a
     # generator would, without its frame
@@ -272,21 +292,30 @@ def _pair(v1, v2, counts):
                            for p, q in common])
     # masks a, b clash (are neither nested nor disjoint) unless a & b is
     # 0, a or b
-    clash = {}
+    clash, o2 = {}, [(q, m2[q]) for q in only2]
     for p in only1:
         a = m1[p]
-        hit = {q for q in only2 if (m2[q] & a) not in (0, a, m2[q])}
+        hit = {q for q, b in o2 if a & b not in (0, a, b)}
         if hit:
             clash[p] = hit
     hit2 = set().union(*clash.values())
     free1 = [p for p in only1 if p not in clash]
     free2 = [q for q in only2 if q not in hit2]
-    support, times, seg_sq = _order_support(_refine_pairs(
-        clash, [q for q in only2 if q in hit2], v1.sq, v2.sq, counts),
-        v1, v2)
+    support = _refine_pairs(clash, [q for q in only2 if q in hit2],
+                            sq1, sq2, counts)
+    # fsum rounds correctly, so no order of the terms changes a bit, and
+    # swapping source and target mirrors the arithmetic exactly:
+    # d(t1,t2) == d(t2,t1) bitwise
+    times, seg = [], []
+    for A, B in support:
+        an = math.sqrt(math.fsum([sq1[p] for p in A]))
+        bn = math.sqrt(math.fsum([sq2[q] for q in B]))
+        total = an + bn
+        times.append(an / total if total > 0 else 0.0)
+        seg.append(total ** 2)
     free_sq = math.fsum(chain(
-        (v1.sq[p] for p in free1), (v2.sq[q] for q in free2)))
-    length = math.sqrt(math.fsum((common_sq, free_sq, seg_sq)))
+        (sq1[p] for p in free1), (sq2[q] for q in free2)))
+    length = math.sqrt(math.fsum((common_sq, free_sq, math.fsum(seg))))
     return length, common, free1, free2, support, times
 
 
@@ -376,8 +405,15 @@ class GeodesicPath:
 def geodesic(t1: AttributedTree, t2: AttributedTree) -> GeodesicPath:
     """Build the shortest path between two trees on one leaf set."""
     _check_pair(t1, t2)
-    length, common, free1, free2, support, times = _pair(
-        t1._split_view, t2._split_view, dict.fromkeys(_COUNTS, 0))
+    v1, v2 = t1._split_view, t2._split_view
+    length, common, free1, free2, pairs, times = _pair(
+        v1, v2, dict.fromkeys(_COUNTS, 0))
+    # visiting order: by switch time, ties broken on the smallest split
+    order = sorted(range(len(pairs)), key=lambda n: (times[n], min(
+        min(v1.keys[p] for p in pairs[n][0]),
+        min(v2.keys[q] for q in pairs[n][1]))))
+    support = tuple(pairs[n] for n in order)
+    times = tuple(times[n] for n in order)
     if free2:
         support = (((), tuple(free2)),) + support
         times = (0.0,) + times

@@ -155,7 +155,11 @@ class FeatureMatrix:
             ids.append(parts[0])
             ys.append(parts[1])
             values.append(float_cells(parts[2:], header[2:], i))
+        # an all-empty class column means no classes; a partly empty one
+        # is a row that lost its class
         y = None if all(v == "" for v in ys) else tuple(ys)
+        if y is not None and "" in y:
+            raise ValueError(f"row {y.index('')}: every row needs a class")
         return cls(np.array(values), tuple(columns), tuple(ids), y)
 
 

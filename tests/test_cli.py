@@ -837,7 +837,11 @@ def test_permtest_variance_on_several_orthants(tmp_path):
      "row 1: expected 4 cells, found 3"),
     ("id,class,A,B\ns0,case,1.0,2.0\ns1,control,3.0,x\n",
      "row 1, column 'B': 'x' is not a number"),
-], ids=["empty", "header-only", "ragged", "non-numeric"])
+    ("id,class,A\n" + "".join(
+        f"s{i},{'' if i == 4 else ('case', 'control')[i % 2]},{i}.5\n"
+        for i in range(7)),
+     "row 4: every row needs a class"),
+], ids=["empty", "header-only", "ragged", "non-numeric", "missing-class"])
 def test_classify_rejects_malformed_features(tmp_path, capsys, text,
                                              message):
     feats = tmp_path / "f.csv"

@@ -12,6 +12,7 @@ from treespace import (
     brute_force_distance,
     compatible,
     distance_matrix,
+    distance_matrix_detailed,
     geodesic,
     geodesic_distance,
     geodesic_point,
@@ -348,6 +349,24 @@ _PINNED_CSV_SHA256 = (
 )
 
 
+# the work counts of distance_matrix_detailed on the same populations,
+# recorded before the bitmask max-flow: a faster max-flow must still take
+# every augmenting path of plain Edmonds-Karp, so these may never change
+_PINNED_COUNTS = (
+    {"pairs": 780, "same_topology": 0, "covers": 1757,
+     "cover_early_stops": 948, "refinements": 809, "augmentations": 19371},
+    {"pairs": 66, "same_topology": 0, "covers": 140,
+     "cover_early_stops": 66, "refinements": 74, "augmentations": 1031},
+    {"pairs": 28, "same_topology": 0, "covers": 21,
+     "cover_early_stops": 13, "refinements": 8, "augmentations": 136},
+)
+
+
+def test_distance_matrix_work_pinned():
+    for trees, want in zip(_pinned_populations(), _PINNED_COUNTS):
+        assert distance_matrix_detailed(trees, workers=1)[1] == want
+
+
 def test_distance_matrix_bytes_pinned():
     for trees, digest in zip(_pinned_populations(), _PINNED_CSV_SHA256):
         dm = distance_matrix(trees)
@@ -472,6 +491,28 @@ def test_min_weight_cover_equals_plain_edmonds_karp():
                  if rng.random() < 0.6] or [(0, 0)]
         assert _min_weight_cover(wa, wb, edges) == \
             _plain_edmonds_karp_cover(wa, wb, edges)
+
+
+def scaled(t, c):
+    return AttributedTree(t.leaves, {s: tuple(c * v for v in a)
+                                     for s, a in t.edges.items()})
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_leaves=st.integers(3, 6),
+       k=st.sampled_from((1, 3)), exponent=st.floats(-100.0, 100.0))
+def test_geodesic_laws_at_any_scale(seed, n_leaves, k, exponent):
+    t1, t2 = (scaled(t, 10.0 ** exponent) for t in random_tree_pair(
+        np.random.default_rng(seed), n_leaves, k))
+    d = geodesic_distance(t1, t2)
+    # one core, whichever entry point and direction: bit for bit
+    assert d == geodesic_distance(t2, t1) == geodesic(t1, t2).length
+    assert distance_matrix([t1, t2]).values[0, 1] == d
+    # the oracle scores realizable paths only, so it can undercut the
+    # geodesic by rounding at most
+    b = brute_force_distance(t1, t2)
+    assert abs(d - b) <= 1e-6 * b
+    assert d <= b * (1.0 + 1e-12)
 
 
 def scaled_conflict_pairs(s):
