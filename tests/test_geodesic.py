@@ -493,6 +493,17 @@ def test_min_weight_cover_equals_plain_edmonds_karp():
             _plain_edmonds_karp_cover(wa, wb, edges)
 
 
+def test_min_weight_cover_keeps_sub_tolerance_flow_closed():
+    # the path to the 1e-15 sink pushes flow that stays below the
+    # tolerance of a forward arc it crosses; plain Edmonds-Karp never
+    # walks that arc backward, so the search may not either
+    wa = [w / 8 for w in (0.3, 0.3, 0.5)]
+    wb = [w / 8 for w in (1e-15, 0.3, 0.3, 0.2)]
+    edges = [(0, 0), (0, 1), (0, 3), (1, 2), (1, 3), (2, 0), (2, 2)]
+    assert _min_weight_cover(wa, wb, edges) == \
+        _plain_edmonds_karp_cover(wa, wb, edges)
+
+
 def scaled(t, c):
     return AttributedTree(t.leaves, {s: tuple(c * v for v in a)
                                      for s, a in t.edges.items()})
