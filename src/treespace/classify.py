@@ -252,12 +252,11 @@ def lambda_max(X, y, alpha: float) -> float:
     return float(np.max(np.abs(X.T @ (y - y.mean()))) / alpha)
 
 
-def lambda_grid(lmax: float, num: int = 50, ratio: float = 1e-4) \
-        -> np.ndarray:
-    """Log-spaced descending penalties from lmax down to ratio * lmax."""
+def lambda_grid(lmax: float, num: int = 50) -> np.ndarray:
+    """Log-spaced descending penalties from lmax down to 1e-4 * lmax."""
     if lmax <= 0:
         raise ValueError("lambda_max must be positive")
-    return np.geomspace(lmax, ratio * lmax, num)
+    return np.geomspace(lmax, 1e-4 * lmax, num)
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +273,9 @@ def _stratified_folds(y, folds, rng):
     return [np.flatnonzero(assign == f) for f in range(folds)]
 
 
-def _folds_with_all_classes(y, folds, seed_seq, attempts=10):
+def _folds_with_all_classes(y, folds, seed_seq):
     classes = set(np.unique(y))
-    for attempt in range(attempts):
+    for attempt in range(10):
         rng = np.random.default_rng(list(seed_seq) + [attempt])
         parts = _stratified_folds(y, folds, rng)
         ok = all(
@@ -286,7 +285,7 @@ def _folds_with_all_classes(y, folds, seed_seq, attempts=10):
             return parts
     raise ValueError(
         f"could not build {folds} folds containing every class "
-        f"in {attempts} attempts")
+        "in 10 attempts")
 
 
 def _standardize(train_X, full_X):

@@ -78,13 +78,13 @@ def _int_from(low, kind):
 
 
 _seed = _int_from(0, "non-negative")    # NumPy seeds
-_threads = _int_from(1, "positive")     # a pool needs one worker
+_positive = _int_from(1, "positive")    # worker counts, dimensions
 
 
 def _common(parser, handler):
     parser.add_argument("--seed", type=_seed, default=0)
     parser.add_argument(
-        "--threads", type=_threads, default=None,
+        "--threads", type=_positive, default=None,
         help="worker processes for dist, knn --input and permtest "
              "(default, and at most: every CPU this process may run on; "
              "1 runs serially); other commands run serially")
@@ -112,7 +112,9 @@ def build_parser() -> _Parser:
             p.add_argument("--per-sheet", type=int, default=50)
         else:
             p.add_argument("--n", type=int, default=50)
-            p.add_argument("--k", type=int, default=1)
+            p.add_argument("--k", type=_positive, default=None,
+                           help="attribute dimension of the airway "
+                                "template (default 1)")
             p.add_argument("--attr-sigma", type=float, default=0.1)
             p.add_argument("--topology-noise", type=float, default=0.0)
             p.add_argument("--class-shift", default=None,
@@ -391,10 +393,11 @@ def _class_shift(text, template):
 def _cmd_gen(args):
     out = Path(args.output)
     if args.space == "trees":
-        if args.template:
-            template = _load(args.template, parse_tree)
-        else:
-            template = airway_template(args.k)
+        if args.template and args.k is not None:
+            raise CliError(USAGE_ERROR, "usage: --k sets the airway "
+                                        "template; --template has its own")
+        template = _load(args.template, parse_tree) if args.template \
+            else airway_template(args.k or 1)
         shift = _class_shift(args.class_shift, template) \
             if args.class_shift else None
         pop = gen_tree_population(template, args.n, args.topology_noise,

@@ -56,14 +56,11 @@ _FLAT_DROP = 1e-9  # mds_pd: a relative stress drop below this is flat
 
 def hyperbolic_distance(z1, z2) -> float:
     """Poincaré-disk distance between two points (complex or (x, y))."""
-    a = complex(z1) if np.isscalar(z1) or isinstance(z1, complex) \
-        else complex(*z1)
-    b = complex(z2) if np.isscalar(z2) or isinstance(z2, complex) \
-        else complex(*z2)
+    a, b = (complex(z) if np.isscalar(z) else complex(*z) for z in (z1, z2))
     if abs(a) >= 1.0 or abs(b) >= 1.0:
         raise ValueError("points must lie strictly inside the unit disk")
     u = abs(a - b) / abs(1 - a * b.conjugate())
-    return 2.0 * math.atanh(min(u, np.nextafter(1.0, 0.0)))
+    return 2.0 * math.atanh(min(u, _UMAX))
 
 
 def _target_values(target) -> np.ndarray:
@@ -343,11 +340,11 @@ def mds_pd(target, cfg: EmbeddingConfig | None = None,
 # flat embeddings
 # ---------------------------------------------------------------------------
 
-def classical_mds(target, dim: int = 2) -> np.ndarray:
-    """Spectral coordinates from double-centered squared distances.
+def classical_mds(target) -> np.ndarray:
+    """Planar coordinates from double-centered squared distances.
 
-    Exact (up to rigid motion) whenever the target is realizable in
-    ``dim`` Euclidean dimensions; negative eigenvalues are truncated.
+    Exact (up to rigid motion) whenever the target is realizable in the
+    Euclidean plane; negative eigenvalues are truncated.
     """
     delta = _target_values(target)
     n = len(delta)
@@ -355,8 +352,8 @@ def classical_mds(target, dim: int = 2) -> np.ndarray:
     j = np.eye(n) - np.ones((n, n)) / n
     b = -0.5 * j @ d2 @ j
     vals, vecs = np.linalg.eigh(b)
-    order = np.argsort(vals)[::-1][:dim]
-    coords = np.zeros((n, dim))
+    order = np.argsort(vals)[::-1][:2]
+    coords = np.zeros((n, 2))
     for c, i in enumerate(order):
         lam = vals[i]
         if lam <= 0.0:

@@ -396,8 +396,9 @@ def _group_stat_trees(g1, g2, kind, cfg):
     r1, r2 = frechet_mean_detailed(g1, cfg), frechet_mean_detailed(g2, cfg)
     if kind == "mean":
         value = geodesic_distance(r1.tree, r2.tree)
-    else:
-        value = abs(variance(g1, r1.tree) - variance(g2, r2.tree))
+    else:   # each objective is the sum variance() would compute again
+        value = abs(r1.objective / (len(g1) - 1)
+                    - r2.objective / (len(g2) - 1))
     return value, [(r.stop_reason, r.iterations) for r in (r1, r2)]
 
 

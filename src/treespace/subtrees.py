@@ -57,9 +57,10 @@ def extract_subtree(tree: AttributedTree, label: str) -> AttributedTree:
     if label not in tree.branch_labels:
         raise KeyError(f"tree carries no branch labeled {label!r}")
     root = tree.branch_labels[label]
-    edges = {s: tree.edges[s] for s in tree.splits if s <= root}
+    edges = {s: a for s, a in tree.edges.items() if s <= root}
     labels = {n: s for n, s in tree.branch_labels.items() if s <= root}
-    return AttributedTree(tuple(sorted(root)), edges, labels)
+    # parts of a checked tree, and every kept label names a kept split
+    return AttributedTree._trusted(tuple(sorted(root)), edges, labels)
 
 
 def compute_reference_means(trees, classes, scheme: SubtreeScheme,
@@ -140,13 +141,8 @@ class FeatureMatrix:
             raise ValueError("feature CSV must start with id,class columns")
         if len(rows) < 2:
             raise ValueError("feature CSV has no data rows")
-        columns = []
-        for name in header[2:]:
-            if ":" in name:
-                lab, c = name.rsplit(":", 1)
-                columns.append((lab, c))
-            else:
-                columns.append((name, None))
+        columns = [tuple(name.rsplit(":", 1)) if ":" in name
+                   else (name, None) for name in header[2:]]
         ids, ys, values = [], [], []
         for i, parts in enumerate(rows[1:]):
             if len(parts) != len(header):

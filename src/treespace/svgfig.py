@@ -33,13 +33,13 @@ def _open_svg(width, height, timestamp):
     return lines
 
 
-def _spans(values, pad_frac=0.05):
+def _spans(values):
     lo = float(np.min(values))
     hi = float(np.max(values))
     if hi == lo:
         lo -= 0.5
         hi += 0.5
-    pad = (hi - lo) * pad_frac
+    pad = (hi - lo) * 0.05
     return lo - pad, hi + pad
 
 
@@ -52,14 +52,14 @@ def _color_key(labels):
     return {lab: _PALETTE[i % len(_PALETTE)] for i, lab in enumerate(order)}
 
 
-def svg_scatter(points, labels=None, size: int = 480, title: str = "",
+def svg_scatter(points, labels=None, title: str = "",
                 timestamp: str | None = None) -> str:
     """Colored scatter of (n, 2) points; one color per distinct label."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = len(pts)
     labels = list(labels) if labels is not None else ["all"] * n
     colors = _color_key(labels)
-    margin = 40
+    size, margin = 480, 40
     span = size - 2 * margin
     x0, x1 = _spans(pts[:, 0])
     y0, y1 = _spans(pts[:, 1])
@@ -90,14 +90,14 @@ def svg_scatter(points, labels=None, size: int = 480, title: str = "",
     return "\n".join(out) + "\n"
 
 
-def svg_histogram(counts, edges, width: int = 480, height: int = 320,
-                  title: str = "", timestamp: str | None = None) -> str:
+def svg_histogram(counts, edges, title: str = "",
+                  timestamp: str | None = None) -> str:
     """Bar chart of pre-binned counts over the given bin edges."""
     counts = np.asarray(counts, dtype=float)
     edges = np.asarray(edges, dtype=float)
     if len(edges) != len(counts) + 1:
         raise ValueError("need len(edges) == len(counts) + 1")
-    margin = 40
+    width, height, margin = 480, 320, 40
     wspan = width - 2 * margin
     hspan = height - 2 * margin
     top = max(float(counts.max()), 1.0)
@@ -128,8 +128,7 @@ def svg_histogram(counts, edges, width: int = 480, height: int = 320,
     return "\n".join(out) + "\n"
 
 
-def svg_pair_grid(values, names, cell: int = 140,
-                  timestamp: str | None = None) -> str:
+def svg_pair_grid(values, names, timestamp: str | None = None) -> str:
     """Matrix of small scatters: column j against column k for all pairs.
 
     Diagonal cells show the column histogram instead.
@@ -139,7 +138,7 @@ def svg_pair_grid(values, names, cell: int = 140,
     m = len(names)
     if vals.shape[1] != m:
         raise ValueError("names do not match column count")
-    pad = 26
+    pad, cell = 26, 140
     size = pad + m * cell
     out = _open_svg(size, size, timestamp)
     spans = [_spans(vals[:, j]) for j in range(m)]

@@ -207,6 +207,8 @@ def airway_template(k: int = 1) -> AttributedTree:
     act without touching a labeled branch.  Attributes default to unit
     first coordinate.
     """
+    if k < 1:
+        raise ValueError(f"attribute dimension must be at least 1, got {k}")
     groups = {
         "Trachea": ("l1", "l2", "l3", "l4", "l5", "r1", "r2", "r3"),
         "LMB": ("l1", "l2", "l3", "l4", "l5"),

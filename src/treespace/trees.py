@@ -194,18 +194,20 @@ class AttributedTree:
         return sorted(self.edges, key=split_key)
 
     @classmethod
-    def _trusted(cls, leaves, edges, labels, view) -> "AttributedTree":
-        """A tree from parts the caller has already proven valid, with
-        ``view`` as its split view: none of the public constructor's checks
-        run.  ``leaves`` is sorted, ``edges`` maps frozensets to float
-        tuples of one dimension whose splits are pairwise compatible, and
-        ``labels`` maps names to splits of ``edges``.  Only the points of a
-        path and the orthant solves of the mean search use it."""
+    def _trusted(cls, leaves, edges, labels, view=None) -> "AttributedTree":
+        """A tree from parts copied from checked trees or computed by the
+        core, so none of the public constructor's checks run: path points,
+        orthant solves and subtrees.  ``leaves`` is sorted, ``edges`` maps
+        frozensets to float tuples of one dimension whose splits are
+        pairwise compatible, and ``labels`` maps names to splits of
+        ``edges``.  ``view``, when given, is the tree's split view;
+        otherwise it is built on first use."""
         tree = object.__new__(cls)
-        # straight into the instance dict, past the frozen __setattr__; the
+        # straight into the instance dict, past the frozen __setattr__; a
         # view fills its cached_property slot, so it is never rebuilt
-        vars(tree).update(leaves=leaves, edges=edges, branch_labels=labels,
-                          _split_view=view)
+        vars(tree).update(leaves=leaves, edges=edges, branch_labels=labels)
+        if view is not None:
+            vars(tree)["_split_view"] = view
         return tree
 
     @cached_property

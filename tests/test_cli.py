@@ -353,6 +353,44 @@ def test_gen_trees_from_a_template_file(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_gen_trees_k_sets_the_airway_attribute_dimension(tmp_path):
+    out = tmp_path / "pop.json"
+    for argv, k in (((), 1), (("--k", "3"), 3)):
+        assert run("gen", "trees", "-o", str(out), "--n", "3", *argv) == 0
+        trees, _ = parse_population(out.read_text())
+        assert {t.k for t in trees} == {k}
+
+
+@pytest.mark.parametrize("k", ["0", "-2", "x"])
+def test_gen_trees_k_below_one_is_a_usage_error(tmp_path, capsys, k):
+    out = tmp_path / "pop.json"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"k": k}))
+    for argv in (("--k", k), ("--config", str(cfg))):
+        capsys.readouterr()
+        assert run("gen", "trees", "-o", str(out), *argv) == 64, argv
+        err = capsys.readouterr().err
+        assert err == ("treespace: error: usage: argument --k: expected a "
+                       f"positive integer, got {k!r}\n")
+    assert not out.exists()
+
+
+def test_gen_trees_k_with_a_template_is_a_usage_error(tmp_path, capsys):
+    template = tmp_path / "template.json"
+    template.write_text(serialize_tree(treespace.airway_template()))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"k": 3, "template": str(template)}))
+    out = tmp_path / "pop.json"
+    for argv in (("--k", "3", "--template", str(template)),
+                 ("--config", str(cfg))):
+        capsys.readouterr()
+        assert run("gen", "trees", "-o", str(out), *argv) == 64, argv
+        err = capsys.readouterr().err
+        assert err.startswith("treespace: error: usage: --k ")
+        assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_output_that_cannot_be_created_is_a_usage_error(pop_file, tmp_path,
                                                        capsys):
     blocker = tmp_path / "c.json"

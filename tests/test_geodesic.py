@@ -17,6 +17,7 @@ from treespace import (
     geodesic_distance,
     geodesic_point,
 )
+from treespace.cli import main
 from treespace.geodesic import _COVER_TOL, _min_weight_cover
 
 from helpers import leaf_names, random_tree, random_tree_pair
@@ -375,6 +376,40 @@ def test_distance_matrix_bytes_pinned():
             for j, tj in enumerate(trees[i + 1:], i + 1):
                 d = geodesic(ti, tj).length
                 assert dm.values[i, j] == d == geodesic_distance(tj, ti)
+
+
+# sha256 of command outputs on a 17-subject cohort in several topologies,
+# recorded before subtrees were built trusted and before group variances
+# reused the mean search's objective: neither may change a byte
+_PINNED_COMMAND_SHA256 = {
+    "pooled.csv":
+        "9ff43c9562e20efd15797acd7f12f8e2810f4693519ceae882369e8ce8d6ee68",
+    "per-class.csv":
+        "90c397f838f69c53d0c755e3a828390afd75fe61efac88698f60c5a8d107ac93",
+    "perm.json":
+        "775d74788ac1ead5d5357827b8fb6599a5f79ec027e3b4f098d9ea3f2bf12d68",
+}
+
+
+def test_features_and_variance_permtest_bytes_pinned(tmp_path):
+    pop = str(tmp_path / "pop.json")
+    labels = ("LMB", "RMB", "LUL", "RUL", "L1+2+3", "LLB", "BronchInt",
+              "RLL")   # the benchmark's: every default label but Trachea
+    assert main(["gen", "trees", "-o", pop, "--n", "17", "--attr-sigma",
+                 "0.1", "--topology-noise", "0.5", "--class-shift",
+                 '{"LMB": 0.3}', "--seed", "1"]) == 0
+    runs = {
+        "pooled.csv": ["subtree-features", "--input", pop, "--mode",
+                       "pooled", "--labels", *labels],
+        "per-class.csv": ["subtree-features", "--input", pop],
+        "perm.json": ["permtest", "--groups", pop, "--statistic",
+                      "variance", "--M", "30", "--threads", "1"],
+    }
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert main([*argv, "-o", str(out), "--seed", "1"]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            _PINNED_COMMAND_SHA256[name]
 
 
 def _exhaustive_cover_weight(wa, wb, edges):

@@ -266,6 +266,23 @@ def test_variance_matches_recomputation():
     assert abs(v - direct) <= 1e-12
 
 
+def test_mean_objective_is_the_variance_sum_bitwise():
+    # permutation_test's variance statistic divides the mean search's
+    # objective instead of summing the distances again: the two must agree
+    # to the bit however the search stopped, a mid-cycle cap included
+    trees = gen_tree_population(airway_template(), 17, topology_noise=0.5,
+                                seed=1).trees
+    reasons = set()
+    for size in (2, 5, 9):
+        group = trees[:size]
+        for cfg in (MeanConfig(certify=True), MeanConfig(tolerance=1e-2),
+                    MeanConfig(max_iterations=3 * size + 1)):
+            res = frechet_mean_detailed(group, cfg)
+            reasons.add(res.stop_reason)
+            assert res.objective / (size - 1) == variance(group, res.tree)
+    assert reasons == {"certified", "converged", "cap"}
+
+
 def jittered(rng, base_len, n):
     out = []
     for _ in range(n):

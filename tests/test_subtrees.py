@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treespace import (
     DEFAULT_BRANCH_LABELS,
@@ -15,6 +16,8 @@ from treespace import (
     gen_tree_population,
     geodesic_distance,
 )
+
+from helpers import leaf_names, random_tree
 
 S = frozenset
 
@@ -74,6 +77,25 @@ def test_template_carries_all_default_labels():
     for label in DEFAULT_BRANCH_LABELS:
         sub = extract_subtree(t, label)
         assert sub.m >= 1
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_leaves=st.integers(3, 9),
+       k=st.sampled_from((1, 3)), zero_prob=st.sampled_from((0.0, 0.3)))
+def test_extract_subtree_equals_the_validated_rebuild(seed, n_leaves, k,
+                                                      zero_prob):
+    rng = np.random.default_rng(seed)
+    t = random_tree(rng, leaf_names(n_leaves), k, zero_prob=zero_prob)
+    # a label on every split, so every subtree is taken
+    t = AttributedTree(t.leaves, t.edges, {
+        f"b{i}": s for i, s in enumerate(t.sorted_splits())})
+    for label in t.branch_labels:
+        sub = extract_subtree(t, label)
+        # the public constructor accepts the parts the subtree skipped
+        # checking, and builds the same tree and split view from them
+        rebuilt = AttributedTree(sub.leaves, sub.edges, sub.branch_labels)
+        assert sub == rebuilt
+        assert sub._split_view == rebuilt._split_view
 
 
 def population(n=8, seed=0):

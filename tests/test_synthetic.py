@@ -256,6 +256,12 @@ def test_population_vector_attributes():
     assert case.edges[s][1] > ctrl.edges[s][1]
 
 
+@pytest.mark.parametrize("k", [0, -2])
+def test_airway_template_needs_a_positive_dimension(k):
+    with pytest.raises(ValueError, match="at least 1"):
+        airway_template(k)
+
+
 def test_population_validation():
     tpl = airway_template()
     with pytest.raises(ValueError):
