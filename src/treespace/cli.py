@@ -11,9 +11,10 @@ reasons and steps) next to its outputs, numeric outputs are byte-stable
 for a fixed seed, and ``--deterministic`` additionally drops timestamps
 from SVG files and the manifest.
 ``--threads N`` sets the worker processes of the commands that compute
-many independent geodesic pairs or group means (``dist``, ``knn --input``
-and ``permtest``); by default, and at most, they use every CPU this
-process may run on.  Outputs do not depend on it.
+many independent geodesic pairs, group means or embedding restarts
+(``dist``, ``knn --input``, ``permtest`` and ``embed``); by default, and
+at most, they use every CPU this process may run on.  Outputs do not
+depend on it.
 
 Option precedence is flags, then ``--config`` JSON, then built-in
 defaults; config values pass the same checks as flags.  Exit codes: 64
@@ -78,16 +79,17 @@ def _int_from(low, kind):
 
 
 _seed = _int_from(0, "non-negative")    # NumPy seeds
-_positive = _int_from(1, "positive")    # worker counts, dimensions
+_positive = _int_from(1, "positive")    # worker counts, dimensions, sizes
 
 
 def _common(parser, handler):
     parser.add_argument("--seed", type=_seed, default=0)
     parser.add_argument(
         "--threads", type=_positive, default=None,
-        help="worker processes for dist, knn --input and permtest "
-             "(default, and at most: every CPU this process may run on; "
-             "1 runs serially); other commands run serially")
+        help="worker processes for dist, knn --input, permtest and "
+             "embed's restarts (default, and at most: every CPU this "
+             "process may run on; 1 runs serially); other commands run "
+             "serially")
     parser.add_argument("--config", default=None)
     parser.add_argument("--deterministic", action="store_true")
     parser.set_defaults(handler=handler, parser=parser)
@@ -201,17 +203,17 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True, help="distance CSV")
     p.add_argument("--method", choices=("mds", "isomap", "hmds", "hisomap"),
                    default="hmds")
-    p.add_argument("--isomap-k", type=int, default=10)
-    p.add_argument("--restarts", type=int, default=5)
-    p.add_argument("--max-iterations", type=int, default=10000)
-    p.add_argument("--bins", type=int, default=20)
+    p.add_argument("--isomap-k", type=_positive, default=10)
+    p.add_argument("--restarts", type=_positive, default=5)
+    p.add_argument("--max-iterations", type=_positive, default=10000)
+    p.add_argument("--bins", type=_positive, default=20)
     p.add_argument("-o", "--output", required=True, help="output directory")
     _common(p, _cmd_embed)
 
     p = sub.add_parser("distortion", help="compare two distance matrices")
     p.add_argument("--original", required=True)
     p.add_argument("--embedded", required=True)
-    p.add_argument("--bins", type=int, default=20)
+    p.add_argument("--bins", type=_positive, default=20)
     p.add_argument("-o", "--output", required=True)
     _common(p, _cmd_distortion)
     return top
@@ -525,7 +527,7 @@ def _cmd_embed(args):
     cfg = EmbeddingConfig(args.method, args.isomap_k, args.max_iterations,
                           seed=args.seed, restarts=args.restarts,
                           bins=args.bins)
-    result = embed(dm, cfg)
+    result = embed(dm, cfg, workers=args.threads)
     out = Path(args.output)
     stamp = _timestamp(args)
     coords = result.coordinates

@@ -22,8 +22,10 @@ Embedded-versus-original quality is summarized by the per-pair ratios
 original/embedded: the dataset distortion is max ratio over min ratio, and
 additive errors (embedded - original) are binned for histograms.
 
-SciPy is imported inside the functions that use it, so importing this
-module, as every CLI call does, does not load it.
+The stress kernel is NumPy only: its condensed pair distances carry the
+bits of SciPy's ``pdist`` and its square forms those of ``squareform``.
+Only Isomap's neighbor graph uses SciPy, imported when it runs, so the
+disk and classical MDS embeddings never load it.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._pool import fork_map, resolve_workers
 from .distmat import DistanceMatrix
 
 __all__ = [
@@ -86,29 +89,58 @@ def _coords(points, metric) -> np.ndarray:
     return np.ascontiguousarray(pts)
 
 
-def _distances(x: np.ndarray, disk: bool, iu) -> tuple:
-    """Condensed (pdist-order) distances of the pairs iu of the real
-    points x, with the disk's u^2 and |1 - z_j conj(z_k)|^2 (None in the
-    plane), which the stress gradient reuses."""
-    from scipy.spatial.distance import pdist
-    nn = pdist(x)
+def _pairs(n: int) -> tuple:
+    """The condensed layout of n points, in pdist order (row i holds the
+    pairs (i, j), j > i): each point's count of later partners, the
+    partners row by row, and the upper-triangle mask that scatters the
+    pairs into a square form."""
+    mask = np.triu(np.ones((n, n), dtype=bool), 1)
+    return np.arange(n - 1, -1, -1), np.nonzero(mask)[1], mask
+
+
+def _square(v: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The symmetric matrix of condensed values v.  Both halves are
+    copies of v, so signed zeros survive, as in squareform."""
+    m = np.zeros(mask.shape)
+    m[mask] = v
+    m.T[mask] = v
+    return m
+
+
+def _distances(x: np.ndarray, disk: bool, pairs: tuple) -> tuple:
+    """Condensed distances of the real points x, with the disk's u^2 and
+    |1 - z_j conj(z_k)|^2 (None in the plane), which the stress gradient
+    reuses.  The norms carry pdist's bits: coordinate squares are summed
+    in coordinate order before the square root."""
+    rows, cols, _ = pairs
+    diff = np.repeat(x, rows, axis=0)
+    diff -= x.take(cols, axis=0)
+    diff *= diff
+    nn = np.zeros(len(diff))
+    for column in diff.T:
+        nn += column
+    np.sqrt(nn, out=nn)
     if not disk:
         return nn, nn, None, None
     nn2 = nn * nn
     a2 = 1.0 - (x * x).sum(axis=1)
     # |1 - z_j conj(z_k)|^2 = (1 - |z_j|^2)(1 - |z_k|^2) + |z_j - z_k|^2
-    ww2 = a2[iu[0]] * a2[iu[1]] + nn2
-    u2 = np.minimum(nn2 / ww2, _UMAX)
-    dist = 2.0 * np.arctanh(np.minimum(np.sqrt(u2), _UMAX))
+    ww2 = np.repeat(a2, rows)
+    ww2 *= a2[cols]
+    ww2 += nn2
+    u2 = np.divide(nn2, ww2, out=nn2)
+    np.minimum(u2, _UMAX, out=u2)
+    dist = np.sqrt(u2)
+    np.minimum(dist, _UMAX, out=dist)
+    np.arctanh(dist, out=dist)
+    dist *= 2.0
     return nn, dist, u2, ww2
 
 
 def _pairwise(points, metric) -> np.ndarray:
-    from scipy.spatial.distance import squareform
     x = _coords(points, metric)
-    iu = np.triu_indices(len(x), 1)
-    dist = _distances(x, metric == "hyperbolic", iu)[1]
-    return squareform(dist) if len(x) else np.zeros((0, 0))
+    pairs = _pairs(len(x))
+    return _square(_distances(x, metric == "hyperbolic", pairs)[1], pairs[2])
 
 
 class _Stress:
@@ -123,19 +155,22 @@ class _Stress:
     """
 
     def __init__(self, delta: np.ndarray, metric: str):
-        self.iu = np.triu_indices(len(delta), 1)
+        self.pairs = _pairs(len(delta))
         self.disk = metric == "hyperbolic"
-        self.tv = delta[self.iu]
+        self.tv = delta[self.pairs[2]]
         keep = self.tv > 0.0
         self.w = np.zeros_like(self.tv)
         self.w[keep] = 1.0 / (self.tv[keep] * self.tv[keep].sum())
 
     def eval(self, x: np.ndarray) -> tuple[float, tuple]:
         """The stress at x and the pair terms its gradient reuses."""
-        nn, dist, u2, ww2 = _distances(x, self.disk, self.iu)
-        err = dist - self.tv
+        nn, dist, u2, ww2 = _distances(x, self.disk, self.pairs)
+        # in the plane dist is nn, which the gradient still needs
+        err = np.subtract(dist, self.tv, out=dist if self.disk else None)
+        sq = err * err
+        sq *= self.w
         # a numpy sum: a threaded BLAS dot rounds by the thread count
-        return float((err * err * self.w).sum()), (nn, err, u2, ww2)
+        return float(sq.sum()), (nn, err, u2, ww2)
 
     def gradient(self, x: np.ndarray, terms: tuple) -> np.ndarray:
         """dE/dx as (n, d): g = x (Q1 - T r^2) - (Q - T) x, with r^2 = |x|^2
@@ -146,18 +181,19 @@ class _Stress:
         factor 2 / ((1 - u^2) |1 - z_j conj(z_k)|) and t = q u^2.
         Coincident points (d = 0) get q = 0; their pair has no direction.
         """
-        from scipy.spatial.distance import squareform
-        if not len(x):  # squareform reads an empty vector as one point
-            return x.copy()
         nn, err, u2, ww2 = terms
-        c = 2.0 * err * self.w
+        mask = self.pairs[2]
+        c = 2.0 * err
+        c *= self.w
         if self.disk:
-            c *= 2.0 / ((1.0 - u2) * np.sqrt(ww2))
+            f = 1.0 - u2
+            f *= np.sqrt(ww2)
+            c *= np.divide(2.0, f, out=f)
         q = np.divide(c, nn, out=np.zeros_like(c), where=nn > 0.0)
-        qm = squareform(q)
+        qm = _square(q, mask)
         scale = qm.sum(axis=1)
         if self.disk:
-            tm = squareform(q * u2)
+            tm = _square(np.multiply(q, u2, out=q), mask)
             scale -= tm @ (x * x).sum(axis=1)
             qm -= tm
         return x * scale[:, None] - qm @ x
@@ -377,6 +413,7 @@ def isomap_graph_distances(target, k: int) -> DistanceMatrix:
     dm = target if isinstance(target, DistanceMatrix) else None
     delta = _target_values(target)
     n = len(delta)
+    ids = dm.ids if dm is not None else tuple(f"p{i}" for i in range(n))
     graph = np.zeros((n, n))
     for i in range(n):
         order = np.argsort(delta[i], kind="stable")
@@ -387,14 +424,12 @@ def isomap_graph_distances(target, k: int) -> DistanceMatrix:
     ncomp, labels = connected_components(mask, directed=False)
     if ncomp > 1 and n > 1:
         comps = [list(np.flatnonzero(labels == c)) for c in range(ncomp)]
-        ids = dm.ids if dm is not None else tuple(str(i) for i in range(n))
         named = [[ids[i] for i in comp] for comp in comps]
         raise ValueError(
             f"neighbor graph is disconnected into {ncomp} components: "
             f"{named}; raise k")
     sp = shortest_path(np.where(mask, graph, 0.0), method="D",
                        directed=False)
-    ids = dm.ids if dm is not None else tuple(f"p{i}" for i in range(n))
     return DistanceMatrix(ids, sp, dm.labels if dm is not None else None)
 
 
@@ -411,8 +446,8 @@ def distortion_report(original, embedded, bins: int = 20) \
     emb = _target_values(embedded)
     if orig.shape != emb.shape:
         raise ValueError("matrices differ in shape")
-    iu = np.triu_indices(len(orig), k=1)
-    ov, ev = orig[iu], emb[iu]
+    mask = _pairs(len(orig))[2]
+    ov, ev = orig[mask], emb[mask]
     bad = (ov > 0.0) & (ev == 0.0)
     if np.any(bad):
         raise ValueError(
@@ -429,14 +464,18 @@ def distortion_report(original, embedded, bins: int = 20) \
     return DistortionReport(mx, mn, mult, ratios, counts, edges)
 
 
-def embed(target, cfg: EmbeddingConfig | None = None) -> EmbeddingResult:
+def embed(target, cfg: EmbeddingConfig | None = None,
+          workers: int | None = None) -> EmbeddingResult:
     """Dispatch on ``cfg.method`` and attach a distortion report.
 
     Isomap variants fit to graph distances but the distortion report always
     compares against the original input.  Hyperbolic methods run
-    ``cfg.restarts`` seeded starts and keep the lowest-stress one.
+    ``cfg.restarts`` seeded starts and keep the first of the lowest
+    stress.  The starts run on up to ``workers`` processes (None: every
+    CPU this process may run on); the result does not depend on how many.
     """
     cfg = cfg or EmbeddingConfig()
+    workers = resolve_workers(workers)
     dm = target if isinstance(target, DistanceMatrix) else None
     delta = _target_values(target)
 
@@ -450,8 +489,9 @@ def embed(target, cfg: EmbeddingConfig | None = None) -> EmbeddingResult:
         result = EmbeddingResult(cfg.method, "euclidean", coords, stress,
                                  [stress])
     else:
-        runs = tuple(mds_pd(fit_target, cfg, seed=[cfg.seed, r])
-                     for r in range(cfg.restarts))
+        runs = tuple(fork_map(
+            lambda r: mds_pd(fit_target, cfg, seed=[cfg.seed, r]),
+            range(cfg.restarts), workers))
         best = min(runs, key=lambda run: run.final_stress)
         result = replace(best, restarts=runs)
     if dm is not None:

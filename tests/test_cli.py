@@ -726,8 +726,8 @@ def test_config_fuzz_exits_cleanly(fuzz_dir, cmd, data):
     if code == 0:
         assert err == ""
         return
-    # 70 is a well-formed value the computation rejects (--n 0,
-    # --restarts 0), exactly as the same flag would be
+    # 70 is a well-formed value the computation rejects (--n 0, --M 0),
+    # exactly as the same flag would be
     prefix = {64: "usage:", 65: "", 70: "compute:"}[code]
     assert err.startswith(f"treespace: error: {prefix}"), err
     assert len(err.splitlines()) == 1, err
@@ -895,9 +895,7 @@ def test_classify_rejects_malformed_features(tmp_path, capsys, text,
     ("classify", "--features", "{feats}", "--repeats", "0"),
     ("knn", "--matrix", "{dist}", "--k", "0", "--folds", "2"),
     ("knn", "--matrix", "{dist}", "--folds", "0"),
-    ("embed", "--input", "{dist}", "--restarts", "0"),
-], ids=["classify-folds", "classify-repeats", "knn-k", "knn-folds",
-        "embed-restarts"])
+], ids=["classify-folds", "classify-repeats", "knn-k", "knn-folds"])
 def test_count_options_below_minimum(tmp_path, capsys, argv):
     ids = [f"s{i}" for i in range(20)]
     labels = ["case", "control"] * 10
@@ -916,6 +914,34 @@ def test_count_options_below_minimum(tmp_path, capsys, argv):
     assert err.startswith("treespace: error: compute:")
     assert len(err.strip().splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("embed", "--input", "{dist}"), "--restarts"),
+    (("embed", "--input", "{dist}"), "--max-iterations"),
+    (("embed", "--input", "{dist}", "--method", "hmds"), "--isomap-k"),
+    (("embed", "--input", "{dist}"), "--bins"),
+    (("distortion", "--original", "{dist}", "--embedded", "{dist}"),
+     "--bins"),
+], ids=["embed-restarts", "embed-max-iterations", "embed-isomap-k",
+        "embed-bins", "distortion-bins"])
+def test_embedding_counts_below_one_are_usage_errors(tmp_path, capsys, argv,
+                                                     flag):
+    # one line and exit 64, by flag and by --config, before any work
+    pts = np.arange(6.0)
+    dist = tmp_path / "d.csv"
+    dist.write_text(DistanceMatrix(tuple(f"s{i}" for i in range(6)),
+                                   np.abs(pts[:, None] - pts)).to_csv())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag[2:]: 0}))
+    argv = [a.format(dist=dist) for a in argv]
+    for option in ([flag, "0"], ["--config", str(cfg)]):
+        out = tmp_path / "out"
+        assert run(*argv, *option, "-o", str(out)) == 64
+        assert capsys.readouterr().err == (
+            f"treespace: error: usage: argument {flag}: expected a "
+            f"positive integer, got '0'\n")
+        assert not out.exists()
 
 
 def test_classify_names_inner_folds_it_cannot_build(tmp_path, capsys):

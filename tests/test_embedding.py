@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -10,6 +11,7 @@ from treespace import (
     DistanceMatrix,
     EmbeddingConfig,
     classical_mds,
+    distance_matrix,
     distortion_report,
     embed,
     hyperbolic_distance,
@@ -18,7 +20,11 @@ from treespace import (
     sammon_stress,
     stress_gradient,
 )
-from treespace.embedding import _Stress, _pairwise
+from treespace.cli import main
+from treespace.embedding import (_Stress, _distances, _pairs, _pairwise,
+                                 _square)
+
+from test_geodesic import _pinned_populations
 
 
 def disk_points(rng, n, rmax=0.85):
@@ -212,6 +218,33 @@ def test_gradient_vanishes_at_exact_fit():
     assert np.abs(stress_gradient(te, pe, "euclidean")).max() < 1e-10
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 160])
+def test_kernel_matches_scipy_bit_for_bit(n, d):
+    # the NumPy kernel's condensed norms are pdist's, and its square forms
+    # squareform's, signed zeros included
+    rng = np.random.default_rng(100 * n + d)
+    pairs = _pairs(n)
+    for scale in (1e-150, 1e-3, 1.0, 1e4, 1e150):
+        x = scale * rng.normal(size=(n, d))
+        if n > 2:
+            x[2] = x[0]           # a coincident pair has norm +0
+            x[1, 0] = -0.0
+        nn = _distances(x, False, pairs)[0]
+        assert nn.tobytes() == pdist(x).tobytes()
+        v = nn.copy()
+        v[::2] *= -1.0
+        v[1::4] = 0.0
+        v[2::4] = -0.0
+        square = _square(v, pairs[2])
+        if n:  # squareform reads an empty vector as one point
+            assert square.tobytes() == squareform(v).tobytes()
+        else:
+            assert square.shape == (0, 0)
+        assert _pairwise(x, "euclidean").tobytes() == \
+            (squareform(pdist(x)) if n else np.zeros((0, 0))).tobytes()
+
+
 def test_disk_stress_matches_public_functions():
     # the condensed distances that _Stress, embedded_matrix and the
     # distortion report share agree with the scalar hyperbolic_distance
@@ -379,6 +412,16 @@ def test_isomap_disconnected_names_components():
     assert "'a'" in str(err.value) and "'c'" in str(err.value)
 
 
+def test_isomap_names_array_points_one_way():
+    # a plain array's points are p0, p1, ... in the error and the result
+    pts = np.array([0.0, 0.1, 50.0, 50.1])
+    target = np.abs(pts[:, None] - pts[None, :])
+    with pytest.raises(ValueError, match=r"\[\['p0', 'p1'\], "
+                                         r"\['p2', 'p3'\]\]; raise k"):
+        isomap_graph_distances(target, 1)
+    assert isomap_graph_distances(target, 2).ids == ("p0", "p1", "p2", "p3")
+
+
 def test_isomap_complete_graph_identity():
     rng = np.random.default_rng(31)
     pts = rng.normal(size=(6, 3))
@@ -484,3 +527,101 @@ def test_embed_config_validation():
         EmbeddingConfig(isomap_k=0)
     with pytest.raises(ValueError):
         EmbeddingConfig(max_iterations=0)
+
+
+# ---------------------------------------------------------------------------
+# pinned command bytes
+# ---------------------------------------------------------------------------
+
+def _embed_inputs(tmp_path):
+    """Distance CSVs: a corner, dim-3 glued sheets, and a tree-map-style
+    matrix of 40 random fully resolved 10-leaf trees."""
+    o = str(tmp_path)
+    assert main(["gen", "corner", "-o", f"{o}/corner.json", "--n", "30",
+                 "--seed", "3"]) == 0
+    assert main(["gen", "sheets", "-o", f"{o}/sheets.json", "--sheets", "3",
+                 "--dim", "3", "--per-sheet", "8", "--seed", "4"]) == 0
+    trees = next(_pinned_populations())
+    (tmp_path / "trees.csv").write_text(distance_matrix(trees).to_csv())
+    return {name: tmp_path / f"{name}.csv"
+            for name in ("corner", "sheets", "trees")}
+
+
+# the input, then the embed options of each pinned run
+_PINNED_EMBED_RUNS = {
+    **{f"{data}-{method}": (data, ["--method", method, "--restarts", "2",
+                                   "--max-iterations", "300",
+                                   "--isomap-k", "6"])
+       for data in ("corner", "sheets")
+       for method in ("hmds", "hisomap", "mds")},
+    "trees-hmds": ("trees", ["--method", "hmds", "--restarts", "2",
+                             "--max-iterations", "200"]),
+}
+
+_EMBED_OUTPUTS = ("coordinates.csv", "embedding.json", "scatter.svg",
+                  "histogram.svg")
+
+# sha256 of each run's outputs, recorded with the SciPy pdist/squareform
+# stress kernel and serial restarts: the NumPy kernel and the pooled
+# restarts that replaced them must keep every byte
+_PINNED_EMBED_SHA256 = {
+    "corner-hmds": [
+        "52fe0869dd198c30875590da9fefb8c53fd88480ae7589082eea1fefb1d689a2",
+        "7754c2ed39e4b27fa2641849f6a5db0ee246bd8f801e37a81e60efd4a0157d31",
+        "cced58bf552c4e5845a09ba59b29bc59f904b26cba49110cb9c3318998eedc6d",
+        "1a8ae68df808df458348549f0b2a6a631ea4372e22db43e82e94b05437099351",
+    ],
+    "corner-hisomap": [
+        "7a2904eac907a49d6eeef6f24630b8307ebfd31a41673ac3b777728d1d5a0c8f",
+        "c40096ff19907593a72248756f4a99ea4f5538b514f4a98b1dd0fa82b6e5fbaa",
+        "f12d3cf58058091acb7c1486830c6da1065c938a80588028aea3c4f272efe26c",
+        "150560618a21766d2b61511a579bbb74ad09721e66155d06a27efd1b57475047",
+    ],
+    "corner-mds": [
+        "53460f04ac4057686545a435f8ebf39f0dcbd7cf7b65b66833617d979891bf5e",
+        "c160bc7820f1c7ccfa2b389c900a155d3d5100341096f36e7846e15d7771c7dd",
+        "30157d1d7310704b22a917e41dcfb4034b22e17e30ca6d08ad60ec9c119e6ca7",
+        "9450a3e7fedd02602c3ff0b4cb56b99a77e71ad2684357ba161d70db1c09e5e8",
+    ],
+    "sheets-hmds": [
+        "2e2a04bd06e373d4f73fb3b0b472245e2f0628ecb6e59e4273a85af4bb2fb379",
+        "761700abb138f1a4995e35f5ad78f2ccf3df292ffc9f03e95a2acdc0fa9123bf",
+        "d338f17c1fdb0cc8f8184af851ac7cdc50f925ba6445fb496763684f6a9f0764",
+        "9c0f8b1bd951ecfa9d001ae3b29134e02b963f15a178c28cc9d27756f88caa68",
+    ],
+    "sheets-hisomap": [
+        "53e9f5795244644c5fb062ae4405aa825cfbda93d5fbe83d7d4f51e3c99ebac9",
+        "59ed803e6c3cdb9e0b90285459de6f2e12bfcee3a6def9d2c6d391e01da6f57a",
+        "96a92b199236dc0abad84fe89b3739cfa9728a7bc241996386fdfd27c1bc13e2",
+        "e8223835fe9382638d57903788a4a730150f9f4c0e3b06467b90d45f84d59160",
+    ],
+    "sheets-mds": [
+        "fd386252a9f29d3f991f6427c0e8167812c90590e88dd8c556f9f6ed1fa187b4",
+        "905132acad6fc687c49a043fa9dd40b859ba0b9917a42eb9b95d13255158d19b",
+        "bc6e9f98fd9bff9d7e2729f5aba4ba7f393a51a291db6ed7bd0d0786e91daf26",
+        "78f563a958ff3a12277201d39973e270fe83d394ac79bb0f9cd7b1ba065c1b57",
+    ],
+    "trees-hmds": [
+        "f2cb7fd97641f824e87bdbb2961344195946378ee2265862a57a65dd083d3e1b",
+        "08e508bcdee10be7794acfd7a6d03d7f5a48c9df8821a000100ca26658dac7a5",
+        "e5d67e236eb6eab245b3ffae719404c26a358eef8449b9b9edcb8484778e2710",
+        "a692a1161a8d6bb7043ba75075027eaaf26eedab6989cde49bad1ce307262e73",
+    ],
+}
+
+
+def test_embed_bytes_pinned(tmp_path):
+    inputs = _embed_inputs(tmp_path)
+    diagnostics = {}
+    for name, (data, options) in _PINNED_EMBED_RUNS.items():
+        for threads in ("1", "2"):
+            out = tmp_path / f"{name}-{threads}"
+            assert main(["embed", "--input", str(inputs[data]), "-o",
+                         str(out), *options, "--seed", "7", "--threads",
+                         threads, "--deterministic"]) == 0
+            got = [hashlib.sha256((out / f).read_bytes()).hexdigest()
+                   for f in _EMBED_OUTPUTS]
+            assert got == _PINNED_EMBED_SHA256[name], (name, threads)
+            manifest = json.loads((out / "manifest.json").read_text())
+            diagnostics.setdefault(name, manifest["diagnostics"])
+            assert manifest["diagnostics"] == diagnostics[name]

@@ -2,7 +2,8 @@
 the serial bytes, and failures inside a worker surface as the serial ones.
 
 The pool is forced on small inputs by lowering the pair count at which
-``distance_matrix_detailed`` starts one.  Run under a one-CPU affinity mask
+``distance_matrix_detailed`` starts one; ``embed`` pools its restarts at
+any size.  Run under a one-CPU affinity mask
 (``taskset -c 0``), the default worker count falls back to serial, and the
 same bytes must come out.
 """
@@ -16,8 +17,9 @@ import os
 import numpy as np
 import pytest
 
-from treespace import (AttributedTree, TreeError, airway_template,
-                       distance_matrix, distance_matrix_detailed,
+from treespace import (AttributedTree, EmbeddingConfig, TreeError,
+                       airway_template, distance_matrix,
+                       distance_matrix_detailed, embed, gen_corner,
                        gen_tree_population, permutation_test,
                        serialize_population)
 from treespace._pool import cpus, fork_map, resolve_workers
@@ -47,12 +49,56 @@ def test_default_workers_follow_the_affinity_mask():
 @pytest.mark.parametrize("fn", [
     lambda t, w: distance_matrix(t, workers=w),
     lambda t, w: permutation_test(t[:2], t[2:], m=3, workers=w),
+    lambda t, w: embed(distance_matrix(t, workers=1), workers=w),
 ])
 def test_workers_below_one_rejected(fn):
     trees = gen_tree_population(airway_template(), 4, seed=1).trees
     for workers in (0, -2):
         with pytest.raises(ValueError, match="workers must be at least 1"):
             fn(trees, workers)
+
+
+def _embedding_record(result):
+    return (result.coordinates.tobytes(), result.final_stress,
+            [(r.coordinates.tobytes(), r.stress_trace, r.iterations,
+              r.stop_reason) for r in result.restarts],
+            result.distortion.to_json(), result.distortion.ratios.tobytes())
+
+
+def test_pooled_embed_restarts_match_serial():
+    target = gen_corner(25, seed=2).matrix
+    for method in ("hmds", "hisomap"):
+        cfg = EmbeddingConfig(method, isomap_k=5, max_iterations=150,
+                              seed=3, restarts=3)
+        want = _embedding_record(embed(target, cfg, workers=1))
+        assert len(want[2]) == 3
+        for workers in (2, None):
+            assert _embedding_record(embed(target, cfg, workers)) == want
+
+
+def test_failure_inside_a_restart_raises_the_serial_error():
+    # every restart seeds NumPy with [seed, r], which rejects seed -1
+    target = gen_corner(6, seed=1).matrix
+    cfg = EmbeddingConfig(seed=-1, restarts=2, max_iterations=5)
+    with pytest.raises(ValueError) as serial:
+        embed(target, cfg, workers=1)
+    with pytest.raises(ValueError) as pooled:
+        embed(target, cfg, workers=2)
+    assert "negative" in str(serial.value)
+    assert str(pooled.value) == str(serial.value)
+    assert multiprocessing.active_children() == []
+
+
+def test_embed_inside_a_worker_runs_serially():
+    target = gen_corner(12, seed=4).matrix
+    cfg = EmbeddingConfig(max_iterations=40, restarts=2)
+    want = _embedding_record(embed(target, cfg, workers=1))
+
+    def task(_):
+        # a nested pool would fail: daemonic processes have no children
+        return _embedding_record(embed(target, cfg, workers=2))
+
+    assert fork_map(task, range(2), 2) == [want, want]
 
 
 def test_pooled_distance_matrix_bytes_pinned(pool_always):

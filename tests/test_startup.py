@@ -1,8 +1,9 @@
 """SciPy stays off the start-up path.
 
-Only ``embed`` and the elastic-net ``classify`` use SciPy, and they import
-it when they run.  Each check starts a fresh interpreter, because this
-suite's other modules import SciPy themselves.
+Only Isomap embedding (``embed --method isomap`` or ``hisomap``) and the
+elastic-net ``classify`` use SciPy, and they import it when they run.  Each
+check starts a fresh interpreter, because this suite's other modules import
+SciPy themselves.
 """
 
 import os
@@ -37,6 +38,9 @@ for argv in (
     ["permtest", "--groups", pop, "--M", "3", "-o", f"{o}/perm.json"],
     ["distortion", "--original", dist, "--embedded", dist,
      "-o", f"{o}/distortion.json"],
+    ["embed", "--input", dist, "--method", "hmds", "--restarts", "2",
+     "--max-iterations", "50", "-o", f"{o}/hmds"],
+    ["embed", "--input", dist, "--method", "mds", "-o", f"{o}/mds"],
 ):
     assert main(argv) == 0, argv
 assert sys.modules.pop("scipy") is None
