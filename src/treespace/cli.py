@@ -18,8 +18,11 @@ depend on it.
 
 Option precedence is flags, then ``--config`` JSON, then built-in
 defaults; config values pass the same checks as flags.  Exit codes: 64
-usage (a negative ``--seed``, a ``--threads`` below 1 or an output path
-that cannot be written included), 65 bad input, 70 computation failure.
+usage (a negative ``--seed``, an output path that cannot be written, and
+an integer option below its range included: below 1 for counts and sizes
+such as ``--threads``, ``--M`` or ``--n``, below 2 for ``--folds``,
+``--sheets`` and ``--dim``), 65 bad input, 70 computation failure (a
+value in range that the data cannot meet included).
 """
 
 from __future__ import annotations
@@ -73,13 +76,14 @@ def _int_from(low, kind):
             value = low - 1
         if value < low:
             raise argparse.ArgumentTypeError(
-                f"expected a {kind} integer, got {text!r}")
+                f"expected {kind}, got {text!r}")
         return value
     return parse
 
 
-_seed = _int_from(0, "non-negative")    # NumPy seeds
-_positive = _int_from(1, "positive")    # worker counts, dimensions, sizes
+_seed = _int_from(0, "a non-negative integer")    # NumPy seeds
+_positive = _int_from(1, "a positive integer")    # worker counts, sizes
+_two_up = _int_from(2, "an integer of at least 2")  # folds, sheets, dims
 
 
 def _common(parser, handler):
@@ -95,128 +99,143 @@ def _common(parser, handler):
     parser.set_defaults(handler=handler, parser=parser)
 
 
-def build_parser() -> _Parser:
+def build_parser(words=()) -> _Parser:
+    """The command table as a parser.  When ``words``, the first two words
+    of an argv, name a command (and for gen a space), only that command's
+    parser is built: that argv parses the same, at about a seventh of the
+    cost.  Words that name no command get the whole table."""
     top = _Parser(prog="treespace", description=__doc__)
     top.add_argument("--version", action="version",
                      version=f"treespace {__version__}")
     sub = top.add_subparsers(dest="cmd", metavar="COMMAND")
+    cmd, only = (*words, None, None)[:2]
 
-    gen = sub.add_parser("gen", help="generate synthetic datasets")
-    gensub = gen.add_subparsers(dest="space", metavar="SPACE")
-    for space in ("corner", "sheets", "trees"):
-        p = gensub.add_parser(space)
+    def add(name, **kwargs):
+        """Command ``name``'s parser, or None if ``words`` name another."""
+        return sub.add_parser(name, **kwargs) if cmd in (None, name) \
+            else None
+
+    if gen := add("gen", help="generate synthetic datasets"):
+        gensub = gen.add_subparsers(dest="space", metavar="SPACE")
+        spaces = ("corner", "sheets", "trees")
+        for space in (only,) if only in spaces else spaces:
+            p = gensub.add_parser(space)
+            p.add_argument("-o", "--output", required=True)
+            if space == "corner":
+                p.add_argument("--n", type=_positive, default=250)
+            elif space == "sheets":
+                p.add_argument("--sheets", type=_two_up, default=5)
+                p.add_argument("--dim", type=_two_up, default=2)
+                p.add_argument("--per-sheet", type=_positive, default=50)
+            else:
+                p.add_argument("--n", type=_positive, default=50)
+                p.add_argument("--k", type=_positive, default=None,
+                               help="attribute dimension of the airway "
+                                    "template (default 1)")
+                p.add_argument("--attr-sigma", type=float, default=0.1)
+                p.add_argument("--topology-noise", type=float, default=0.0)
+                p.add_argument("--class-shift", default=None,
+                               help="JSON object mapping branch labels to "
+                                    "offsets")
+                p.add_argument("--template", default=None,
+                               help="tree JSON file; defaults to the "
+                                    "airway template")
+            _common(p, _cmd_gen)
+
+    if p := add("dist", help="pairwise geodesic distance matrix"):
+        p.add_argument("--input", required=True)
         p.add_argument("-o", "--output", required=True)
-        if space == "corner":
-            p.add_argument("--n", type=int, default=250)
-        elif space == "sheets":
-            p.add_argument("--sheets", type=int, default=5)
-            p.add_argument("--dim", type=int, default=2)
-            p.add_argument("--per-sheet", type=int, default=50)
-        else:
-            p.add_argument("--n", type=int, default=50)
-            p.add_argument("--k", type=_positive, default=None,
-                           help="attribute dimension of the airway "
-                                "template (default 1)")
-            p.add_argument("--attr-sigma", type=float, default=0.1)
-            p.add_argument("--topology-noise", type=float, default=0.0)
-            p.add_argument("--class-shift", default=None,
-                           help="JSON object mapping branch labels to "
-                                "offsets")
-            p.add_argument("--template", default=None,
-                           help="tree JSON file; defaults to the airway "
-                                "template")
-        _common(p, _cmd_gen)
+        _common(p, _cmd_dist)
 
-    p = sub.add_parser("dist", help="pairwise geodesic distance matrix")
-    p.add_argument("--input", required=True)
-    p.add_argument("-o", "--output", required=True)
-    _common(p, _cmd_dist)
+    if p := add(
+            "mean", help="Fréchet mean of a population",
+            description="Fréchet mean of a population.  The search walks "
+                        "toward the inputs in turn; for scalar lengths it "
+                        "also minimises over the walk's orthant after "
+                        "cycles 2, 4, 8, ... and stops as soon as that "
+                        "point is certified optimal.  mean.manifest.json "
+                        "says why it stopped: certified, converged (the "
+                        "walk's gap rule) or cap."):
+        p.add_argument("--input", required=True)
+        p.add_argument("-o", "--output", required=True)
+        p.add_argument("--max-iterations", type=_positive, default=None,
+                       help="cap on the walk's steps (default 1000 per "
+                            "tree)")
+        p.add_argument("--tolerance", type=float,
+                       default=MeanConfig.tolerance,
+                       help="relative objective-gap estimate at which the "
+                            "walk stops; the certificate does not use it")
+        _common(p, _cmd_mean)
 
-    p = sub.add_parser(
-        "mean", help="Fréchet mean of a population",
-        description="Fréchet mean of a population.  The search walks "
-                    "toward the inputs in turn; for scalar lengths it also "
-                    "minimises over the walk's orthant after cycles 2, 4, "
-                    "8, ... and stops as soon as that point is certified "
-                    "optimal.  mean.manifest.json says why it stopped: "
-                    "certified, converged (the walk's gap rule) or cap.")
-    p.add_argument("--input", required=True)
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--max-iterations", type=int, default=None,
-                   help="cap on the walk's steps (default 1000 per tree)")
-    p.add_argument("--tolerance", type=float, default=MeanConfig.tolerance,
-                   help="relative objective-gap estimate at which the walk "
-                        "stops; the certificate does not use it")
-    _common(p, _cmd_mean)
+    if p := add("permtest", help="two-group permutation test"):
+        p.add_argument("--groups", required=True,
+                       help="population JSON with exactly two classes")
+        p.add_argument("--statistic", choices=("mean", "variance"),
+                       default="mean")
+        p.add_argument("--M", type=_positive, default=1000, dest="m")
+        p.add_argument("--full", action="store_true",
+                       help="include all permuted statistics in the report")
+        p.add_argument("-o", "--output", required=True)
+        _common(p, _cmd_permtest)
 
-    p = sub.add_parser("permtest", help="two-group permutation test")
-    p.add_argument("--groups", required=True,
-                   help="population JSON with exactly two classes")
-    p.add_argument("--statistic", choices=("mean", "variance"),
-                   default="mean")
-    p.add_argument("--M", type=int, default=1000, dest="m")
-    p.add_argument("--full", action="store_true",
-                   help="include all permuted statistics in the report")
-    p.add_argument("-o", "--output", required=True)
-    _common(p, _cmd_permtest)
+    if p := add("subtree-features", help="subtree-distance feature matrix"):
+        p.add_argument("--input", required=True)
+        p.add_argument("--mode", choices=("per-class", "pooled"),
+                       default="per-class")
+        p.add_argument("--labels", nargs="+", default=None)
+        p.add_argument("-o", "--output", required=True)
+        _common(p, _cmd_features)
 
-    p = sub.add_parser("subtree-features",
-                       help="subtree-distance feature matrix")
-    p.add_argument("--input", required=True)
-    p.add_argument("--mode", choices=("per-class", "pooled"),
-                   default="per-class")
-    p.add_argument("--labels", nargs="+", default=None)
-    p.add_argument("-o", "--output", required=True)
-    _common(p, _cmd_features)
+    if p := add("classify", help="elastic-net cross-validation"):
+        p.add_argument("--input", default=None,
+                       help="population JSON; features rebuilt per fold")
+        p.add_argument("--features", default=None,
+                       help="precomputed feature CSV")
+        p.add_argument("--mode", choices=("per-class", "pooled"),
+                       default="per-class")
+        p.add_argument("--labels", nargs="+", default=None)
+        p.add_argument("--alphas", nargs="+", type=float,
+                       default=[1.0, 0.75, 0.5, 0.25])
+        p.add_argument("--folds", type=_two_up, default=5)
+        p.add_argument("--repeats", type=_positive, default=10)
+        p.add_argument("-o", "--output", required=True)
+        _common(p, _cmd_classify)
 
-    p = sub.add_parser("classify", help="elastic-net cross-validation")
-    p.add_argument("--input", default=None,
-                   help="population JSON; features rebuilt per fold")
-    p.add_argument("--features", default=None,
-                   help="precomputed feature CSV")
-    p.add_argument("--mode", choices=("per-class", "pooled"),
-                   default="per-class")
-    p.add_argument("--labels", nargs="+", default=None)
-    p.add_argument("--alphas", nargs="+", type=float,
-                   default=[1.0, 0.75, 0.5, 0.25])
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--repeats", type=int, default=10)
-    p.add_argument("-o", "--output", required=True)
-    _common(p, _cmd_classify)
+    if p := add("knn", help="nearest-neighbor baseline"):
+        p.add_argument("--input", default=None, help="population JSON")
+        p.add_argument("--matrix", default=None, help="distance CSV")
+        p.add_argument("--k", type=_positive, default=5)
+        p.add_argument("--folds", type=_two_up, default=5)
+        p.add_argument("-o", "--output", required=True)
+        _common(p, _cmd_knn)
 
-    p = sub.add_parser("knn", help="nearest-neighbor baseline")
-    p.add_argument("--input", default=None, help="population JSON")
-    p.add_argument("--matrix", default=None, help="distance CSV")
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("-o", "--output", required=True)
-    _common(p, _cmd_knn)
+    if p := add("correlate", help="subtree deviation correlations"):
+        p.add_argument("--input", required=True)
+        p.add_argument("--labels", nargs="+", default=None)
+        p.add_argument("-o", "--output", required=True,
+                       help="output directory")
+        _common(p, _cmd_correlate)
 
-    p = sub.add_parser("correlate",
-                       help="subtree deviation correlations")
-    p.add_argument("--input", required=True)
-    p.add_argument("--labels", nargs="+", default=None)
-    p.add_argument("-o", "--output", required=True, help="output directory")
-    _common(p, _cmd_correlate)
+    if p := add("embed", help="2-D embedding of a distance matrix"):
+        p.add_argument("--input", required=True, help="distance CSV")
+        p.add_argument("--method",
+                       choices=("mds", "isomap", "hmds", "hisomap"),
+                       default="hmds")
+        p.add_argument("--isomap-k", type=_positive, default=10)
+        p.add_argument("--restarts", type=_positive, default=5)
+        p.add_argument("--max-iterations", type=_positive, default=10000)
+        p.add_argument("--bins", type=_positive, default=20)
+        p.add_argument("-o", "--output", required=True,
+                       help="output directory")
+        _common(p, _cmd_embed)
 
-    p = sub.add_parser("embed", help="2-D embedding of a distance matrix")
-    p.add_argument("--input", required=True, help="distance CSV")
-    p.add_argument("--method", choices=("mds", "isomap", "hmds", "hisomap"),
-                   default="hmds")
-    p.add_argument("--isomap-k", type=_positive, default=10)
-    p.add_argument("--restarts", type=_positive, default=5)
-    p.add_argument("--max-iterations", type=_positive, default=10000)
-    p.add_argument("--bins", type=_positive, default=20)
-    p.add_argument("-o", "--output", required=True, help="output directory")
-    _common(p, _cmd_embed)
-
-    p = sub.add_parser("distortion", help="compare two distance matrices")
-    p.add_argument("--original", required=True)
-    p.add_argument("--embedded", required=True)
-    p.add_argument("--bins", type=_positive, default=20)
-    p.add_argument("-o", "--output", required=True)
-    _common(p, _cmd_distortion)
-    return top
+    if p := add("distortion", help="compare two distance matrices"):
+        p.add_argument("--original", required=True)
+        p.add_argument("--embedded", required=True)
+        p.add_argument("--bins", type=_positive, default=20)
+        p.add_argument("-o", "--output", required=True)
+        _common(p, _cmd_distortion)
+    return top if sub.choices else build_parser()
 
 
 def _config_tokens(parser, path):
@@ -259,7 +278,7 @@ def _token(value):
 def _parse(argv):
     """Parse ``argv``; with ``--config``, parse again with the config's
     tokens after the command words, so the user's flags still win."""
-    parser = build_parser()
+    parser = build_parser(argv[:2])
     args = parser.parse_args(argv)
     if not getattr(args, "cmd", None):
         raise CliError(USAGE_ERROR, "usage: missing subcommand")

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial, reduce
 from itertools import chain, compress, product, repeat
 from operator import add, not_, sub
 
@@ -276,20 +277,23 @@ def _pair(v1, v2, counts):
     sq1, sq2 = v1.sq, v2.sq
     if m1 == m2:
         counts["same_topology"] += 1
-    common, only1 = [], []
+    P, Q, only1 = [], [], []
     for p, m in enumerate(m1):
         q = i2.get(m)
         if q is not None:
-            common.append((p, q))
+            P.append(p)
+            Q.append(q)
         elif v1.live[p]:
             only1.append(p)
+    common = list(zip(P, Q))
     live2 = v2.live
     only2 = [q for q, m in enumerate(m2) if m not in i1 and live2[q]]
-    a1, a2 = v1.attrs, v2.attrs
-    # sum(map(...)) adds the same (x - y) ** 2 terms in the same order as a
-    # generator would, without its frame
-    common_sq = math.fsum([sum(map(pow, map(sub, a1[p], a2[q]), repeat(2)))
-                           for p, q in common])
+    # each common split's |x - y|^2, summed a coordinate at a time: the
+    # maps add its (x_c - y_c) ** 2 terms left to right, as sum() over the
+    # split's attribute would, so the bits are the same for every k
+    common_sq = math.fsum(reduce(partial(map, add), [
+        map(pow, map(sub, map(c1.__getitem__, P), map(c2.__getitem__, Q)),
+            repeat(2)) for c1, c2 in zip(v1.cols, v2.cols)])) if P else 0.0
     # masks a, b clash (are neither nested nor disjoint) unless a & b is
     # 0, a or b
     clash, o2 = {}, [(q, m2[q]) for q in only2]

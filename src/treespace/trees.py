@@ -81,6 +81,7 @@ class _SplitView(NamedTuple):
     keys: tuple        # their split_key tuples
     masks: tuple       # leaf-index bitmasks, bit i for leaves[i]
     attrs: tuple       # attribute vectors
+    cols: tuple        # the attributes' coordinates, one tuple per dimension
     sq: tuple          # squared attribute norms
     live: tuple        # attribute not identically zero
     index: dict        # mask -> position
@@ -94,7 +95,7 @@ def _view(splits, keys, masks, attrs) -> _SplitView:
         raise ValueError("squared attribute norms overflow; geodesics "
                          "need attributes below about 1e154")
     return _SplitView(
-        splits, keys, masks, attrs, sq,
+        splits, keys, masks, attrs, tuple(zip(*attrs)), sq,
         tuple(map(any, attrs)),    # any(v): some c != 0.0
         dict(zip(masks, range(len(masks)))))
 
@@ -156,13 +157,15 @@ class AttributedTree:
         if len(dims) > 1:
             raise TreeError(f"mixed attribute dimensions {sorted(dims)}")
 
-        splits = sorted(edges, key=split_key)
-        for i, s1 in enumerate(splits):
-            for s2 in splits[i + 1:]:
-                if not compatible(s1, s2):
-                    raise TreeError(
-                        f"incompatible splits {sorted(s1)} and {sorted(s2)}"
-                    )
+        # masks a, b are nested or disjoint iff a & b is 0, a or b; pairs
+        # come in split_key order, so the error names the first clash
+        splits, _, masks = self._rows
+        for i, a in enumerate(masks):
+            for b in masks[i + 1:]:
+                if a & b not in (0, a, b):
+                    raise TreeError(f"incompatible splits "
+                                    f"{sorted(splits[i])} and "
+                                    f"{sorted(splits[masks.index(b)])}")
 
         labels = {}
         for name, split in self.branch_labels.items():
@@ -211,14 +214,21 @@ class AttributedTree:
         return tree
 
     @cached_property
-    def _split_view(self) -> _SplitView:
-        """Built on first use and kept: the tree is immutable."""
-        # map() over builtins: a view is built for every new input tree,
-        # so its cost matters
+    def _rows(self) -> tuple:
+        """(splits, keys, masks) in ``split_key`` order: the constructor's
+        compatibility check and the split view share them."""
+        # map() over builtins: rows are built for every new input tree, so
+        # their cost matters
         bit = {x: 1 << i for i, x in enumerate(self.leaves)}.__getitem__
         keyed = sorted(zip(map(split_key, self.edges), self.edges))
         keys, splits = tuple(zip(*keyed)) or ((), ())
-        return _view(splits, keys, tuple(sum(map(bit, s)) for s in splits),
+        return splits, keys, tuple(sum(map(bit, s)) for s in splits)
+
+    @cached_property
+    def _split_view(self) -> _SplitView:
+        """Built on first use and kept: the tree is immutable."""
+        splits, keys, masks = self._rows
+        return _view(splits, keys, masks,
                      tuple(map(self.edges.__getitem__, splits)))
 
 

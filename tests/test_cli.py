@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import treespace
-from treespace.cli import main
+from treespace.cli import CliError, build_parser, main
 from treespace.distmat import DistanceMatrix, csv_rows, csv_text
 from treespace.geodesic import distance_matrix_detailed
 from treespace.trees import (AttributedTree, parse_population, parse_tree,
@@ -726,8 +727,8 @@ def test_config_fuzz_exits_cleanly(fuzz_dir, cmd, data):
     if code == 0:
         assert err == ""
         return
-    # 70 is a well-formed value the computation rejects (--n 0, --M 0),
-    # exactly as the same flag would be
+    # 70 is a well-formed value the computation rejects (--attr-sigma -1,
+    # --topology-noise 2), exactly as the same flag would be
     prefix = {64: "usage:", 65: "", 70: "compute:"}[code]
     assert err.startswith(f"treespace: error: {prefix}"), err
     assert len(err.splitlines()) == 1, err
@@ -785,6 +786,95 @@ def test_repeat_runs_byte_identical(pop_file, tmp_path):
 def test_version_flag(capsys):
     assert run("--version") == 0
     assert "treespace" in capsys.readouterr().out
+
+
+def _subparsers(parser):
+    """name -> parser of ``parser``'s subcommands."""
+    return next(a.choices for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+
+
+def _command_parser(parser, words):
+    """The parser of the command (and gen space) ``words`` name."""
+    for word in words:
+        parser = _subparsers(parser)[word]
+    return parser
+
+
+_COMMAND_WORDS = [(c,) for c in _subparsers(build_parser()) if c != "gen"] \
+    + [("gen", s) for s in _subparsers(_subparsers(build_parser())["gen"])]
+
+
+@pytest.mark.parametrize("words", _COMMAND_WORDS, ids=" ".join)
+def test_command_parser_help_matches_the_full_table(words):
+    # the parser built for one command holds that command's parser, with
+    # the help the full table gives it
+    full = _command_parser(build_parser(), words)
+    own = _command_parser(build_parser(words), words)
+    assert own.format_help() == full.format_help()
+    assert list(_subparsers(build_parser(words))) == [words[0]]
+
+
+def test_words_naming_no_command_build_the_full_table():
+    # and gen without a known space builds all three spaces
+    for other in ((), ("--help",), ("bogus",), ("--version", "dist")):
+        assert build_parser(other).format_help() == \
+            build_parser().format_help()
+    gen = _subparsers(build_parser())["gen"]
+    for other in (("gen",), ("gen", "bogus"), ("gen", "--help")):
+        own = _subparsers(build_parser(other))["gen"]
+        assert own.format_help() == gen.format_help()
+        assert _subparsers(own).keys() == _subparsers(gen).keys()
+
+
+def _parsed(parser, argv):
+    """What parsing ``argv`` gives: the values, or the error or exit."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            args = vars(parser.parse_args(argv))
+    except CliError as e:
+        return "error", e.code, str(e)
+    except SystemExit as e:   # --help, --version
+        return "exit", e.code, out.getvalue()
+    args.pop("parser", None)
+    args.pop("handler", None)
+    return "args", args
+
+
+# per command words: its options, and the required ones given a value
+_OPTIONS = {words: _command_parser(build_parser(), words)._actions
+            for words in _COMMAND_WORDS}
+_VALUES = ["0", "1", "2", "-1", "7", "x", "1.5", "mean", "hmds", "pooled",
+           "trees", "dist", "--", "--version", "--M=3", "--max-it", "--in"]
+
+
+@st.composite
+def _argvs(draw):
+    """Mostly well-formed command lines, with some noise."""
+    words = draw(st.sampled_from([(), ("bogus",), ("gen",), ("gen", "x"),
+                                  *_COMMAND_WORDS, *_COMMAND_WORDS]))
+    argv = list(words)
+    # words that name no command or space draw dist's options
+    actions = _OPTIONS.get(words, _OPTIONS[("dist",)])
+    if draw(st.integers(0, 3)):
+        argv += [x for a in actions if a.required
+                 for x in (a.option_strings[-1], "v")]
+    # help texts are compared above
+    options = [o for a in actions for o in a.option_strings
+               if o not in ("-h", "--help")]
+    for _ in range(draw(st.integers(0, 4))):
+        argv.append(draw(st.sampled_from(options)))
+        argv += draw(st.lists(st.sampled_from(_VALUES), min_size=1,
+                              max_size=2))
+    return argv
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(argv=_argvs())
+def test_command_parser_parses_like_the_full_table(argv):
+    assert _parsed(build_parser(argv[:2]), argv) == \
+        _parsed(build_parser(), argv)
 
 
 def test_mean_manifest_reports_stop_reason(tmp_path):
@@ -890,13 +980,30 @@ def test_classify_rejects_malformed_features(tmp_path, capsys, text,
         f"treespace: error: input: {feats}: {message}\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ("classify", "--features", "{feats}", "--folds", "0"),
-    ("classify", "--features", "{feats}", "--repeats", "0"),
-    ("knn", "--matrix", "{dist}", "--k", "0", "--folds", "2"),
-    ("knn", "--matrix", "{dist}", "--folds", "0"),
-], ids=["classify-folds", "classify-repeats", "knn-k", "knn-folds"])
-def test_count_options_below_minimum(tmp_path, capsys, argv):
+@pytest.mark.parametrize("argv, flag, key, value, kind", [
+    (("classify", "--features", "{feats}"), "--folds", "folds", 1,
+     "an integer of at least 2"),
+    (("classify", "--features", "{feats}"), "--repeats", "repeats", 0,
+     "a positive integer"),
+    (("knn", "--matrix", "{dist}", "--folds", "2"), "--k", "k", 0,
+     "a positive integer"),
+    (("knn", "--matrix", "{dist}"), "--folds", "folds", 1,
+     "an integer of at least 2"),
+    (("permtest", "--groups", "{pop}"), "--M", "m", 0, "a positive integer"),
+    (("mean", "--input", "{pop}"), "--max-iterations", "max-iterations", 0,
+     "a positive integer"),
+    (("gen", "trees"), "--n", "n", 0, "a positive integer"),
+    (("gen", "corner"), "--n", "n", 0, "a positive integer"),
+    (("gen", "sheets"), "--sheets", "sheets", 1, "an integer of at least 2"),
+    (("gen", "sheets"), "--dim", "dim", 1, "an integer of at least 2"),
+    (("gen", "sheets"), "--per-sheet", "per_sheet", 0, "a positive integer"),
+], ids=["classify-folds", "classify-repeats", "knn-k", "knn-folds",
+        "permtest-M", "mean-max-iterations", "gen-trees-n", "gen-corner-n",
+        "gen-sheets-sheets", "gen-sheets-dim", "gen-sheets-per-sheet"])
+def test_integer_options_below_range_are_usage_errors(tmp_path, capsys, argv,
+                                                      flag, key, value, kind):
+    # one line and exit 64, by flag and by --config, before any work; the
+    # value is the largest one out of range
     ids = [f"s{i}" for i in range(20)]
     labels = ["case", "control"] * 10
     feats = tmp_path / "f.csv"
@@ -907,13 +1014,20 @@ def test_count_options_below_minimum(tmp_path, capsys, argv):
     dist = tmp_path / "d.csv"
     dist.write_text(DistanceMatrix(ids, np.abs(pts[:, None] - pts),
                                    tuple(labels)).to_csv())
-    out = tmp_path / "out"
-    argv = [a.format(feats=feats, dist=dist) for a in argv]
-    assert run(*argv, "-o", str(out)) == 70
-    err = capsys.readouterr().err
-    assert err.startswith("treespace: error: compute:")
-    assert len(err.strip().splitlines()) == 1
-    assert not out.exists()
+    pop = tmp_path / "pop.json"
+    assert run("gen", "trees", "-o", str(pop), "--n", "6",
+               "--class-shift", '{"LMB": 0.5}') == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    argv = [a.format(feats=feats, dist=dist, pop=pop) for a in argv]
+    capsys.readouterr()
+    for option in ([flag, str(value)], ["--config", str(cfg)]):
+        out = tmp_path / "out"
+        assert run(*argv, *option, "-o", str(out)) == 64
+        assert capsys.readouterr().err == (
+            f"treespace: error: usage: argument {flag}: expected {kind}, "
+            f"got '{value}'\n")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, flag", [

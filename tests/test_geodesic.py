@@ -1,6 +1,7 @@
 import hashlib
 import math
-from itertools import product
+from itertools import product, repeat
+from operator import sub
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from treespace import (
     geodesic_point,
 )
 from treespace.cli import main
-from treespace.geodesic import _COVER_TOL, _min_weight_cover
+from treespace.geodesic import (_COUNTS, _COVER_TOL, _min_weight_cover,
+                                _pair)
 
 from helpers import leaf_names, random_tree, random_tree_pair
 
@@ -307,6 +309,48 @@ def test_path_points_equal_the_validated_rebuild(seed, n_leaves, k,
     # tree and split view from the point's parts
     for u in (s, *path.times):
         assert_valid_point(path.point(u))
+
+
+def _rescaled(rng, tree, same_splits=None):
+    """``tree`` with each coordinate scaled by 10**U(-6, 6), so that adding
+    a split's squares in another order moves the last bits; with
+    ``same_splits``, that tree's splits carry fresh attributes instead."""
+    k = tree.k
+    edges = {}
+    for sp, v in (same_splits or tree).edges.items():
+        if same_splits is not None and any(v):
+            v = rng.normal(0.0, 1.0, size=k) if k > 1 \
+                else rng.uniform(0.05, 2.0, size=1)
+        edges[sp] = tuple(float(c) * 10.0 ** rng.uniform(-6, 6) for c in v)
+    return AttributedTree(tree.leaves, edges)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_pair_sums_common_splits_as_the_per_split_formula(k):
+    # _pair sums the common splits' squared differences a coordinate at a
+    # time; it must give the bits of summing them a split at a time
+    rng = np.random.default_rng(60 + k)
+    for n in range(120):
+        t1, t2 = random_tree_pair(rng, int(rng.integers(2, 12)), k,
+                                  zero_prob=0.25)
+        t1 = _rescaled(rng, t1)
+        t2 = _rescaled(rng, t2, same_splits=t1 if n % 3 == 0 else None)
+        v1, v2 = t1._split_view, t2._split_view
+        assert v1.cols == tuple(zip(*v1.attrs))
+        length, common, free1, free2, support, _ = _pair(
+            v1, v2, dict.fromkeys(_COUNTS, 0))
+        assert common == [(p, v2.index[m]) for p, m in enumerate(v1.masks)
+                          if m in v2.index]
+        common_sq = math.fsum([
+            sum(map(pow, map(sub, v1.attrs[p], v2.attrs[q]), repeat(2)))
+            for p, q in common])
+        free_sq = math.fsum([v1.sq[p] for p in free1]
+                            + [v2.sq[q] for q in free2])
+        seg = [(math.sqrt(math.fsum([v1.sq[p] for p in A]))
+                + math.sqrt(math.fsum([v2.sq[q] for q in B]))) ** 2
+               for A, B in support]
+        assert length.hex() == math.sqrt(
+            math.fsum((common_sq, free_sq, math.fsum(seg)))).hex()
 
 
 def test_min_weight_cover_is_minimal_with_tiny_weights():

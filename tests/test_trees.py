@@ -1,4 +1,5 @@
 import json
+import random
 
 import numpy as np
 import pytest
@@ -47,6 +48,60 @@ def test_incompatible_splits_rejected():
             ("a", "b", "c", "d"),
             {S("ab"): (1.0,), S("bc"): (1.0,)},
         )
+
+
+def _incompatible_error(leaves, splits, k=1):
+    """The TreeError text of a tree on ``splits``, or None if it is one."""
+    try:
+        AttributedTree(tuple(leaves),
+                       {S(sp): (1.0,) * k for sp in splits})
+    except TreeError as e:
+        return str(e)
+    return None
+
+
+def test_incompatible_splits_name_the_first_clash_in_key_order():
+    # texts recorded from the frozenset check that the bitmask check
+    # replaced: the first clashing pair in split_key order is named
+    assert _incompatible_error("abc", ["bc", "ab"]) == \
+        "incompatible splits ['a', 'b'] and ['b', 'c']"
+    assert _incompatible_error("abcdefgh",
+                               ["cde", "abc", "def", "ef", "ab"]) == \
+        "incompatible splits ['a', 'b', 'c'] and ['c', 'd', 'e']"
+    # lexicographic keys, not leaf-index bit order, decide which is first
+    assert _incompatible_error(
+        ["10", "9", "B", "a", "x"],
+        [["9", "B"], ["10", "9"], ["a", "x", "10"], ["B", "a"]], k=3) == \
+        "incompatible splits ['10', '9'] and ['10', 'a', 'x']"
+    rng = random.Random(7)
+    got = []
+    for _ in range(12):
+        leaves = [f"L{i}" for i in range(rng.randint(4, 12))]
+        splits = {S(rng.sample(leaves, rng.randint(1, len(leaves))))
+                  for _ in range(rng.randint(2, 9))}
+        got.append(_incompatible_error(leaves, sorted(splits, key=sorted)))
+    L = [f"L{i}" for i in range(12)]
+
+    def pair(a, b):
+        return (f"incompatible splits {[L[i] for i in a]} and "
+                f"{[L[i] for i in b]}")
+
+    assert got == [
+        None,
+        pair([0, 1, 10, 11, 2, 3, 4, 6, 7, 8, 9],
+             [0, 1, 10, 11, 2, 4, 5, 6, 7, 8, 9]),
+        pair([0, 10, 11, 2, 5, 6, 7], [0, 11, 5, 7, 8, 9]),
+        pair([0, 1], [1, 4]),
+        None,
+        pair([0, 3], [1, 2, 3]),
+        pair([0, 1, 10, 2, 3, 4, 8, 9], [0, 1, 10, 2, 4, 5, 7, 9]),
+        pair([0, 1, 10, 11, 2, 3, 4, 5, 6, 7, 8],
+             [1, 10, 11, 5, 6, 7, 8, 9]),
+        pair([0, 1], [0, 5]),
+        pair([0, 1, 3, 4], [1, 2]),
+        pair([0, 1, 10, 2, 3, 5, 6, 7, 8], [0, 1, 10, 2, 3, 6, 8, 9]),
+        pair([0, 1, 2, 3, 4, 9], [1, 2, 3, 4, 5, 7, 9]),
+    ]
 
 
 def test_four_leaf_binary_counts():
