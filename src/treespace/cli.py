@@ -19,16 +19,20 @@ depend on it.
 Option precedence is flags, then ``--config`` JSON, then built-in
 defaults; config values pass the same checks as flags.  Exit codes: 64
 usage (a negative ``--seed``, an output path that cannot be written, and
-an integer option below its range included: below 1 for counts and sizes
-such as ``--threads``, ``--M`` or ``--n``, below 2 for ``--folds``,
-``--sheets`` and ``--dim``), 65 bad input, 70 computation failure (a
-value in range that the data cannot meet included).
+an option out of its range included: an integer below 1 for counts and
+sizes such as ``--threads``, ``--M`` or ``--n``, below 2 for ``--folds``,
+``--sheets`` and ``--dim``; a number that is not finite, or not above 0
+for ``--tolerance``, below 0 for ``--attr-sigma``, outside [0, 1] for
+``--topology-noise`` or outside (0, 1] for ``--alphas``), 65 bad input,
+70 computation failure (a value in range that the data cannot meet
+included).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -86,6 +90,26 @@ _positive = _int_from(1, "a positive integer")    # worker counts, sizes
 _two_up = _int_from(2, "an integer of at least 2")  # folds, sheets, dims
 
 
+def _float_in(test, kind):
+    """An argparse type that takes finite floats that pass ``test``."""
+    def parse(text):
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and test(value)):
+            raise argparse.ArgumentTypeError(
+                f"expected {kind}, got {text!r}")
+        return value
+    return parse
+
+
+_above_zero = _float_in(lambda x: x > 0.0, "a finite number above 0")
+_from_zero = _float_in(lambda x: x >= 0.0, "a finite number of at least 0")
+_fraction = _float_in(lambda x: 0.0 <= x <= 1.0, "a number in [0, 1]")
+_mix = _float_in(lambda x: 0.0 < x <= 1.0, "a number in (0, 1]")  # alphas
+
+
 def _common(parser, handler):
     parser.add_argument("--seed", type=_seed, default=0)
     parser.add_argument(
@@ -104,7 +128,8 @@ def build_parser(words=()) -> _Parser:
     of an argv, name a command (and for gen a space), only that command's
     parser is built: that argv parses the same, at about a seventh of the
     cost.  Words that name no command get the whole table."""
-    top = _Parser(prog="treespace", description=__doc__)
+    # the module docstring, without its reST literal markup
+    top = _Parser(prog="treespace", description=__doc__.replace("``", ""))
     top.add_argument("--version", action="version",
                      version=f"treespace {__version__}")
     sub = top.add_subparsers(dest="cmd", metavar="COMMAND")
@@ -132,8 +157,10 @@ def build_parser(words=()) -> _Parser:
                 p.add_argument("--k", type=_positive, default=None,
                                help="attribute dimension of the airway "
                                     "template (default 1)")
-                p.add_argument("--attr-sigma", type=float, default=0.1)
-                p.add_argument("--topology-noise", type=float, default=0.0)
+                p.add_argument("--attr-sigma", type=_from_zero,
+                               default=0.1)
+                p.add_argument("--topology-noise", type=_fraction,
+                               default=0.0)
                 p.add_argument("--class-shift", default=None,
                                help="JSON object mapping branch labels to "
                                     "offsets")
@@ -161,7 +188,7 @@ def build_parser(words=()) -> _Parser:
         p.add_argument("--max-iterations", type=_positive, default=None,
                        help="cap on the walk's steps (default 1000 per "
                             "tree)")
-        p.add_argument("--tolerance", type=float,
+        p.add_argument("--tolerance", type=_above_zero,
                        default=MeanConfig.tolerance,
                        help="relative objective-gap estimate at which the "
                             "walk stops; the certificate does not use it")
@@ -194,7 +221,7 @@ def build_parser(words=()) -> _Parser:
         p.add_argument("--mode", choices=("per-class", "pooled"),
                        default="per-class")
         p.add_argument("--labels", nargs="+", default=None)
-        p.add_argument("--alphas", nargs="+", type=float,
+        p.add_argument("--alphas", nargs="+", type=_mix,
                        default=[1.0, 0.75, 0.5, 0.25])
         p.add_argument("--folds", type=_two_up, default=5)
         p.add_argument("--repeats", type=_positive, default=10)
@@ -241,17 +268,21 @@ def build_parser(words=()) -> _Parser:
 def _config_tokens(parser, path):
     """The ``--config`` JSON object as option tokens for the command
     ``parser``, so its values meet the same checks as flags.  Keys name
-    option dests (``-`` or ``_``); keys of no option, and null values, are
-    skipped.  A switch takes true or false, an option of several values a
-    list or one value."""
+    option dests (``-`` or ``_``) or option strings without their dashes
+    (``M`` for ``--M``); keys of no option, and null values, are skipped.
+    A switch takes true or false, an option of several values a list or
+    one value."""
     try:
         cfg = json.loads(Path(path).read_text())
     except (OSError, ValueError) as e:
         raise CliError(INPUT_ERROR, f"config: {e}")
     if not isinstance(cfg, dict):
         raise CliError(INPUT_ERROR, "config: expected a JSON object")
-    options = {a.dest: a for a in parser._actions
-               if a.option_strings and a.dest not in ("help", "config")}
+    options = {}
+    for a in parser._actions:
+        if a.option_strings and a.dest not in ("help", "config"):
+            for name in (a.dest, *a.option_strings):
+                options[name.lstrip("-").replace("-", "_")] = a
     tokens = []
     for key, value in cfg.items():
         action = options.get(key.replace("-", "_"))
@@ -380,7 +411,14 @@ def _features(args, trees, classes, mode):
 
 
 def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite JSON number: NaN, the infinities and integers beyond the
+    float range are not numbers here."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:   # an integer beyond the float range
+        return False
 
 
 def _class_shift(text, template):

@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import chain, compress, product, repeat
-from operator import add, not_, sub
+from operator import add, not_, or_, sub
 
 import numpy as np
 
@@ -90,69 +90,78 @@ def _side_splits(t1: AttributedTree, t2: AttributedTree):
 # minimum-weight vertex cover via max-flow
 # ---------------------------------------------------------------------------
 
-def _min_weight_cover(wa, wb, edges, counts=None):
+def _min_weight_cover(wa, wb, ta, tb, adj, amask, bmask, counts):
     """Minimum-weight vertex cover of a bipartite conflict graph.
 
-    ``wa``/``wb`` are positive vertex weights, ``edges`` distinct index
-    pairs (i, j), which must come sorted by (i, j), as support refinement
-    lists them.  Runs max-flow (source -> a: wa, a -> b: inf, b -> sink:
-    wb); the min cut weight equals the cover weight, and the cover itself
-    is read off the residual reachability and pruned to a minimal one, so
-    every covered vertex has an uncovered neighbour.  Returns (weight,
-    in_cover_a, in_cover_b), or (flow, None, None) as soon as the flow
-    reaches 1 - _COVER_TOL: a pair that heavy is never split.  Augmenting
-    paths are added to ``counts["augmentations"]`` when ``counts`` is
-    given.
+    The a's are the bits i of ``amask``, with weights ``wa[i]``, residual
+    tolerances ``ta[i] = _RESIDUAL_EPS * wa[i]`` and clash masks ``adj[i]``
+    over the b's, the bits of ``bmask`` (with ``wb``, ``tb``).  The cover
+    weight is the min cut of the max-flow source -> a: wa, a -> b: inf,
+    b -> sink: wb; the cover, read off the residual reach, is pruned to a
+    minimal one.  Returns (weight, cover_a, cover_b) as masks, or (flow,
+    None, None) once the flow reaches 1 - _COVER_TOL: a pair that heavy is
+    never split.  Counts its augmenting paths in ``counts``.
 
-    Neighbours are held as bitmasks and searched in ascending bit order.
-    With sorted edges that is edge order, so every augmenting path, and
-    every rounding, is that of plain Edmonds-Karp.
+    Each path, so each rounding, is plain Edmonds-Karp's on the edges in
+    (i, j) order, which is ascending bit order.  *Saturating start:* the
+    direct paths, a by a, each a walking only b's with an open sink arc
+    (``rb[j] > tb[j]``: weights can underflow to 0) until it saturates;
+    the edges skipped are those where Edmonds-Karp pushes nothing.  *Early
+    return* if the start reaches 1 - _COVER_TOL.  *Open-arc masks:* source
+    and sink residuals only shrink, so masks of the open arcs replace
+    scanning every a and testing every b.  *Sink at enqueue:* the search
+    ends at the first open b it enqueues, the lowest bit of those one a
+    reaches, which Edmonds-Karp dequeues first, via the same predecessors.
+    *Hot loops* are inline: a helper listing a mask's bits was no faster.
     """
-    na, nb = len(wa), len(wb)
-    # a residual at or below _RESIDUAL_EPS times the most flow the arc can
-    # carry counts as zero, so rounding never hides a light vertex.  The
-    # flow on a conflict arc never exceeds either endpoint's weight, and
-    # rounding is monotone, so its tolerance min(ta[i], tb[j]) is
-    # _RESIDUAL_EPS * min(wa[i], wb[j]) exactly
-    ra, rb = list(wa), list(wb)
-    ta = [_RESIDUAL_EPS * w for w in wa]
-    tb = [_RESIDUAL_EPS * w for w in wb]
-    # adj[i]: the b's that a_i clashes with; back[j]: the a's whose flow
-    # into b_j is above tolerance, so that the residual arc b_j -> a_i is
-    # open; fe[i * nb + j]: the flow on conflict edge (i, j)
-    adj, back, fe = [0] * na, [0] * nb, [0.0] * (na * nb)
-    flow, paths = 0.0, 0
-    # the direct paths source -> a -> b -> sink are the shortest, and with
-    # edges sorted by (i, j) breadth-first search takes them in edge order
-    for i, j in edges:
-        adj[i] |= 1 << j
-        a = ra[i]
-        if a > ta[i]:
+    # A residual at or below its tolerance is zero, so rounding never hides
+    # a light vertex; (i, j)'s is min(ta[i], tb[j]).  fe[i * nb + j]: the
+    # flow on (i, j); back[j]: the a's whose flow into b_j is above it;
+    # sources: open_a's bits in ascending order
+    ra, rb, nb = list(wa), list(wb), bmask.bit_length()
+    back, fe = [0] * nb, [0.0] * (amask.bit_length() * nb)
+    flow, paths, open_a, open_b, sources, m = 0.0, 0, 0, 0, [], bmask
+    while m:
+        low = m & -m
+        if rb[low.bit_length() - 1] > tb[low.bit_length() - 1]:
+            open_b |= low
+        m ^= low
+    m = amask
+    while m:
+        bit = m & -m
+        i = bit.bit_length() - 1
+        m ^= bit
+        a, t, base, hit = ra[i], ta[i], i * nb, adj[i] & open_b
+        while hit and a > t:
+            low = hit & -hit
+            j = low.bit_length() - 1
             b = rb[j]
-            if b > tb[j]:
-                d = a if a < b else b
-                ra[i] = a - d
-                rb[j] = b - d
-                fe[i * nb + j] = d
-                back[j] |= 1 << i   # d > min(ta[i], tb[j])
-                flow += d
-                paths += 1
-    via_a, via_b = [0] * na, [0] * nb
-    reach = None
-    while flow < 1.0 - _COVER_TOL:
-        # breadth-first search for the sink; queue holds a as i, b as ~j,
-        # via_* the vertex each was reached from (-1: the source), seen_*
-        # the vertices reached
-        queue, seen_a, seen_b = [], 0, 0
-        for i in range(na):
-            if ra[i] > ta[i]:
-                via_a[i] = -1
-                seen_a |= 1 << i
-                queue.append(i)
-        sink = -1
+            d = a if a < b else b   # above min(ta[i], tb[j])
+            a -= d
+            rb[j] = b = b - d       # x - x is 0.0
+            fe[base + j] = d
+            back[j] |= bit
+            flow, paths = flow + d, paths + 1
+            if not b > tb[j]:
+                open_b ^= low
+            hit ^= low
+        ra[i] = a
+        if a > t:
+            open_a |= bit
+            sources.append(i)
+    stop, via_a, via_b = 1.0 - _COVER_TOL, [0] * len(ra), [0] * nb
+    while flow < stop:
+        # breadth-first search; queue: a as i, b as ~j; via_*: where each
+        # came from; seen_*: those reached (and the b's off bmask)
+        queue, seen_a, seen_b, sink = list(sources), open_a, ~bmask, -1
         for u in queue:
             if u >= 0:
                 new = adj[u] & ~seen_b
+                hit = new & open_b
+                if hit:
+                    sink = (hit & -hit).bit_length() - 1
+                    via_b[sink] = u
+                    break
                 seen_b |= new
                 while new:
                     low = new & -new
@@ -161,109 +170,96 @@ def _min_weight_cover(wa, wb, edges, counts=None):
                     queue.append(~j)
                     new ^= low
             else:
-                j = ~u
-                if rb[j] > tb[j]:
-                    sink = j
-                    break
-                new = back[j] & ~seen_a
+                new = back[~u] & ~seen_a
                 seen_a |= new
                 while new:
                     low = new & -new
                     i = low.bit_length() - 1
-                    via_a[i] = j
+                    via_a[i] = ~u
                     queue.append(i)
                     new ^= low
         if sink < 0:
-            reach = seen_a, seen_b
             break
-        # walk back, forward along conflict edges and backward against
-        # them, taking the bottleneck on the way
-        d, fwd, bwd, j = rb[sink], [], [], sink
+        # walk back to an open source arc, forward along conflict edges and
+        # backward against them: once for the bottleneck d, once to add it
+        d, j = rb[sink], sink
+        while not open_a >> via_b[j] & 1:
+            i = via_b[j]
+            j = via_a[i]
+            d = fe[i * nb + j] if fe[i * nb + j] < d else d
+        i, j = via_b[j], sink
+        d = ra[i] if ra[i] < d else d
         while True:
             i = via_b[j]
-            fwd.append((i, j))
-            j = via_a[i]
-            if j < 0:
-                break
-            bwd.append((i, j))
-            if fe[i * nb + j] < d:
-                d = fe[i * nb + j]
-        if ra[i] < d:
-            d = ra[i]
-        rb[sink] -= d
-        ra[i] -= d
-        for i, j in fwd:
             f = fe[i * nb + j] = fe[i * nb + j] + d
             if f > ta[i] or f > tb[j]:
                 back[j] |= 1 << i
-        for i, j in bwd:
+            if open_a >> i & 1:
+                break
+            j = via_a[i]
             f = fe[i * nb + j] = fe[i * nb + j] - d
             if not (f > ta[i] or f > tb[j]):
                 back[j] &= ~(1 << i)
-        flow += d
-        paths += 1
-    if counts is not None:
-        counts["augmentations"] += paths
-    if reach is None:
+        ra[i] -= d
+        if not ra[i] > ta[i]:
+            open_a ^= 1 << i
+            sources.remove(i)
+        rb[sink] -= d
+        if not rb[sink] > tb[sink]:
+            open_b ^= 1 << sink
+        flow, paths = flow + d, paths + 1
+    counts["augmentations"] += paths
+    if flow >= stop:
         return flow, None, None
-    seen_a, seen_b = reach
-    # a covered (reached) b was reached from an uncovered neighbour.  A
-    # covered a has one too unless its weight is nil next to the tolerance
-    # (a squared length that underflowed): drop such an a, so that the
-    # cover stays minimal
-    return (flow,
-            [not (seen_a >> i & 1) and adj[i] & ~seen_b != 0
-             for i in range(na)],
-            [bool(seen_b >> j & 1) for j in range(nb)])
+    # a reached (covered) b has an uncovered neighbour; drop a covered a
+    # without one, which a weight that underflowed can leave
+    cover_a, m = 0, amask & ~seen_a
+    while m:
+        low = m & -m
+        cover_a |= low if adj[low.bit_length() - 1] & ~seen_b else 0
+        m ^= low
+    return flow, cover_a, seen_b & bmask
 
 
 # ---------------------------------------------------------------------------
 # support refinement
 # ---------------------------------------------------------------------------
 
-def _refine_pairs(clash, con2, sq1, sq2, counts):
-    """Refine the support of the conflicting splits down to the geodesic.
-
-    ``clash`` maps each conflicting source-only split to the target-only
-    splits it conflicts with, all of which ``con2`` lists; ``sq1``/``sq2``
-    hold the views' squared norms.  Returns the support pairs (A, B) of
-    view positions, in no particular order.
-    """
-    done, todo = [], [(tuple(clash), tuple(con2))] if clash else []
+def _refine_pairs(clash, hit, sqa, sqb, bits, counts):
+    """The geodesic's support pairs (A, B), in no order, as masks over the
+    conflicting source splits and the target-only ones.  ``clash[i]`` masks
+    the targets that source i clashes with, ``hit`` is their union,
+    ``sqa``/``sqb`` list squared norms in ascending view position (block
+    sums run in ascending bit order, as the cover does), bits[t] = 1 << t."""
+    done, todo = [], [((1 << len(sqa)) - 1, hit)]
     while todo:
         A, B = todo.pop()
-        if len(A) == 1 or len(B) == 1:
-            # the lone split clashes with every split across, so covering
-            # it alone weighs exactly one: the pair is never split
+        if not (A & (A - 1) and B & (B - 1)):
+            # a lone split clashes with all across: its cover weighs one
             done.append((A, B))
             continue
-        across = tuple(enumerate(B))
-        edges = [(i, j) for i, hit in enumerate([clash[p] for p in A])
-                 for j, q in across if q in hit]
-        asq = sum([sq1[p] for p in A])
-        bsq = sum([sq2[q] for q in B])
+        asq = sum(compress(sqa, map(A.__and__, bits)))
+        bsq = sum(compress(sqb, map(B.__and__, bits)))
         if not (asq and bsq):
             raise ValueError("squared attribute norms underflow to zero on "
                              "conflicting splits; geodesics need "
                              "attributes above about 1e-162")
         counts["covers"] += 1
-        weight, ca, cb = _min_weight_cover([sq1[p] / asq for p in A],
-                                           [sq2[q] / bsq for q in B],
-                                           edges, counts)
-        if weight >= 1.0 - _COVER_TOL:
+        wa, wb = [x / asq for x in sqa], [x / bsq for x in sqb]
+        _, ca, cb = _min_weight_cover(
+            wa, wb, [_RESIDUAL_EPS * w for w in wa],
+            [_RESIDUAL_EPS * w for w in wb], clash, A, B, counts)
+        if ca is None:
             counts["cover_early_stops"] += 1
             done.append((A, B))
             continue
-        # Every split of a pair conflicts with one in the same pair.  A
-        # cover below one leaves part of each side uncovered; each
-        # uncovered split's conflicts are covered, and, the cover being
-        # minimal, each covered split has an uncovered conflict.  So no
-        # block is empty and both blocks keep the property.
+        # Every split of a pair conflicts with one in the pair.  A cover
+        # below one leaves part of each side uncovered, whose conflicts it
+        # covers, and a minimal one leaves each covered split an uncovered
+        # conflict: no block is empty and both keep the property.
         counts["refinements"] += 1
-        todo.append((tuple(compress(A, ca)),
-                     tuple(compress(B, map(not_, cb)))))
-        todo.append((tuple(compress(A, map(not_, ca))),
-                     tuple(compress(B, cb))))
+        todo.append((ca, B & ~cb))
+        todo.append((A & ~ca, cb))
     return done
 
 
@@ -274,53 +270,57 @@ def _pair(v1, v2, counts):
     does not depend on it, and only ``geodesic`` needs the visiting order.
     """
     m1, m2, i1, i2 = v1.masks, v2.masks, v1.index, v2.index
-    sq1, sq2 = v1.sq, v2.sq
-    if m1 == m2:
-        counts["same_topology"] += 1
-    P, Q, only1 = [], [], []
-    for p, m in enumerate(m1):
-        q = i2.get(m)
+    sq1, sq2, live1, live2 = v1.sq, v2.sq, v1.live, v2.live
+    counts["same_topology"] += m1 == m2
+    only2 = [q for q, m in enumerate(m2) if m not in i1 and live2[q]]
+    o2 = [m2[q] for q in only2]
+    # a source-only split's clashes as a mask, bit t for only2[t]: masks
+    # a, b clash (are neither nested nor disjoint) unless a & b is 0, a, b
+    P, Q, free1, con1, clash = [], [], [], [], []
+    for p, a in enumerate(m1):
+        q = i2.get(a)
         if q is not None:
             P.append(p)
             Q.append(q)
-        elif v1.live[p]:
-            only1.append(p)
-    common = list(zip(P, Q))
-    live2 = v2.live
-    only2 = [q for q, m in enumerate(m2) if m not in i1 and live2[q]]
-    # each common split's |x - y|^2, summed a coordinate at a time: the
-    # maps add its (x_c - y_c) ** 2 terms left to right, as sum() over the
-    # split's attribute would, so the bits are the same for every k
+        elif live1[p]:
+            hit, t = 0, 1
+            for b in o2:
+                c = a & b
+                if c and c != a and c != b:
+                    hit |= t
+                t <<= 1
+            if hit:
+                con1.append(p)
+                clash.append(hit)
+            else:
+                free1.append(p)
+    # each common split's |x - y|^2 a coordinate at a time: the maps add
+    # its (x_c - y_c) ** 2 left to right, as sum() over it would, bitwise
     common_sq = math.fsum(reduce(partial(map, add), [
         map(pow, map(sub, map(c1.__getitem__, P), map(c2.__getitem__, Q)),
             repeat(2)) for c1, c2 in zip(v1.cols, v2.cols)])) if P else 0.0
-    # masks a, b clash (are neither nested nor disjoint) unless a & b is
-    # 0, a or b
-    clash, o2 = {}, [(q, m2[q]) for q in only2]
-    for p in only1:
-        a = m1[p]
-        hit = {q for q, b in o2 if a & b not in (0, a, b)}
-        if hit:
-            clash[p] = hit
-    hit2 = set().union(*clash.values())
-    free1 = [p for p in only1 if p not in clash]
-    free2 = [q for q in only2 if q not in hit2]
-    support = _refine_pairs(clash, [q for q in only2 if q in hit2],
-                            sq1, sq2, counts)
+    hit2 = reduce(or_, clash, 0)
+    bits = [1 << t for t in range(max(len(con1), len(only2)))]
+    free2 = list(compress(only2, map(not_, map(hit2.__and__, bits))))
+    # view positions, read back from the finished blocks' masks
+    support = [(tuple(compress(con1, map(A.__and__, bits))),
+                tuple(compress(only2, map(B.__and__, bits))))
+               for A, B in _refine_pairs(clash, hit2, [sq1[p] for p in con1],
+                                         [sq2[q] for q in only2], bits,
+                                         counts)] if clash else []
     # fsum rounds correctly, so no order of the terms changes a bit, and
-    # swapping source and target mirrors the arithmetic exactly:
-    # d(t1,t2) == d(t2,t1) bitwise
+    # swapping source and target mirrors the arithmetic: d(t1,t2) == d(t2,t1)
     times, seg = [], []
     for A, B in support:
-        an = math.sqrt(math.fsum([sq1[p] for p in A]))
-        bn = math.sqrt(math.fsum([sq2[q] for q in B]))
+        an = math.sqrt(math.fsum(map(sq1.__getitem__, A)))
+        bn = math.sqrt(math.fsum(map(sq2.__getitem__, B)))
         total = an + bn
         times.append(an / total if total > 0 else 0.0)
         seg.append(total ** 2)
-    free_sq = math.fsum(chain(
-        (sq1[p] for p in free1), (sq2[q] for q in free2)))
+    free_sq = math.fsum(chain(map(sq1.__getitem__, free1),
+                              map(sq2.__getitem__, free2)))
     length = math.sqrt(math.fsum((common_sq, free_sq, math.fsum(seg))))
-    return length, common, free1, free2, support, times
+    return length, list(zip(P, Q)), free1, free2, support, times
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -298,7 +299,11 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("shift", ['{"LMB": "a"}', '{"LMB": [0.5, "a"]}',
-                                   '{"LMB": null}', '{"LMB": true}'])
+                                   '{"LMB": null}', '{"LMB": true}',
+                                   '{"LMB": NaN}', '{"LMB": Infinity}',
+                                   '{"LMB": [-Infinity]}', '{"LMB": 1e400}',
+                                   pytest.param('{"LMB": 1' + '0' * 400 + '}',
+                                                id="beyond-float-range")])
 def test_malformed_class_shift_exits_65(tmp_path, capsys, shift):
     out = tmp_path / "pop.json"
     assert run("gen", "trees", "-o", str(out), "--n", "4",
@@ -727,8 +732,9 @@ def test_config_fuzz_exits_cleanly(fuzz_dir, cmd, data):
     if code == 0:
         assert err == ""
         return
-    # 70 is a well-formed value the computation rejects (--attr-sigma -1,
-    # --topology-noise 2), exactly as the same flag would be
+    # 70 is a value in range that the data cannot meet (an --isomap-k too
+    # small to connect the neighbour graph), exactly as the same flag
+    # would be
     prefix = {64: "usage:", 65: "", 70: "compute:"}[code]
     assert err.startswith(f"treespace: error: {prefix}"), err
     assert len(err.splitlines()) == 1, err
@@ -1112,3 +1118,74 @@ def test_outputs_byte_identical_across_hash_seeds(tmp_path):
     assert set(outputs[0]) == {"pop.json", "dist.csv", "mean.json",
                                "feats.csv", "cv.json"}
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv, flag, key, value, kind", [
+    (("gen", "trees"), "--attr-sigma", "attr_sigma", math.nan,
+     "a finite number of at least 0"),
+    (("gen", "trees"), "--attr-sigma", "attr-sigma", math.inf,
+     "a finite number of at least 0"),
+    (("gen", "trees"), "--attr-sigma", "attr_sigma", -1.0,
+     "a finite number of at least 0"),
+    (("gen", "trees"), "--topology-noise", "topology_noise", math.nan,
+     "a number in [0, 1]"),
+    (("gen", "trees"), "--topology-noise", "topology-noise", 2.0,
+     "a number in [0, 1]"),
+    (("gen", "trees"), "--topology-noise", "topology_noise", -0.5,
+     "a number in [0, 1]"),
+    (("mean", "--input", "{pop}"), "--tolerance", "tolerance", math.nan,
+     "a finite number above 0"),
+    (("mean", "--input", "{pop}"), "--tolerance", "tolerance", math.inf,
+     "a finite number above 0"),
+    (("mean", "--input", "{pop}"), "--tolerance", "tolerance", 0.0,
+     "a finite number above 0"),
+    (("classify", "--features", "{feats}"), "--alphas", "alphas", 0.0,
+     "a number in (0, 1]"),
+    (("classify", "--features", "{feats}"), "--alphas", "alphas", 1.5,
+     "a number in (0, 1]"),
+    (("classify", "--features", "{feats}"), "--alphas", "alphas", -math.inf,
+     "a number in (0, 1]"),
+], ids=["sigma-nan", "sigma-inf", "sigma-negative", "noise-nan", "noise-2",
+        "noise-negative", "tolerance-nan", "tolerance-inf", "tolerance-0",
+        "alphas-0", "alphas-1.5", "alphas-minus-inf"])
+def test_float_options_out_of_range_are_usage_errors(tmp_path, capsys, argv,
+                                                     flag, key, value, kind):
+    # NaN and the infinities included: one line and exit 64, by flag and
+    # by --config, before any work
+    pop, feats = tmp_path / "pop.json", tmp_path / "f.csv"
+    assert run("gen", "trees", "-o", str(pop), "--n", "6",
+               "--class-shift", '{"LMB": 0.5}') == 0
+    feats.write_text("id,class,A\n" + "".join(
+        f"s{i},{('case', 'control')[i % 2]},{i}.5\n" for i in range(6)))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    text = json.dumps(value)      # NaN, Infinity, -Infinity, 2.0, ...
+    argv = [a.format(pop=pop, feats=feats) for a in argv]
+    capsys.readouterr()
+    for option in ([f"{flag}={text}"], ["--config", str(cfg)]):
+        out = tmp_path / "out"
+        assert run(*argv, *option, "-o", str(out)) == 64
+        assert capsys.readouterr().err == (
+            f"treespace: error: usage: argument {flag}: expected {kind}, "
+            f"got '{text}'\n")
+        assert not out.exists()
+
+
+def test_config_keys_may_spell_the_flag(pop_file, tmp_path, capsys):
+    # {"M": 0} names --M as {"m": 0} names its dest: both are checked
+    cfg = tmp_path / "cfg.json"
+    for key in ("M", "m"):
+        cfg.write_text(json.dumps({key: 0}))
+        capsys.readouterr()
+        assert run("permtest", "--groups", str(pop_file), "-o",
+                   str(tmp_path / "perm.json"), "--config", str(cfg)) == 64
+        assert capsys.readouterr().err == (
+            "treespace: error: usage: argument --M: expected a positive "
+            "integer, got '0'\n")
+
+
+def test_top_level_help_is_plain_text(capsys):
+    assert run("--help") == 0
+    out = capsys.readouterr().out
+    assert "``" not in out
+    assert "flags, then --config JSON, then" in " ".join(out.split())

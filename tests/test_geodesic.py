@@ -1,5 +1,7 @@
 import hashlib
+import inspect
 import math
+import sys
 from itertools import product, repeat
 from operator import sub
 
@@ -19,12 +21,29 @@ from treespace import (
     geodesic_point,
 )
 from treespace.cli import main
-from treespace.geodesic import (_COUNTS, _COVER_TOL, _min_weight_cover,
-                                _pair)
+from treespace.geodesic import (_COUNTS, _COVER_TOL, _RESIDUAL_EPS,
+                                _min_weight_cover, _pair)
 
 from helpers import leaf_names, random_tree, random_tree_pair
 
 S = frozenset
+
+
+def _cover(wa, wb, edges):
+    """``_min_weight_cover`` on all of ``wa`` and ``wb`` with the index
+    pairs ``edges`` as its clash masks, covers given back as flag lists.
+    Masks carry no order: the cover scans edges sorted by (i, j)."""
+    adj = [0] * len(wa)
+    for i, j in edges:
+        adj[i] |= 1 << j
+    weight, ca, cb = _min_weight_cover(
+        wa, wb, [_RESIDUAL_EPS * w for w in wa],
+        [_RESIDUAL_EPS * w for w in wb], adj, (1 << len(wa)) - 1,
+        (1 << len(wb)) - 1, {"augmentations": 0})
+    if ca is None:
+        return weight, None, None
+    return (weight, [bool(ca >> i & 1) for i in range(len(wa))],
+            [bool(cb >> j & 1) for j in range(len(wb))])
 
 
 def star(leaves, lengths):
@@ -217,22 +236,20 @@ def test_distance_matrix_triangle():
 def test_min_weight_cover_prefers_light_side():
     # one heavy A vertex against two light B vertices: the cover picks
     # whichever side is cheaper
-    flow, in_a, in_b = _min_weight_cover([0.9], [0.3, 0.3],
-                                         [(0, 0), (0, 1)])
+    flow, in_a, in_b = _cover([0.9], [0.3, 0.3], [(0, 0), (0, 1)])
     assert flow == pytest.approx(0.6)
     assert in_a == [False]
     assert in_b == [True, True]
 
-    flow, in_a, in_b = _min_weight_cover([0.2], [0.3, 0.3],
-                                         [(0, 0), (0, 1)])
+    flow, in_a, in_b = _cover([0.2], [0.3, 0.3], [(0, 0), (0, 1)])
     assert flow == pytest.approx(0.2)
     assert in_a == [True]
     assert in_b == [False, False]
 
     # the same choice between weights far below any fixed residual
     # tolerance: the lighter of a1 and b1 is covered
-    flow, in_a, in_b = _min_weight_cover([0.5, 2e-20], [0.5, 1e-20],
-                                         [(0, 0), (1, 1)])
+    flow, in_a, in_b = _cover([0.5, 2e-20], [0.5, 1e-20],
+                              [(0, 0), (1, 1)])
     assert in_a[1] is False and in_b[1] is True
     assert flow == pytest.approx(0.5 + 1e-20, rel=0, abs=1e-30)
 
@@ -363,7 +380,7 @@ def test_min_weight_cover_is_minimal_with_tiny_weights():
         ([1.0, 0.0], [0.1], [(0, 0), (1, 0)]),
     ]
     for wa, wb, edges in cases:
-        weight, in_a, in_b = _min_weight_cover(wa, wb, edges)
+        weight, in_a, in_b = _cover(wa, wb, edges)
         assert all(in_a[i] or in_b[j] for i, j in edges)
         for i, j in edges:
             if in_a[i]:
@@ -485,8 +502,8 @@ def test_min_weight_cover_matches_exhaustive_search():
         # the max-flow stops once its flow reaches 1 - _COVER_TOL; weights
         # scaled by 1/8 keep it below that, and a power-of-two scale leaves
         # every comparison and rounding of the run unchanged
-        full, ca, cb = _min_weight_cover([w / 8 for w in wa],
-                                         [w / 8 for w in wb], edges)
+        full, ca, cb = _cover([w / 8 for w in wa], [w / 8 for w in wb],
+                              edges)
         full *= 8
         best = _exhaustive_cover_weight(wa, wb, edges)
         assert abs(full - best) <= 1e-12 * best
@@ -499,7 +516,7 @@ def test_min_weight_cover_matches_exhaustive_search():
         assert abs(math.fsum(w for w, c in zip(wa + wb, ca + cb) if c)
                    - full) <= 1e-12 * full
 
-        weight, in_a, in_b = _min_weight_cover(wa, wb, edges)
+        weight, in_a, in_b = _cover(wa, wb, edges)
         assert (weight >= 1.0 - _COVER_TOL) == (full >= 1.0 - _COVER_TOL)
         if in_a is None:
             assert in_b is None and weight <= full
@@ -565,10 +582,10 @@ def test_min_weight_cover_equals_plain_edmonds_karp():
                     float(10.0 ** rng.uniform(-15.0, 0.0)) for k in kind]
 
         wa, wb = [w / 8 for w in weights(na)], [w / 8 for w in weights(nb)]
-        # sorted by (i, j), the order support refinement lists them in
+        # sorted by (i, j), the order the cover scans its masks in
         edges = [(i, j) for i in range(na) for j in range(nb)
                  if rng.random() < 0.6] or [(0, 0)]
-        assert _min_weight_cover(wa, wb, edges) == \
+        assert _cover(wa, wb, edges) == \
             _plain_edmonds_karp_cover(wa, wb, edges)
 
 
@@ -579,8 +596,77 @@ def test_min_weight_cover_keeps_sub_tolerance_flow_closed():
     wa = [w / 8 for w in (0.3, 0.3, 0.5)]
     wb = [w / 8 for w in (1e-15, 0.3, 0.3, 0.2)]
     edges = [(0, 0), (0, 1), (0, 3), (1, 2), (1, 3), (2, 0), (2, 2)]
-    assert _min_weight_cover(wa, wb, edges) == \
+    assert _cover(wa, wb, edges) == \
         _plain_edmonds_karp_cover(wa, wb, edges)
+
+
+def _plain_augmentations(wa, wb, edges):
+    """``_plain_edmonds_karp_cover`` and the augmenting paths it takes:
+    how often it runs its ``flow += d`` line, counted by a line tracer."""
+    code = _plain_edmonds_karp_cover.__code__
+    lines, first = inspect.getsourcelines(_plain_edmonds_karp_cover)
+    target = first + [line.strip() for line in lines].index("flow += d")
+    paths = 0
+
+    def count(frame, event, arg):
+        nonlocal paths
+        paths += event == "line" and frame.f_lineno == target
+        return count
+
+    old = sys.gettrace()
+    sys.settrace(lambda frame, event, arg:
+                 count if frame.f_code is code else None)
+    try:
+        result = _plain_edmonds_karp_cover(wa, wb, edges)
+    finally:
+        sys.settrace(old)
+    return result, paths
+
+
+def test_min_weight_cover_on_scattered_masks_equals_plain_edmonds_karp():
+    # support refinement hands the cover blocks whose a's and b's are
+    # scattered bits of the split lists, with clash masks that reach past
+    # the block; each run must be plain Edmonds-Karp on the compacted
+    # subgraph, bit for bit and path for path.  Weights off the block are
+    # NaN, which would show in the flow if they were read
+    rng = np.random.default_rng(53)
+    leaves = leaf_names(10)
+    for _ in range(300):
+        m1, m2 = (random_tree(rng, leaves, p_keep=1.0)._split_view.masks
+                  for _ in range(2))
+        adj = [sum(1 << j for j, b in enumerate(m2) if a & b not in (0, a, b))
+               for a in m1]
+        ia = [i for i, hit in enumerate(adj) if hit and rng.random() < 0.8]
+        jb = [j for j in range(len(m2))
+              if rng.random() < 0.8 and any(adj[i] >> j & 1 for i in ia)]
+
+        def weights(size, block):
+            w = [math.nan] * size
+            for i in block:
+                u = rng.random()
+                w[i] = 0.0 if u < 0.1 else 1e-20 if u < 0.2 else \
+                    float(rng.uniform(0.05, 2.0)) ** 2
+            # each side sums to 1/8: plain Edmonds-Karp never stops early,
+            # and the cover stops at 1 - _COVER_TOL
+            total = 8.0 * math.fsum(w[i] for i in block)
+            for i in block:
+                w[i] /= total or 1.0
+            return w
+
+        wa, wb = weights(len(m1), ia), weights(len(m2), jb)
+        edges = [(x, y) for x, i in enumerate(ia) for y, j in enumerate(jb)
+                 if adj[i] >> j & 1]
+        counts = {"augmentations": 0}
+        flow, ca, cb = _min_weight_cover(
+            wa, wb, [_RESIDUAL_EPS * w for w in wa],
+            [_RESIDUAL_EPS * w for w in wb], adj, sum(1 << i for i in ia),
+            sum(1 << j for j in jb), counts)
+        (want, in_a, in_b), paths = _plain_augmentations(
+            [wa[i] for i in ia], [wb[j] for j in jb], edges)
+        assert flow.hex() == want.hex()
+        assert ca == sum(1 << i for i, c in zip(ia, in_a) if c)
+        assert cb == sum(1 << j for j, c in zip(jb, in_b) if c)
+        assert counts["augmentations"] == paths
 
 
 def scaled(t, c):
