@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import os
 
+from ._bounds import COUNT, check
+
 _in_worker = False
 _task = None  # (fn, items), inherited by the forked workers
 
@@ -31,8 +33,7 @@ def resolve_workers(workers: int | None) -> int:
     """``workers``, or the CPUs this process may run on when None."""
     if workers is None:
         return cpus()
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
+    check(COUNT, workers=workers)
     return workers
 
 

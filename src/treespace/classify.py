@@ -28,6 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._bounds import (ABOVE_ZERO, COUNT, FRACTION, FROM_ZERO, MIX, TWO_UP,
+                      check)
 from .distmat import DistanceMatrix
 
 __all__ = [
@@ -144,10 +146,10 @@ def fit_elastic_net(X, y, lam: float, alpha: float, *, tol: float = 1e-8,
     "line_search" when no step length lowers the objective (e.g. lam = 0 on
     separable data, where the coefficients diverge).
     """
+    check(FROM_ZERO, lam=lam)
+    check(FRACTION, alpha=alpha)
     from scipy.special import expit
     X, y = _check_xy(X, y)
-    if lam < 0 or not 0.0 <= alpha <= 1.0:
-        raise ValueError("need lam >= 0 and alpha in [0, 1]")
     n, d = X.shape
     live = np.flatnonzero(X.any(axis=0))   # zero columns carry no signal
     A = np.hstack([np.ones((n, 1)), X[:, live]])
@@ -247,15 +249,13 @@ def kkt_residual(model: ElasticNetModel, X, y) -> float:
 def lambda_max(X, y, alpha: float) -> float:
     """Smallest penalty that zeroes every coefficient."""
     X, y = _check_xy(X, y)
-    if alpha <= 0.0:
-        raise ValueError("lambda_max needs alpha > 0")
+    check(MIX, alpha=alpha)
     return float(np.max(np.abs(X.T @ (y - y.mean()))) / alpha)
 
 
 def lambda_grid(lmax: float, num: int = 50) -> np.ndarray:
     """Log-spaced descending penalties from lmax down to 1e-4 * lmax."""
-    if lmax <= 0:
-        raise ValueError("lambda_max must be positive")
+    check(ABOVE_ZERO, lmax=lmax)
     return np.geomspace(lmax, 1e-4 * lmax, num)
 
 
@@ -372,8 +372,9 @@ def cross_validate(X, y, alphas=(1.0, 0.75, 0.5, 0.25), num_lambda=50,
     used as-is.  Standardization statistics always come from the training
     rows only.
     """
-    if folds < 2 or inner_folds < 2 or repeats < 1:
-        raise ValueError("need folds >= 2, inner_folds >= 2 and repeats >= 1")
+    check(TWO_UP, folds=folds, inner_folds=inner_folds)
+    check(COUNT, repeats=repeats)
+    check(MIX, **{f"alphas[{i}]": a for i, a in enumerate(alphas)})
     y = np.asarray(y)
     uniq = sorted(np.unique(y).tolist())
     if len(uniq) != 2:
@@ -485,8 +486,8 @@ def _knn_vote(dists, labels, k):
 def knn_classify(dm: DistanceMatrix, y, k: int = 5, folds: int = 5,
                  seed: int = 0) -> KnnReport:
     """Cross-validated nearest-neighbor accuracy on a distance matrix."""
-    if k < 1 or folds < 2:
-        raise ValueError("need k >= 1 and folds >= 2")
+    check(COUNT, k=k)
+    check(TWO_UP, folds=folds)
     y = np.asarray(y)
     n = len(dm)
     if len(y) != n:

@@ -6,10 +6,10 @@ nearest neighbors, deviation correlations, embeddings and distortion
 reports.  Every run writes a manifest (argv, seeds, inputs, outputs,
 version, duration; ``mean`` adds the solver's iterations, stop reason,
 objective and orthant-solve evaluations, ``embed`` each restart's,
-``dist`` counts its geodesic work, ``permtest`` its group means' stop
-reasons and steps) next to its outputs, numeric outputs are byte-stable
-for a fixed seed, and ``--deterministic`` additionally drops timestamps
-from SVG files and the manifest.
+``dist`` and ``knn --input`` count their geodesic work, ``permtest`` its
+group means' stop reasons and steps) next to its outputs, numeric
+outputs are byte-stable for a fixed seed, and ``--deterministic``
+additionally drops timestamps from SVG files and the manifest.
 ``--threads N`` sets the worker processes of the commands that compute
 many independent geodesic pairs, group means or embedding restarts
 (``dist``, ``knn --input``, ``permtest`` and ``embed``); by default, and
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -40,20 +39,21 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._bounds import (ABOVE_ZERO, COUNT, FRACTION, FROM_ZERO, MIX, SEED,
+                      TWO_UP)
 from .classify import cross_validate, knn_classify
 from .distmat import DistanceMatrix, csv_text
 from .embedding import EmbeddingConfig, distortion_report, embed
 # geodesic_distance is unused here, but bench/test_bench.py checks that the
 # benchmark tracer wraps this module's binding of it
-from .geodesic import (distance_matrix, distance_matrix_detailed,
-                       geodesic_distance)
+from .geodesic import distance_matrix_detailed, geodesic_distance
 from .stats import (MeanConfig, correlation_matrix, frechet_mean_detailed,
                     permutation_test)
 from .subtrees import (DEFAULT_BRANCH_LABELS, SubtreeScheme,
                        fold_feature_builder, FeatureMatrix)
 from .svgfig import svg_histogram, svg_pair_grid, svg_scatter
-from .synthetic import (airway_template, gen_corner, gen_sheets,
-                        gen_tree_population, MetricDataset)
+from .synthetic import (_shift_offsets, airway_template, gen_corner,
+                        gen_sheets, gen_tree_population, MetricDataset)
 from .trees import TreeError, parse_population, parse_tree, \
     serialize_population, serialize_tree
 
@@ -71,49 +71,24 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(USAGE_ERROR, f"usage: {message}")
 
 
-def _int_from(low, kind):
-    """An argparse type that takes integers of at least ``low``."""
+def _option(bound):
+    """An argparse type that takes the numbers ``bound`` holds."""
     def parse(text):
         try:
-            value = int(text)
+            value = bound.kind(text)
         except ValueError:
-            value = low - 1
-        if value < low:
+            value = None
+        if not bound.holds(value):
             raise argparse.ArgumentTypeError(
-                f"expected {kind}, got {text!r}")
+                f"expected {bound.phrase}, got {text!r}")
         return value
     return parse
-
-
-_seed = _int_from(0, "a non-negative integer")    # NumPy seeds
-_positive = _int_from(1, "a positive integer")    # worker counts, sizes
-_two_up = _int_from(2, "an integer of at least 2")  # folds, sheets, dims
-
-
-def _float_in(test, kind):
-    """An argparse type that takes finite floats that pass ``test``."""
-    def parse(text):
-        try:
-            value = float(text)
-        except ValueError:
-            value = math.nan
-        if not (math.isfinite(value) and test(value)):
-            raise argparse.ArgumentTypeError(
-                f"expected {kind}, got {text!r}")
-        return value
-    return parse
-
-
-_above_zero = _float_in(lambda x: x > 0.0, "a finite number above 0")
-_from_zero = _float_in(lambda x: x >= 0.0, "a finite number of at least 0")
-_fraction = _float_in(lambda x: 0.0 <= x <= 1.0, "a number in [0, 1]")
-_mix = _float_in(lambda x: 0.0 < x <= 1.0, "a number in (0, 1]")  # alphas
 
 
 def _common(parser, handler):
-    parser.add_argument("--seed", type=_seed, default=0)
+    parser.add_argument("--seed", type=_option(SEED), default=0)
     parser.add_argument(
-        "--threads", type=_positive, default=None,
+        "--threads", type=_option(COUNT), default=None,
         help="worker processes for dist, knn --input, permtest and "
              "embed's restarts (default, and at most: every CPU this "
              "process may run on; 1 runs serially); other commands run "
@@ -147,19 +122,19 @@ def build_parser(words=()) -> _Parser:
             p = gensub.add_parser(space)
             p.add_argument("-o", "--output", required=True)
             if space == "corner":
-                p.add_argument("--n", type=_positive, default=250)
+                p.add_argument("--n", type=_option(COUNT), default=250)
             elif space == "sheets":
-                p.add_argument("--sheets", type=_two_up, default=5)
-                p.add_argument("--dim", type=_two_up, default=2)
-                p.add_argument("--per-sheet", type=_positive, default=50)
+                p.add_argument("--sheets", type=_option(TWO_UP), default=5)
+                p.add_argument("--dim", type=_option(TWO_UP), default=2)
+                p.add_argument("--per-sheet", type=_option(COUNT), default=50)
             else:
-                p.add_argument("--n", type=_positive, default=50)
-                p.add_argument("--k", type=_positive, default=None,
+                p.add_argument("--n", type=_option(COUNT), default=50)
+                p.add_argument("--k", type=_option(COUNT), default=None,
                                help="attribute dimension of the airway "
                                     "template (default 1)")
-                p.add_argument("--attr-sigma", type=_from_zero,
+                p.add_argument("--attr-sigma", type=_option(FROM_ZERO),
                                default=0.1)
-                p.add_argument("--topology-noise", type=_fraction,
+                p.add_argument("--topology-noise", type=_option(FRACTION),
                                default=0.0)
                 p.add_argument("--class-shift", default=None,
                                help="JSON object mapping branch labels to "
@@ -185,10 +160,10 @@ def build_parser(words=()) -> _Parser:
                         "walk's gap rule) or cap."):
         p.add_argument("--input", required=True)
         p.add_argument("-o", "--output", required=True)
-        p.add_argument("--max-iterations", type=_positive, default=None,
+        p.add_argument("--max-iterations", type=_option(COUNT), default=None,
                        help="cap on the walk's steps (default 1000 per "
                             "tree)")
-        p.add_argument("--tolerance", type=_above_zero,
+        p.add_argument("--tolerance", type=_option(ABOVE_ZERO),
                        default=MeanConfig.tolerance,
                        help="relative objective-gap estimate at which the "
                             "walk stops; the certificate does not use it")
@@ -199,7 +174,7 @@ def build_parser(words=()) -> _Parser:
                        help="population JSON with exactly two classes")
         p.add_argument("--statistic", choices=("mean", "variance"),
                        default="mean")
-        p.add_argument("--M", type=_positive, default=1000, dest="m")
+        p.add_argument("--M", type=_option(COUNT), default=1000, dest="m")
         p.add_argument("--full", action="store_true",
                        help="include all permuted statistics in the report")
         p.add_argument("-o", "--output", required=True)
@@ -221,18 +196,18 @@ def build_parser(words=()) -> _Parser:
         p.add_argument("--mode", choices=("per-class", "pooled"),
                        default="per-class")
         p.add_argument("--labels", nargs="+", default=None)
-        p.add_argument("--alphas", nargs="+", type=_mix,
+        p.add_argument("--alphas", nargs="+", type=_option(MIX),
                        default=[1.0, 0.75, 0.5, 0.25])
-        p.add_argument("--folds", type=_two_up, default=5)
-        p.add_argument("--repeats", type=_positive, default=10)
+        p.add_argument("--folds", type=_option(TWO_UP), default=5)
+        p.add_argument("--repeats", type=_option(COUNT), default=10)
         p.add_argument("-o", "--output", required=True)
         _common(p, _cmd_classify)
 
     if p := add("knn", help="nearest-neighbor baseline"):
         p.add_argument("--input", default=None, help="population JSON")
         p.add_argument("--matrix", default=None, help="distance CSV")
-        p.add_argument("--k", type=_positive, default=5)
-        p.add_argument("--folds", type=_two_up, default=5)
+        p.add_argument("--k", type=_option(COUNT), default=5)
+        p.add_argument("--folds", type=_option(TWO_UP), default=5)
         p.add_argument("-o", "--output", required=True)
         _common(p, _cmd_knn)
 
@@ -248,10 +223,10 @@ def build_parser(words=()) -> _Parser:
         p.add_argument("--method",
                        choices=("mds", "isomap", "hmds", "hisomap"),
                        default="hmds")
-        p.add_argument("--isomap-k", type=_positive, default=10)
-        p.add_argument("--restarts", type=_positive, default=5)
-        p.add_argument("--max-iterations", type=_positive, default=10000)
-        p.add_argument("--bins", type=_positive, default=20)
+        p.add_argument("--isomap-k", type=_option(COUNT), default=10)
+        p.add_argument("--restarts", type=_option(COUNT), default=5)
+        p.add_argument("--max-iterations", type=_option(COUNT), default=10000)
+        p.add_argument("--bins", type=_option(COUNT), default=20)
         p.add_argument("-o", "--output", required=True,
                        help="output directory")
         _common(p, _cmd_embed)
@@ -259,7 +234,7 @@ def build_parser(words=()) -> _Parser:
     if p := add("distortion", help="compare two distance matrices"):
         p.add_argument("--original", required=True)
         p.add_argument("--embedded", required=True)
-        p.add_argument("--bins", type=_positive, default=20)
+        p.add_argument("--bins", type=_option(COUNT), default=20)
         p.add_argument("-o", "--output", required=True)
         _common(p, _cmd_distortion)
     return top if sub.choices else build_parser()
@@ -339,7 +314,12 @@ def _load(path, parse):
     try:
         return parse(_read_text(path))
     except (ValueError, KeyError) as e:  # TreeError and JSON errors too
-        raise CliError(INPUT_ERROR, f"input: {path}: {e}")
+        raise CliError(INPUT_ERROR, f"input: {path}: {_message(e)}")
+
+
+def _message(e):
+    """``e`` as text; ``str`` would quote a KeyError's message."""
+    return e.args[0] if isinstance(e, KeyError) and e.args else e
 
 
 def _json_text(data):
@@ -410,38 +390,15 @@ def _features(args, trees, classes, mode):
     return builder, builder(np.arange(len(trees)))
 
 
-def _is_number(value):
-    """A finite JSON number: NaN, the infinities and integers beyond the
-    float range are not numbers here."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:   # an integer beyond the float range
-        return False
-
-
 def _class_shift(text, template):
     """The ``--class-shift`` JSON object, checked against ``template``."""
     try:
         shift = json.loads(text)
-    except json.JSONDecodeError as e:
+        if not isinstance(shift, dict):
+            raise ValueError("expected a JSON object")
+        _shift_offsets(shift, template)
+    except ValueError as e:  # JSON errors too
         raise CliError(INPUT_ERROR, f"class-shift: {e}")
-    if not isinstance(shift, dict):
-        raise CliError(INPUT_ERROR, "class-shift: expected a JSON object")
-    k = template.k or 1
-    for label, off in shift.items():
-        if not (_is_number(off) or isinstance(off, list)
-                and all(map(_is_number, off))):
-            raise CliError(INPUT_ERROR, f"class-shift: {label}: expected a "
-                                        f"number or a list of numbers")
-        if label not in template.branch_labels:
-            raise CliError(INPUT_ERROR, f"class-shift: {label}: the "
-                                        f"template has no such branch")
-        if isinstance(off, list) and len(off) != k:
-            raise CliError(INPUT_ERROR, f"class-shift: {label}: got "
-                                        f"{len(off)} numbers for "
-                                        f"{k}-dimensional attributes")
     return shift
 
 
@@ -545,18 +502,18 @@ def _cmd_knn(args):
     if args.input:
         trees, classes = _load(args.input, parse_population)
         _require_classes(classes, args.input)
-        dm = distance_matrix(trees, labels=tuple(map(str, classes)),
-                             workers=args.threads)
+        dm, counts = distance_matrix_detailed(
+            trees, labels=tuple(map(str, classes)), workers=args.threads)
         y = list(classes)
     else:
-        dm = _load(args.matrix, DistanceMatrix.from_csv)
+        dm, counts = _load(args.matrix, DistanceMatrix.from_csv), None
         if dm.labels is None:
             raise CliError(INPUT_ERROR,
                            f"input: {args.matrix}: no label column")
         y = list(dm.labels)
     report = knn_classify(dm, y, args.k, args.folds, args.seed)
     path = _write(args.output, _json_text(report.to_json()))
-    return [args.input or args.matrix], [path], None
+    return [args.input or args.matrix], [path], counts
 
 
 def _cmd_correlate(args):
@@ -641,7 +598,7 @@ def main(argv=None) -> int:
         except TreeError as e:
             raise CliError(INPUT_ERROR, f"input: {e}")
         except (ValueError, KeyError, ArithmeticError) as e:
-            raise CliError(COMPUTE_ERROR, f"compute: {e}")
+            raise CliError(COMPUTE_ERROR, f"compute: {_message(e)}")
         _manifest(args, argv, inputs, outputs, diagnostics, t0)
         return 0
     except CliError as e:

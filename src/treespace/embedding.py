@@ -35,6 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._bounds import COUNT, check
 from ._pool import fork_map, resolve_workers
 from .distmat import DistanceMatrix
 
@@ -225,6 +226,10 @@ def stress_gradient(target, points, metric: str = "euclidean") -> np.ndarray:
 
 @dataclass(frozen=True)
 class EmbeddingConfig:
+    """Settings of ``embed``.  ``isomap_k``, ``max_iterations`` (per
+    restart), ``restarts`` and the distortion histogram's ``bins`` are
+    positive integers; anything else raises ValueError."""
+
     method: str = "hmds"
     isomap_k: int = 10
     max_iterations: int = 10000
@@ -235,12 +240,8 @@ class EmbeddingConfig:
     def __post_init__(self):
         if self.method not in ("mds", "isomap", "hmds", "hisomap"):
             raise ValueError(f"unknown method: {self.method!r}")
-        if self.isomap_k < 1:
-            raise ValueError("isomap_k must be at least 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
+        check(COUNT, isomap_k=self.isomap_k, restarts=self.restarts,
+              max_iterations=self.max_iterations, bins=self.bins)
 
 
 @dataclass
@@ -407,9 +408,8 @@ def isomap_graph_distances(target, k: int) -> DistanceMatrix:
     Neighborhoods are symmetrized by union.  Raises when the graph is
     disconnected, naming the components, so the caller can raise ``k``.
     """
+    check(COUNT, k=k)
     from scipy.sparse.csgraph import connected_components, shortest_path
-    if k < 1:
-        raise ValueError("k must be at least 1")
     dm = target if isinstance(target, DistanceMatrix) else None
     delta = _target_values(target)
     n = len(delta)
@@ -442,6 +442,7 @@ def distortion_report(original, embedded, bins: int = 20) \
     between distinct points is an error.  The histogram of embedded -
     original covers every pair.
     """
+    check(COUNT, bins=bins)
     orig = _target_values(original)
     emb = _target_values(embedded)
     if orig.shape != emb.shape:

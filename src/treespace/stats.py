@@ -58,6 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._bounds import ABOVE_ZERO, COUNT, check
 from ._pool import fork_map, resolve_workers
 from .geodesic import (_COUNTS, _check_trees, _pair, distance_matrix,
                        geodesic, geodesic_distance)
@@ -97,7 +98,8 @@ class MeanConfig:
     docstring).  ``certify`` turns the orthant solves on for scalar
     lengths; left off, a mean is the walk alone, and ``max_iterations``
     counts exactly the steps a capped walk takes.  The command line and
-    ``permutation_test`` turn it on.
+    ``permutation_test`` turn it on.  A cap that is not a positive integer,
+    or a tolerance that is not a finite number above 0, raises ValueError.
     """
 
     max_iterations: int | None = None
@@ -106,10 +108,9 @@ class MeanConfig:
     certify: bool = False
 
     def __post_init__(self):
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if self.max_iterations is not None:
+            check(COUNT, max_iterations=self.max_iterations)
+        check(ABOVE_ZERO, tolerance=self.tolerance)
 
 
 @dataclass
@@ -424,8 +425,7 @@ def permutation_test(g1, g2, kind: str = "mean", m: int = 1000,
         raise ValueError("each group needs at least two trees")
     if kind not in ("mean", "variance"):
         raise ValueError(f"unknown statistic kind: {kind!r}")
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    check(COUNT, m=m)
     pool = g1 + g2
     _check_trees(pool)
     n1 = len(g1)

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._bounds import COUNT, FINITE, FRACTION, FROM_ZERO, TWO_UP, check
 from .distmat import DistanceMatrix
 from .trees import AttributedTree, split_key
 
@@ -55,8 +56,7 @@ class ConePoint:
     angle: float
 
     def __post_init__(self):
-        if self.radius < 0:
-            raise ValueError("radius must be nonnegative")
+        check(FROM_ZERO, radius=self.radius)
         if not 0.0 <= self.angle < CONE_ANGLE:
             raise ValueError(f"angle must lie in [0, {CONE_ANGLE})")
 
@@ -70,8 +70,7 @@ class BookPoint:
     def __post_init__(self):
         if self.sheet < 0:
             raise ValueError("sheet index must be nonnegative")
-        if self.height < 0:
-            raise ValueError("height must be nonnegative")
+        check(FROM_ZERO, height=self.height)
         object.__setattr__(self, "spine", tuple(float(v)
                                                 for v in self.spine))
 
@@ -152,8 +151,7 @@ def gen_corner(n: int = 250, seed: int = 0) -> MetricDataset:
 
     Labels index the quadrant the angle falls in (0 to 4).
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    check(COUNT, n=n)
     rng = np.random.default_rng(seed)
     radii = np.abs(rng.normal(0.0, 1.0, size=n))
     angles = rng.uniform(0.0, CONE_ANGLE, size=n)
@@ -167,10 +165,8 @@ def gen_corner(n: int = 250, seed: int = 0) -> MetricDataset:
 def gen_sheets(sheets: int, dim: int, per_sheet: int = 50,
                seed: int = 0) -> MetricDataset:
     """Per sheet: standard-normal spine coordinates, half-normal heights."""
-    if sheets < 2 or dim < 2:
-        raise ValueError("need sheets >= 2 and dim >= 2")
-    if per_sheet < 1:
-        raise ValueError("per_sheet must be at least 1")
+    check(TWO_UP, sheets=sheets, dim=dim)
+    check(COUNT, per_sheet=per_sheet)
     rng = np.random.default_rng(seed)
     points, labels = [], []
     for s in range(sheets):
@@ -207,8 +203,7 @@ def airway_template(k: int = 1) -> AttributedTree:
     act without touching a labeled branch.  Attributes default to unit
     first coordinate.
     """
-    if k < 1:
-        raise ValueError(f"attribute dimension must be at least 1, got {k}")
+    check(COUNT, k=k)
     groups = {
         "Trachea": ("l1", "l2", "l3", "l4", "l5", "r1", "r2", "r3"),
         "LMB": ("l1", "l2", "l3", "l4", "l5"),
@@ -261,6 +256,26 @@ def _apply_regraft(edges, leaf, sibling):
     return edges
 
 
+def _shift_offsets(class_shift, template) -> dict:
+    """``class_shift`` as branch label -> offset of the attribute dimension
+    of ``template``: a number shifts the first coordinate only."""
+    k = template.k or 1
+    shift = {}
+    for label, off in (class_shift or {}).items():
+        vector = isinstance(off, (list, tuple, np.ndarray))
+        if not all(map(FINITE.holds, off if vector else [off])):
+            raise ValueError(f"{label}: expected a number or a list of "
+                             f"numbers")
+        if label not in template.branch_labels:
+            raise ValueError(f"{label}: the template has no such branch")
+        if vector and len(off) != k:
+            raise ValueError(f"{label}: got {len(off)} numbers for "
+                             f"{k}-dimensional attributes")
+        shift[label] = tuple(map(float, off)) if vector \
+            else (float(off),) + (0.0,) * (k - 1)
+    return shift
+
+
 def gen_tree_population(template: AttributedTree, n: int,
                         topology_noise: float = 0.0,
                         attr_sigma: float = 0.1,
@@ -278,26 +293,10 @@ def gen_tree_population(template: AttributedTree, n: int,
     Tree i draws from the stream [seed, i], so any subset of the
     population is reproducible in isolation.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if not 0.0 <= topology_noise <= 1.0:
-        raise ValueError("topology_noise must be a probability")
-    if attr_sigma < 0:
-        raise ValueError("attr_sigma must be nonnegative")
-    k = template.k or 1
-    shift = {}
-    if class_shift:
-        for label, off in class_shift.items():
-            if label not in template.branch_labels:
-                raise ValueError(f"template has no branch labeled "
-                                 f"{label!r}")
-            if np.isscalar(off):
-                shift[label] = (float(off),) + (0.0,) * (k - 1)
-            else:
-                off = tuple(float(v) for v in off)
-                if len(off) != k:
-                    raise ValueError("class_shift vector has wrong length")
-                shift[label] = off
+    check(COUNT, n=n)
+    check(FRACTION, topology_noise=topology_noise)
+    check(FROM_ZERO, attr_sigma=attr_sigma)
+    shift = _shift_offsets(class_shift, template)
     n_control = n - n // 2
     trees, classes = [], []
     for i in range(n):
@@ -318,7 +317,7 @@ def gen_tree_population(template: AttributedTree, n: int,
             for label, off in shift.items():
                 s = template.branch_labels[label]
                 noisy[s] = [a + o for a, o in zip(noisy[s], off)]
-        if k == 1:
+        if (template.k or 1) == 1:
             noisy = {s: [max(0.0, v) for v in vals]
                      for s, vals in noisy.items()}
         # zero attributes stay: a labeled branch must survive even when

@@ -1189,3 +1189,30 @@ def test_top_level_help_is_plain_text(capsys):
     out = capsys.readouterr().out
     assert "``" not in out
     assert "flags, then --config JSON, then" in " ".join(out.split())
+
+
+def test_missing_branch_label_is_named_without_quotes(pop_file, tmp_path,
+                                                      capsys):
+    # a KeyError's own message, not its repr
+    assert run("subtree-features", "--input", str(pop_file), "--labels",
+               "NOPE", "-o", str(tmp_path / "f.csv")) == 70
+    assert capsys.readouterr().err == (
+        "treespace: error: compute: tree carries no branch labeled "
+        "'NOPE'\n")
+
+
+def test_knn_input_manifest_counts_the_geodesic_work_of_dist(tmp_path):
+    pop = tmp_path / "pop.json"
+    assert run("gen", "trees", "-o", str(pop), "--n", "8",
+               "--topology-noise", "1.0", "--seed", "3") == 0
+    assert run("dist", "--input", str(pop), "-o", str(tmp_path / "d.csv"),
+               "--deterministic") == 0
+    counts = json.loads((tmp_path / "d.manifest.json").read_text())
+    assert counts["diagnostics"]["pairs"] == 28
+    for threads in ("1", "2"):
+        out = tmp_path / f"knn{threads}.json"
+        assert run("knn", "--input", str(pop), "--k", "1", "--folds", "2",
+                   "--threads", threads, "-o", str(out),
+                   "--deterministic") == 0
+        manifest = json.loads(out.with_suffix(".manifest.json").read_text())
+        assert manifest["diagnostics"] == counts["diagnostics"]

@@ -54,7 +54,8 @@ def test_default_workers_follow_the_affinity_mask():
 def test_workers_below_one_rejected(fn):
     trees = gen_tree_population(airway_template(), 4, seed=1).trees
     for workers in (0, -2):
-        with pytest.raises(ValueError, match="workers must be at least 1"):
+        with pytest.raises(ValueError,
+                           match="workers: expected a positive integer"):
             fn(trees, workers)
 
 

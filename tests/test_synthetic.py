@@ -258,7 +258,7 @@ def test_population_vector_attributes():
 
 @pytest.mark.parametrize("k", [0, -2])
 def test_airway_template_needs_a_positive_dimension(k):
-    with pytest.raises(ValueError, match="at least 1"):
+    with pytest.raises(ValueError, match="k: expected a positive integer"):
         airway_template(k)
 
 
