@@ -6,10 +6,10 @@ The model minimizes the penalized negative log-likelihood
         + lambda * (alpha |beta|_1 + (1 - alpha)/2 |beta|_2^2)
 
 with eta = intercept + X beta and the intercept left unpenalized.  The
-solver takes proximal Newton steps: coordinate descent and a linear solve
-on the support minimize the loss's quadratic model plus the exact penalty,
-and a line search on the true objective makes every step a descent step.
-Each model reports its Newton steps and why the fit stopped.
+solver takes proximal Newton steps: feature-sign search minimizes the
+loss's quadratic model plus the exact penalty, and a line search on the
+true objective makes every step a descent step.  Each model reports its
+Newton steps and why the fit stopped.
 
 Cross-validation is stratified and repeated.  Accuracies are reported on a
 common lambda grid, and additionally with a nested protocol where each
@@ -74,59 +74,55 @@ def _check_xy(X, y):
     return X, y
 
 
-def _newton_direction(H, g, w, thr, l2, tol):
-    """Minimizer of g.(v - w) + (v - w)'H(v - w)/2 + thr.|v| + l2.v^2/2.
+def _newton_direction(H, g, w, thr, l2):
+    """Minimizer of q(v) = g.(v - w) + (v - w)'H(v - w)/2 + thr.|v| +
+    l2.v^2/2, by feature-sign search (Lee, Battle, Raina & Ng 2006).
 
-    Coordinate descent carries the model gradient r = g + H(v - w).  Once
-    a sweep leaves the support unchanged, a linear solve on it finishes the
-    job if the signs and the conditions off the support hold; if a sign
-    flips, v moves toward the solve until that coefficient hits zero.  Each
-    move lowers the model, so a direction left unfinished after 100 sweeps
-    (nearly separable data, vanishing curvature) still descends.
+    From w's support and signs, each round solves for q's minimizer with
+    the signs held.  A flipped sign moves v to the lowest of the solve and
+    the points toward it where a flipped coefficient is zero; else the
+    worst violator among the zero coefficients joins.  A singular or
+    inexact solve gives way to a proximal step.  Each round lowers q, so
+    a direction left unfinished after 100 rounds still descends.
     """
-    v, r = w.copy(), g.copy()
-    denom = np.diag(H) + l2
+    def q(u):
+        d = u - w
+        return g @ d + 0.5 * d @ H @ d + thr @ np.abs(u) + 0.5 * l2 @ (u * u)
+
     free = thr == 0.0
-    support = (v != 0.0) | free
+    v, sign = w, np.sign(w)
     for _ in range(100):
-        biggest = 0.0
-        for j in np.flatnonzero(denom > 0.0):
-            # the relative slack keeps beta exactly zero at lam = lambda_max,
-            # where rounding can push |r| a few ulps past the threshold
-            if v[j] == 0.0 and abs(r[j]) <= thr[j] * (1.0 + 1e-12):
-                continue
-            z = H[j, j] * v[j] - r[j]
-            vn = np.sign(z) * max(abs(z) - thr[j], 0.0) / denom[j]
-            if vn != v[j]:
-                r += H[:, j] * (vn - v[j])
-                biggest = max(biggest, abs(vn - v[j]))
-                v[j] = vn
-        on = (v != 0.0) | free
-        if np.array_equal(on, support):
-            S = np.flatnonzero(on)
-            sign = np.sign(v[S])
-            try:
-                vs = np.linalg.solve(H[np.ix_(S, S)] + np.diag(l2[S]),
-                                     H[S] @ w - g[S] - thr[S] * sign)
-            except np.linalg.LinAlgError:   # singular: keep the sweep's v
-                vs = v[S]
-            flip = (np.sign(vs) != sign) & ~free[S]
-            if not flip.any():
-                u = np.zeros_like(v)
-                u[S] = vs
-                if np.all(np.abs(g + H @ (u - w))[~on]
-                          <= thr[~on] * (1.0 + 1e-12)):
-                    return u
-            else:
-                cross = v[S][flip] / (v[S][flip] - vs[flip])
-                k = int(np.argmin(cross))
-                v[S] += cross[k] * (vs - v[S])
-                v[S[flip][k]] = 0.0
-                r = g + H @ (v - w)
-                biggest = np.inf            # v moved off the sweep's fixpoint
-        support = (v != 0.0) | free
-        if biggest < 1e-3 * tol:
+        on = (sign != 0.0) | free
+        S = np.flatnonzero(on)
+        M = H[np.ix_(S, S)] + np.diag(l2[S])
+        b = H[S] @ w - g[S] - thr[S] * sign[S]
+        try:
+            z = np.linalg.solve(M, b)
+        except np.linalg.LinAlgError:   # singular: keep v if it solves it
+            z = v[S]
+        solved = abs(M @ z - b).max(initial=0) <= 1e-9 * abs(b).max(initial=0)
+        if not solved:
+            mu = 1e-8 * (abs(M).max(initial=0) or 1.0)
+            z = np.linalg.solve(M + mu * np.eye(len(S)), b + mu * v[S])
+        u = np.zeros_like(w)
+        u[S] = z
+        flip = (np.sign(u) != sign) & ~free
+        if flip.any() or not solved:
+            ks = np.flatnonzero(flip & (v != 0.0))
+            cross = v + (v[ks] / (v[ks] - u[ks]))[:, None] * (u - v)
+            cross[np.arange(len(ks)), ks] = 0.0
+            v = min([u, *cross], key=q)
+            sign = np.sign(v)
+            continue
+        # the relative slack keeps beta exactly zero at lam = lambda_max,
+        # where rounding can push |r| a few ulps past the threshold
+        r = g + H @ (u - w)
+        excess = np.where(on, -np.inf, np.abs(r) - thr * (1.0 + 1e-12))
+        j = int(np.argmax(excess))
+        v, sign = u, np.sign(u)
+        if excess[j] <= 0.0:
             break
+        sign[j] = -np.sign(r[j])   # the sign that lowers q
     return v
 
 
@@ -176,7 +172,7 @@ def fit_elastic_net(X, y, lam: float, alpha: float, *, tol: float = 1e-8,
         p = expit(A @ w)
         g = A.T @ (p - y)
         H = (A.T * (p * (1.0 - p))) @ A
-        delta = _newton_direction(H, g, w, thr, l2, tol) - w
+        delta = _newton_direction(H, g, w, thr, l2) - w
         drop = float(g @ delta) + penalty(w + delta) - penalty(w)
         whole = -drop <= 1e-12 * f      # lost in rounding: take it whole
         for t in 0.5 ** np.arange(34):
@@ -250,7 +246,10 @@ def lambda_max(X, y, alpha: float) -> float:
     """Smallest penalty that zeroes every coefficient."""
     X, y = _check_xy(X, y)
     check(MIX, alpha=alpha)
-    return float(np.max(np.abs(X.T @ (y - y.mean()))) / alpha)
+    lmax = float(np.max(np.abs(X.T @ (y - y.mean())))) / float(alpha)
+    if not np.isfinite(lmax):
+        raise ValueError(f"alpha: {alpha!r} is too small for the penalty grid")
+    return lmax
 
 
 def lambda_grid(lmax: float, num: int = 50) -> np.ndarray:

@@ -430,7 +430,7 @@ def _cmd_gen(args):
 
 def _cmd_dist(args):
     trees, classes = _load(args.input, parse_population)
-    labels = tuple(str(c) for c in classes) if classes else None
+    labels = tuple(c or "" for c in classes) if classes else None
     dm, counts = distance_matrix_detailed(trees, labels=labels,
                                           workers=args.threads)
     return [args.input], [_write(args.output, dm.to_csv())], counts
@@ -510,6 +510,9 @@ def _cmd_knn(args):
         if dm.labels is None:
             raise CliError(INPUT_ERROR,
                            f"input: {args.matrix}: no label column")
+        if "" in dm.labels:
+            raise CliError(INPUT_ERROR,
+                           f"input: {args.matrix}: every row needs a label")
         y = list(dm.labels)
     report = knn_classify(dm, y, args.k, args.folds, args.seed)
     path = _write(args.output, _json_text(report.to_json()))

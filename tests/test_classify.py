@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treespace import (
     SubtreeScheme,
@@ -18,7 +19,7 @@ from treespace import (
     predict,
     predict_proba,
 )
-from treespace.classify import _knn_vote
+from treespace.classify import _knn_vote, _newton_direction
 
 
 def logistic_data(seed=0, n=120, d=4, noise=True):
@@ -156,6 +157,54 @@ def test_objective_non_increasing_over_sweeps():
         objs.append(penalized_objective(m, X, y))
     for a, b in zip(objs, objs[1:]):
         assert b <= a + 1e-12
+
+
+def test_duplicated_columns_keep_kkt_along_a_lasso_path():
+    # the last two columns copy the first two, so every support holding a
+    # column and its copy makes the Newton subproblem's solve singular
+    X, y = logistic_data(seed=0, n=40, d=5)
+    X = np.hstack([X, X[:, :2]])
+    warm = None
+    for lam in lambda_grid(lambda_max(X, y, 1.0)):
+        warm = fit_elastic_net(X, y, lam, 1.0, warm=warm)
+        assert warm.stop_reason == "converged"
+        assert kkt_residual(warm, X, y) <= 1e-12
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 6),
+       rows=st.integers(1, 7), copy=st.booleans())
+def test_newton_direction_solves_its_subproblem(seed, d, rows, copy):
+    # H = B'DB, singular when rows < d, when D has zeros or when a column
+    # of B copies another; g leaves H's range by at most thr, so q is
+    # bounded below and has a minimizer
+    rng = np.random.default_rng(seed)
+
+    def sparse(draw, p_zero):
+        return draw * (rng.random(d) >= p_zero)
+
+    B = rng.normal(size=(rows, d))
+    if copy and d > 1:
+        B[:, -1] = B[:, 0]
+    D = rng.exponential(size=rows) * (rng.random(rows) >= 0.3)
+    H = B.T @ (D[:, None] * B)
+    thr = sparse(rng.exponential(size=d), 0.3)
+    l2 = sparse(rng.exponential(size=d), 0.5)
+    g = B.T @ (D * rng.normal(size=rows)) + thr * rng.uniform(-1, 1, d)
+    w = sparse(rng.normal(size=d), 0.3)
+
+    def q(u):
+        return (g @ (u - w) + 0.5 * (u - w) @ H @ (u - w)
+                + thr @ np.abs(u) + 0.5 * l2 @ (u * u))
+
+    v = _newton_direction(H, g, w, thr, l2)
+    r = g + H @ (v - w) + l2 * v
+    scale = 1.0 + np.abs(g).max() + np.abs(H).max() * np.abs(
+        np.r_[v, w]).max() + thr.max() + l2.max() * np.abs(v).max()
+    on = (v != 0.0) | (thr == 0.0)
+    assert np.all(np.abs((r + thr * np.sign(v))[on]) <= 1e-9 * scale)
+    assert np.all(np.abs(r[~on]) <= thr[~on] * (1.0 + 1e-12) + 1e-9 * scale)
+    assert q(v) <= q(w) + 1e-12 * scale * (1.0 + np.abs(w).max())
 
 
 def test_sparsity_monotone_on_grid():

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -489,6 +490,56 @@ def test_pooled_features_of_a_population_without_classes(pop_file,
     rows = csv_rows(feats.read_text())
     assert rows[0] == ["id", "class", "LMB"]
     assert [r[1] for r in rows[1:]] == [""] * len(docs)
+
+
+def _partly_classed(pop_file, tmp_path):
+    """``pop_file`` with the class of its first 5 trees removed."""
+    docs = json.loads(pop_file.read_text())
+    for doc in docs[:5]:
+        del doc["class"]
+    path = tmp_path / "partly.json"
+    path.write_text(json.dumps(docs))
+    return path, docs
+
+
+def test_dist_leaves_the_label_of_an_unclassed_tree_empty(pop_file,
+                                                          tmp_path):
+    partly, docs = _partly_classed(pop_file, tmp_path)
+    out = tmp_path / "d.csv"
+    assert run("dist", "--input", str(partly), "-o", str(out)) == 0
+    rows = csv_rows(out.read_text())
+    assert [r[1] for r in rows[1:]] == [""] * 5 + [
+        d["class"] for d in docs[5:]]
+
+
+def test_knn_matrix_needs_every_label(pop_file, tmp_path, capsys):
+    partly, _ = _partly_classed(pop_file, tmp_path)
+    out = tmp_path / "d.csv"
+    assert run("dist", "--input", str(partly), "-o", str(out)) == 0
+    capsys.readouterr()
+    assert run("knn", "--matrix", str(out), "--k", "3", "--folds", "2",
+               "-o", str(tmp_path / "knn.json")) == 65
+    assert capsys.readouterr().err == (
+        f"treespace: error: input: {out}: every row needs a label\n")
+    # as knn --input does for the population itself
+    assert run("knn", "--input", str(partly), "--k", "3", "--folds", "2",
+               "-o", str(tmp_path / "knn.json")) == 65
+    assert capsys.readouterr().err == (
+        f"treespace: error: input: {partly}: every tree needs a class\n")
+
+
+def test_classify_names_an_alpha_too_small_for_the_penalty_grid(
+        pop_file, tmp_path, capsys):
+    feats = tmp_path / "f.csv"
+    assert run("subtree-features", "--input", str(pop_file),
+               "--mode", "pooled", "-o", str(feats)) == 0
+    capsys.readouterr()
+    assert run("classify", "--features", str(feats), "--alphas", "1e-320",
+               "--folds", "2", "--repeats", "1",
+               "-o", str(tmp_path / "cv.json")) == 70
+    assert capsys.readouterr().err == (
+        "treespace: error: compute: alpha: 1e-320 is too small for the "
+        "penalty grid\n")
 
 
 _D3 = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
@@ -1079,6 +1130,30 @@ def test_classify_names_inner_folds_it_cannot_build(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "treespace: error: compute: could not build 5 inner folds "
         "containing every class from a training fold of 8 subjects\n")
+
+
+def test_classify_output_is_pinned(tmp_path):
+    # cv.json of a seeded 17-subject cohort, on both kinds of subtree
+    # features; a change to the elastic-net solver must keep these bytes
+    pop = tmp_path / "pop.json"
+    assert run("gen", "trees", "-o", str(pop), "--n", "17",
+               "--attr-sigma", "0.1", "--topology-noise", "0.5",
+               "--class-shift", '{"LMB": 0.3}', "--seed", "1") == 0
+    digests = {}
+    for mode in ("pooled", "per-class"):
+        feats, cv = tmp_path / f"{mode}.csv", tmp_path / f"{mode}.json"
+        assert run("subtree-features", "--input", str(pop), "--mode", mode,
+                   "-o", str(feats), "--seed", "1") == 0
+        assert run("classify", "--features", str(feats), "--alphas", "1.0",
+                   "0.5", "--folds", "3", "--repeats", "1", "--seed", "1",
+                   "-o", str(cv)) == 0
+        digests[mode] = hashlib.sha256(cv.read_bytes()).hexdigest()
+    assert digests == {
+        "pooled": "31259882207574d0e9c9f1018acc7404"
+                  "6e8f0e0ab36ae00500ff2a54997044c7",
+        "per-class": "f9d150005d47ab0b2e521270e07f4882"
+                     "3f11d0ec0454d63add24fd0f5af7c4eb",
+    }
 
 
 _PIPELINE = """
