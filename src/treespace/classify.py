@@ -96,14 +96,17 @@ def _newton_direction(H, g, w, thr, l2):
         S = np.flatnonzero(on)
         M = H[np.ix_(S, S)] + np.diag(l2[S])
         b = H[S] @ w - g[S] - thr[S] * sign[S]
+        tol = 1e-9 * abs(b).max(initial=0)
         try:
             z = np.linalg.solve(M, b)
         except np.linalg.LinAlgError:   # singular: keep v if it solves it
             z = v[S]
-        solved = abs(M @ z - b).max(initial=0) <= 1e-9 * abs(b).max(initial=0)
+        solved = abs(M @ z - b).max(initial=0) <= tol
         if not solved:
             mu = 1e-8 * (abs(M).max(initial=0) or 1.0)
             z = np.linalg.solve(M + mu * np.eye(len(S)), b + mu * v[S])
+            # a proximal step that lands on a solution ends the round too
+            solved = abs(M @ z - b).max(initial=0) <= tol
         u = np.zeros_like(w)
         u[S] = z
         flip = (np.sign(u) != sign) & ~free
@@ -246,7 +249,10 @@ def lambda_max(X, y, alpha: float) -> float:
     """Smallest penalty that zeroes every coefficient."""
     X, y = _check_xy(X, y)
     check(MIX, alpha=alpha)
-    lmax = float(np.max(np.abs(X.T @ (y - y.mean())))) / float(alpha)
+    top = float(np.max(np.abs(X.T @ (y - y.mean())), initial=0.0))
+    if top == 0.0:
+        raise ValueError("no feature column varies with the classes")
+    lmax = top / float(alpha)
     if not np.isfinite(lmax):
         raise ValueError(f"alpha: {alpha!r} is too small for the penalty grid")
     return lmax

@@ -24,8 +24,10 @@ by switch time and strictly shortens the path; when no pair can be split the
 path is the unique shortest one (the space is non-positively curved, so
 local optimality implies global).
 
-``brute_force_distance`` checks the same quantity by exhaustive search over
-support sequences and never looks at the refinement machinery.
+``brute_force_distance`` checks the same quantity exactly, by exhaustive
+search over the support sequences whose switch times come out in order, and
+never looks at the refinement machinery.  Out-of-order sequences cannot win:
+the geodesic's own support is an ordered one (Owen & Provan 2011).
 """
 
 from __future__ import annotations
@@ -513,84 +515,21 @@ def _ordered_partitions(items, k):
         yield tuple(tuple(b) for b in blocks)
 
 
-def _polyline_length(anorms, bnorms, lin_sq, times):
-    """Length of the piecewise-linear path with the given switch times.
-
-    Source block i shrinks linearly to zero at times[i], target block i
-    grows linearly from there; free and common coordinates move linearly
-    over the whole of [0, 1].  Valid for nondecreasing times.
-    """
-    k = len(anorms)
-    ts = [0.0] + list(times) + [1.0]
-    total = 0.0
-    for seg in range(len(ts) - 1):
-        t0, t1 = ts[seg], ts[seg + 1]
-        if t1 <= t0:
-            continue
-        sq = (t1 - t0) ** 2 * lin_sq
-        for i in range(k):
-            tau = times[i]
-            l0 = max(0.0, 1.0 - t0 / tau)
-            l1 = max(0.0, 1.0 - t1 / tau)
-            sq += (anorms[i] * (l1 - l0)) ** 2
-            m0 = max(0.0, (t0 - tau) / (1.0 - tau))
-            m1 = max(0.0, (t1 - tau) / (1.0 - tau))
-            sq += (bnorms[i] * (m1 - m0)) ** 2
-        total += math.sqrt(sq)
-    return total
-
-
-def _grid_refine(anorms, bnorms, lin_sq, grid):
-    """Best polyline length over switch times restricted to a uniform grid.
-
-    Used for support sequences whose unconstrained switch times would leave
-    the prescribed visiting order; the result is always the length of a
-    realizable path, hence an upper bound on the true distance.
-    """
-    k = len(anorms)
-    candidates = [j / grid for j in range(1, grid)]
-    times = []
-    for i in range(k):
-        want = (i + 1) / (k + 1)
-        times.append(min(candidates, key=lambda c: abs(c - want)))
-    times.sort()
-    best = _polyline_length(anorms, bnorms, lin_sq, times)
-    for _ in range(4):
-        improved = False
-        for i in range(k):
-            lo = times[i - 1] if i > 0 else candidates[0]
-            hi = times[i + 1] if i + 1 < k else candidates[-1]
-            for c in candidates:
-                if c < lo or c > hi or c == times[i]:
-                    continue
-                trial = times[:i] + [c] + times[i + 1:]
-                val = _polyline_length(anorms, bnorms, lin_sq, trial)
-                if val < best - 1e-15:
-                    best = val
-                    times = trial
-                    improved = True
-        if not improved:
-            break
-    return best
-
-
-def brute_force_distance(t1: AttributedTree, t2: AttributedTree,
-                         grid: int = 128) -> float:
+def brute_force_distance(t1: AttributedTree, t2: AttributedTree) -> float:
     """Reference distance by exhaustive search over support sequences.
 
     Every ordered pairing of source-only and target-only split blocks whose
-    orthant sequence exists is scored.  Sequences whose switch times come
-    out in visiting order get the exact straight-line length; the others are
-    scored by the best piecewise-linear path with switch times on a uniform
-    ``grid``, which upper-bounds the distance and tightens as the grid
-    grows.  The minimum over all sequences equals the geodesic length.
+    orthant sequence exists and whose switch times come out nondecreasing
+    is scored by its exact straight-line length, and the least is returned.
+    The geodesic's own support is such a sequence (Owen & Provan, IEEE/ACM
+    TCBB 8(1), 2011), and a sequence with out-of-order switch times can
+    only be walked by a bent path that is never shorter, so the minimum is
+    the geodesic length.
 
     Intentionally knows nothing about the refinement algorithm; cost is
     exponential in the number of conflicting splits (at most 5 per side).
     """
     _check_pair(t1, t2)
-    if grid < 2:
-        raise ValueError("grid must be at least 2")
     common, only1, only2 = _side_splits(t1, t2)
     base_sq = sum(
         sum((xi - yi) ** 2 for xi, yi in zip(t1.edges[s], t2.edges[s]))
@@ -626,16 +565,9 @@ def brute_force_distance(t1: AttributedTree, t2: AttributedTree,
                           for blk in bblocks]
                 times = [an / (an + bn)
                          for an, bn in zip(anorms, bnorms)]
-                if all(times[i] <= times[i + 1] + 1e-12
+                if any(times[i] > times[i + 1] + 1e-12
                        for i in range(k - 1)):
-                    val = math.sqrt(base_sq + sum(
-                        (an + bn) ** 2 for an, bn in zip(anorms, bnorms)))
-                else:
-                    lower = math.sqrt(base_sq + sum(
-                        (an + bn) ** 2 for an, bn in zip(anorms, bnorms)))
-                    if lower >= best:
-                        continue
-                    val = _grid_refine(anorms, bnorms, base_sq, grid)
-                if val < best:
-                    best = val
+                    continue
+                best = min(best, math.sqrt(base_sq + sum(
+                    (an + bn) ** 2 for an, bn in zip(anorms, bnorms))))
     return best

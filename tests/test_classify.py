@@ -207,6 +207,42 @@ def test_newton_direction_solves_its_subproblem(seed, d, rows, copy):
     assert q(v) <= q(w) + 1e-12 * scale * (1.0 + np.abs(w).max())
 
 
+def test_newton_direction_ends_on_a_singular_support(monkeypatch):
+    # the generator above at seed 10680, d = 4, rows = 1, no copy: every
+    # coordinate is unpenalized and H + diag(l2) is singular, yet the plain
+    # solve does not raise, so each round needs a proximal step; the round
+    # whose proximal iterate solves the system must end the search
+    H = np.array([
+        [3.1928507029759543, 1.013652393301923, 0.7428131536647188,
+         0.5331955008695473],
+        [1.013652393301923, 0.32180996546096713, 0.2358250983319034,
+         0.16927659506611903],
+        [0.7428131536647188, 0.23582509833190338, 0.172814651415751,
+         0.12404733837118925],
+        [0.5331955008695471, 0.169276595066119, 0.12404733837118924,
+         0.08904188407010159]])
+    g = np.array([-0.45440730369506516, -0.14426325994355316,
+                  -0.10571735220547673, -0.07588451588627111])
+    w = np.array([1.1958866332165816, -1.1189427201518984,
+                  -1.470453159735634, -0.989763418580508])
+    thr = np.zeros(4)
+    l2 = np.array([0.0, 0.0, 1.221247395489022, 0.11001473188716321])
+    solve, calls = np.linalg.solve, []
+
+    def counted(*args):
+        calls.append(None)
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    v = _newton_direction(H, g, w, thr, l2)
+    assert len(calls) <= 6
+    # no penalty: the minimizer is a stationary point of q
+    r = g + H @ (v - w) + l2 * v
+    assert np.abs(r).max() <= 1e-12
+    d = v - w
+    assert g @ d + 0.5 * d @ H @ d + 0.5 * l2 @ (v * v - w * w) <= 0.0
+
+
 def test_sparsity_monotone_on_grid():
     X, y = logistic_data(seed=2, n=200, d=4)
     for alpha in (1.0, 0.5):

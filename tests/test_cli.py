@@ -542,6 +542,22 @@ def test_classify_names_an_alpha_too_small_for_the_penalty_grid(
         "penalty grid\n")
 
 
+@pytest.mark.parametrize("names, values", [(["f1", "f2"], ["1.5", "2.0"]),
+                                           ([], [])])
+def test_classify_names_features_that_carry_no_signal(names, values,
+                                                      tmp_path, capsys):
+    # constant feature columns, or none at all: no penalty is needed to
+    # zero every coefficient, so the penalty grid has no top
+    feats = tmp_path / "const.csv"
+    feats.write_text(csv_text([["id", "class", *names]] + [
+        [f"s{i}", "AB"[i % 2], *values] for i in range(12)]))
+    assert run("classify", "--features", str(feats), "--folds", "2",
+               "--repeats", "1", "-o", str(tmp_path / "cv.json")) == 70
+    assert capsys.readouterr().err == (
+        "treespace: error: compute: no feature column varies with the "
+        "classes\n")
+
+
 _D3 = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
 
 
