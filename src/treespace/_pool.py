@@ -9,6 +9,11 @@ built.  The map runs in the calling process instead when that leaves one
 worker, when the platform cannot fork, or when the caller is itself a pool
 worker, so pools never nest.  An exception raised by ``fn`` in a worker is
 raised again in the parent, and the workers are stopped and reaped.
+
+Build n x n inputs in the parent before forking: BLAS calls on such
+matrices ran 10-50 times slower in the forked workers than in the parent
+(classical MDS of 160 points: 3.5 ms in the parent, 40-200 ms in each of
+two workers, on 2 vCPUs).
 """
 
 from __future__ import annotations

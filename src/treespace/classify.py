@@ -164,11 +164,14 @@ def fit_elastic_net(X, y, lam: float, alpha: float, *, tol: float = 1e-8,
     def penalty(v):
         return float(thr @ np.abs(v) + 0.5 * l2 @ (v * v))
 
-    def objective(v):
+    def loss(v):
         eta = A @ v
-        return float(np.logaddexp(0.0, eta).sum() - y @ eta) + penalty(v)
+        return float(np.logaddexp(0.0, eta).sum() - y @ eta)
 
-    f = objective(w)
+    # the penalty of w changes only when a trial is accepted, and the
+    # first trial, w + 1.0 * delta, is w + delta to the bit
+    pen = penalty(w)
+    f = loss(w) + pen
     stop, steps = "cap", 0
     while steps < max_sweeps:
         steps += 1
@@ -176,12 +179,15 @@ def fit_elastic_net(X, y, lam: float, alpha: float, *, tol: float = 1e-8,
         g = A.T @ (p - y)
         H = (A.T * (p * (1.0 - p))) @ A
         delta = _newton_direction(H, g, w, thr, l2) - w
-        drop = float(g @ delta) + penalty(w + delta) - penalty(w)
+        pen_whole = penalty(w + delta)
+        drop = float(g @ delta) + pen_whole - pen
         whole = -drop <= 1e-12 * f      # lost in rounding: take it whole
         for t in 0.5 ** np.arange(34):
-            f_new = objective(w + t * delta)
+            v = w + t * delta
+            pen_v = pen_whole if t == 1.0 else penalty(v)
+            f_new = loss(v) + pen_v
             if whole or f_new <= f + 1e-4 * t * drop:
-                w, f = w + t * delta, f_new
+                w, f, pen = v, f_new, pen_v
                 break
         else:
             stop = "line_search"

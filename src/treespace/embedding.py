@@ -14,6 +14,8 @@ fits disk points by steepest descent on the Sammon stress
 
 (pairs with delta = 0, i.e. duplicate inputs, are left out of the sums),
 taking steps along Möbius translations so iterates stay inside the disk.
+It starts from classical MDS carried into the disk by the exponential map
+at the origin, as h-MDS does, with a small seeded offset per restart.
 Flat counterparts: classical MDS on double-centered squared distances, and
 Isomap, which first replaces the input metric by shortest paths in a
 k-nearest-neighbor graph.
@@ -56,6 +58,7 @@ __all__ = [
 _BOUNDARY = 1.0 - 1e-10  # |z| is clamped here; the metric blows up at 1
 _UMAX = np.nextafter(1.0, 0.0)  # u = tanh(d / 2) is capped here
 _FLAT_DROP = 1e-9  # mds_pd: a relative stress drop below this is flat
+_EPS = np.finfo(float).eps  # mds_pd: a stress at or below this is an exact fit
 
 
 def hyperbolic_distance(z1, z2) -> float:
@@ -304,6 +307,19 @@ def _init_disk(n, rng) -> np.ndarray:
     return r * np.exp(1j * theta)
 
 
+def _disk_start(delta: np.ndarray) -> np.ndarray:
+    """Classical MDS of delta carried into the disk by the exponential map
+    at the origin: planar radius r goes to |z| = tanh(r / 2), so each
+    point lies at hyperbolic distance r from the origin.  Far points round
+    to |z| = 1; the descent clamps them, since the float64 disk holds no
+    point beyond hyperbolic radius 2 atanh(1 - 1e-10) ~ 23.7."""
+    xy = classical_mds(delta)
+    r = np.hypot(xy[:, 0], xy[:, 1])
+    scale = np.divide(np.tanh(0.5 * r), r, out=np.zeros_like(r),
+                      where=r > 0.0)
+    return (xy[:, 0] + 1j * xy[:, 1]) * scale
+
+
 def _real(z: np.ndarray) -> np.ndarray:
     """The (n, 2) real view of contiguous complex points."""
     return z.view(float).reshape(-1, 2)
@@ -313,20 +329,30 @@ def mds_pd(target, cfg: EmbeddingConfig | None = None,
            seed=None) -> EmbeddingResult:
     """Hyperbolic embedding by gradient descent in the Poincaré disk.
 
-    Points start uniform over the radius-0.5 disk and move along Möbius
-    translations opposite the stress gradient.  The trial step size is
-    spectral (Barzilai-Borwein from the last displacement/gradient change)
-    and every step is vetted by backtracking with a sufficient-decrease
-    test, so recorded stresses never increase.  The result's stop_reason
+    Points start at the planar classical MDS of the target carried into
+    the disk, radius r to |z| = tanh(r / 2), each moved by a seeded offset
+    of at most 0.005.  They move along Möbius translations opposite the
+    stress gradient.  The trial step size is spectral (Barzilai-Borwein
+    from the last displacement/gradient change) and every step is vetted
+    by backtracking with a sufficient-decrease test, so recorded stresses
+    never increase.  The result's stop_reason
     is "converged" once the relative stress drop stays below 1e-9 for five
     steps in a row, "stationary" at a zero gradient, "line_search" when
     40 halvings find no decrease, and "cap" after cfg.max_iterations steps.
+    A failed line search from a stress at or below float64 epsilon is
+    "converged": that is an exact fit, whose rounding no step can lower.
     """
     cfg = cfg or EmbeddingConfig()
     delta = _target_values(target)
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    z = _init_disk(len(delta), rng)
-    fn = _Stress(delta, "hyperbolic")
+    return _descend(_Stress(delta, "hyperbolic"), _disk_start(delta), cfg,
+                    cfg.seed if seed is None else seed)
+
+
+def _descend(fn: _Stress, start: np.ndarray, cfg: EmbeddingConfig,
+             seed) -> EmbeddingResult:
+    """mds_pd's descent from the seeded perturbation of ``start``."""
+    rng = np.random.default_rng(seed)
+    z = _clamp_disk(start + 0.01 * _init_disk(len(start), rng))
     stress, terms = fn.eval(_real(z))
     trace = [stress]
     eta = 1.0
@@ -359,7 +385,7 @@ def mds_pd(target, cfg: EmbeddingConfig | None = None,
                     break
             eta *= 0.5
         else:
-            reason = "line_search"
+            reason = "converged" if stress <= _EPS else "line_search"
             break
         prev_z, prev_d = z, d
         drop = (stress - snew) / max(stress, 1e-300)
@@ -490,8 +516,12 @@ def embed(target, cfg: EmbeddingConfig | None = None,
         result = EmbeddingResult(cfg.method, "euclidean", coords, stress,
                                  [stress])
     else:
+        # one kernel and one start for every restart, built before forking:
+        # n x n BLAS runs far slower in the workers
+        fn = _Stress(fit_target, "hyperbolic")
+        start = _disk_start(fit_target)
         runs = tuple(fork_map(
-            lambda r: mds_pd(fit_target, cfg, seed=[cfg.seed, r]),
+            lambda r: _descend(fn, start, cfg, [cfg.seed, r]),
             range(cfg.restarts), workers))
         best = min(runs, key=lambda run: run.final_stress)
         result = replace(best, restarts=runs)

@@ -21,8 +21,8 @@ from treespace import (
     stress_gradient,
 )
 from treespace.cli import main
-from treespace.embedding import (_Stress, _distances, _pairs, _pairwise,
-                                 _square)
+from treespace.embedding import (_Stress, _disk_start, _distances, _pairs,
+                                 _pairwise, _square)
 
 from test_geodesic import _pinned_populations
 
@@ -352,6 +352,33 @@ def test_mds_pd_stop_reasons():
     assert two.final_stress < 1e-10
 
 
+def test_mds_pd_fits_realizable_configurations_exactly():
+    # every restart starts from classical MDS in the disk, inside the exact
+    # fit's basin, and a fit rounded to zero stress stops "converged"
+    for t in range(12):
+        target = full_matrix(disk_points(np.random.default_rng(100 + t), 6),
+                             "hyperbolic")
+        for r in range(5):
+            res = mds_pd(target, seed=r)
+            assert res.final_stress <= 1e-20, (t, r)
+            assert res.stop_reason == "converged", (t, r)
+
+
+def test_mds_pd_clamps_a_start_beyond_the_float64_disk():
+    # classical MDS puts these points 45, 15, 5 and 55 from their mean, and
+    # tanh(r / 2) rounds to 1 beyond r ~ 38: two starts need the clamp
+    xs = np.array([0.0, 30.0, 50.0, 100.0])
+    target = np.abs(xs[:, None] - xs[None, :])
+    assert np.count_nonzero(np.abs(_disk_start(target)) == 1.0) == 2
+    for seed in range(3):
+        res = mds_pd(target, seed=seed)
+        assert np.all(np.hypot(res.coordinates[:, 0],
+                               res.coordinates[:, 1]) < 1.0)
+        tr = res.stress_trace
+        assert np.all(np.isfinite(tr))
+        assert all(b <= a for a, b in zip(tr, tr[1:]))
+
+
 def test_mds_pd_deterministic():
     rng = np.random.default_rng(23)
     target = full_matrix(disk_points(rng, 6), "hyperbolic")
@@ -561,21 +588,23 @@ _PINNED_EMBED_RUNS = {
 _EMBED_OUTPUTS = ("coordinates.csv", "embedding.json", "scatter.svg",
                   "histogram.svg")
 
-# sha256 of each run's outputs, recorded with the SciPy pdist/squareform
-# stress kernel and serial restarts: the NumPy kernel and the pooled
-# restarts that replaced them must keep every byte
+# sha256 of each run's outputs.  The mds runs were recorded with the SciPy
+# pdist/squareform stress kernel and serial restarts, which the NumPy
+# kernel and the pooled restarts must keep to the byte; the hmds and
+# hisomap runs were re-recorded when the disk descent began at classical
+# MDS carried into the disk, whose start is built once before the pool
 _PINNED_EMBED_SHA256 = {
     "corner-hmds": [
-        "52fe0869dd198c30875590da9fefb8c53fd88480ae7589082eea1fefb1d689a2",
-        "7754c2ed39e4b27fa2641849f6a5db0ee246bd8f801e37a81e60efd4a0157d31",
-        "cced58bf552c4e5845a09ba59b29bc59f904b26cba49110cb9c3318998eedc6d",
-        "1a8ae68df808df458348549f0b2a6a631ea4372e22db43e82e94b05437099351",
+        "2d0b8f8f927e909896ddf5bae3ba8e93a14a3406517713bcb9d4d0b36bffc674",
+        "d713afd24e9cc0955c9cf42c901d1d8f4d05ee1e05afa18b82a4faa1745c7d6c",
+        "74a06c858e984eb5640b74ac595087f876ccdf29b898ebd43c8dce7b5c9570fa",
+        "d8a8bfb421dbc5b1acd573503c86e6ecded71f4ef3a8a0a6c4184e120074802f",
     ],
     "corner-hisomap": [
-        "7a2904eac907a49d6eeef6f24630b8307ebfd31a41673ac3b777728d1d5a0c8f",
-        "c40096ff19907593a72248756f4a99ea4f5538b514f4a98b1dd0fa82b6e5fbaa",
-        "f12d3cf58058091acb7c1486830c6da1065c938a80588028aea3c4f272efe26c",
-        "150560618a21766d2b61511a579bbb74ad09721e66155d06a27efd1b57475047",
+        "a8c6aa004f229d37c43b153727d43bb8752d3421cc5a60cecffbee6c0174f63e",
+        "e854e8a118cc8cf3cd897d9afe80228523369464e9c7bdd3a64d6dfc7284dc56",
+        "e38fbea0b4c20fa7aff31ce07022cecd43db2cca4f80627f551fa5efe815be5a",
+        "e61b597de8cf58e8d925328d0cd4f537fcc7dfe43d0e6a87b2bb2b4fdb7732f8",
     ],
     "corner-mds": [
         "53460f04ac4057686545a435f8ebf39f0dcbd7cf7b65b66833617d979891bf5e",
@@ -584,16 +613,16 @@ _PINNED_EMBED_SHA256 = {
         "9450a3e7fedd02602c3ff0b4cb56b99a77e71ad2684357ba161d70db1c09e5e8",
     ],
     "sheets-hmds": [
-        "2e2a04bd06e373d4f73fb3b0b472245e2f0628ecb6e59e4273a85af4bb2fb379",
-        "761700abb138f1a4995e35f5ad78f2ccf3df292ffc9f03e95a2acdc0fa9123bf",
-        "d338f17c1fdb0cc8f8184af851ac7cdc50f925ba6445fb496763684f6a9f0764",
-        "9c0f8b1bd951ecfa9d001ae3b29134e02b963f15a178c28cc9d27756f88caa68",
+        "3bab4e3939d15e8a2432270b3c0096627d2e99b45bd4a0894857d8daeadda7c8",
+        "6ff52c8bf5e02c5459f3a6b80eae296bf6247cd10031469d10c58b2fc51f2d20",
+        "88315c2b5218c34c19ddaf2773293f36bc1762f768aa764d9b660345efc220e1",
+        "3df584618c55052d6420be110ef3df2509f98e75fe86cebc69e81f5e91cd571a",
     ],
     "sheets-hisomap": [
-        "53e9f5795244644c5fb062ae4405aa825cfbda93d5fbe83d7d4f51e3c99ebac9",
-        "59ed803e6c3cdb9e0b90285459de6f2e12bfcee3a6def9d2c6d391e01da6f57a",
-        "96a92b199236dc0abad84fe89b3739cfa9728a7bc241996386fdfd27c1bc13e2",
-        "e8223835fe9382638d57903788a4a730150f9f4c0e3b06467b90d45f84d59160",
+        "ae4a2fc5cccc09afa37ba36eff23d222f16b091aaa9c5203a0a5a86882cfbbf7",
+        "c5c71ea7a4a13e29caf6c0e9eb03f5ae8d7e63271db6e3d006cc68e8746278cf",
+        "7ee247307086cd8f386dec38eaf8150f2db45cebfb584a15be23a65abd376b74",
+        "a870ea80e6ccb3fcb892136364cd22fe584b30351a75787e4fb3ec3dbb20a670",
     ],
     "sheets-mds": [
         "fd386252a9f29d3f991f6427c0e8167812c90590e88dd8c556f9f6ed1fa187b4",
@@ -602,10 +631,10 @@ _PINNED_EMBED_SHA256 = {
         "78f563a958ff3a12277201d39973e270fe83d394ac79bb0f9cd7b1ba065c1b57",
     ],
     "trees-hmds": [
-        "f2cb7fd97641f824e87bdbb2961344195946378ee2265862a57a65dd083d3e1b",
-        "08e508bcdee10be7794acfd7a6d03d7f5a48c9df8821a000100ca26658dac7a5",
-        "e5d67e236eb6eab245b3ffae719404c26a358eef8449b9b9edcb8484778e2710",
-        "a692a1161a8d6bb7043ba75075027eaaf26eedab6989cde49bad1ce307262e73",
+        "13184cb4dbaa671288d409426ad321463e2b8280734a2b382644dc4eab178bac",
+        "21081689d6760425678bd7c7bc55faf284598f3e1a30aed481a398ffaef14b91",
+        "371dbd9f6157b0885c48db0e95516920171010acf4f09190ec2e2aa00b8bbb7e",
+        "e58c626cee453889e9fb6b41c80c4aa085995a6fa7ae7011bc37ad49b03e5e33",
     ],
 }
 
