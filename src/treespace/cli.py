@@ -34,6 +34,7 @@ import argparse
 import json
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -49,8 +50,8 @@ from .embedding import EmbeddingConfig, distortion_report, embed
 from .geodesic import distance_matrix_detailed, geodesic_distance
 from .stats import (MeanConfig, correlation_matrix, frechet_mean_detailed,
                     permutation_test)
-from .subtrees import (DEFAULT_BRANCH_LABELS, SubtreeScheme,
-                       fold_feature_builder, FeatureMatrix)
+from .subtrees import (DEFAULT_BRANCH_LABELS, SubtreeScheme, _fold_builder,
+                       FeatureMatrix)
 from .svgfig import svg_histogram, svg_pair_grid, svg_scatter
 from .synthetic import (_shift_offsets, airway_template, gen_corner,
                         gen_sheets, gen_tree_population, MetricDataset)
@@ -382,12 +383,17 @@ def _require_two_classes(classes, path):
 
 
 def _features(args, trees, classes, mode):
-    """The fold feature builder for ``--labels`` and ``--seed``, and the
-    feature matrix it builds with means over every tree."""
+    """The fold feature builder for ``--labels`` and ``--seed``, the
+    feature matrix it builds with means over every tree, and how those
+    means stopped, in ``permtest``'s diagnostics shape."""
     scheme = SubtreeScheme(tuple(args.labels or DEFAULT_BRANCH_LABELS))
     cfg = MeanConfig(seed=args.seed, certify=True)
-    builder = fold_feature_builder(trees, classes, scheme, mode, cfg)
-    return builder, builder(np.arange(len(trees)))
+    build = _fold_builder(trees, classes, scheme, mode, cfg)
+    fm, results = build(np.arange(len(trees)))
+    return (lambda train_idx: build(train_idx)[0]), fm, {
+        "mean_stop_reasons": dict(Counter(
+            r.stop_reason for r in results.values())),
+        "mean_iterations": sum(r.iterations for r in results.values())}
 
 
 def _class_shift(text, template):
@@ -468,8 +474,8 @@ def _cmd_features(args):
         _require_two_classes(classes, args.input)
     elif classes is not None:
         _require_classes(classes, args.input)
-    _, fm = _features(args, trees, classes, args.mode)
-    return [args.input], [_write(args.output, fm.to_csv())], None
+    _, fm, diagnostics = _features(args, trees, classes, args.mode)
+    return [args.input], [_write(args.output, fm.to_csv())], diagnostics
 
 
 def _cmd_classify(args):
@@ -479,7 +485,7 @@ def _cmd_classify(args):
     if args.input:
         trees, y = _load(args.input, parse_population)
         _require_two_classes(y, args.input)
-        builder, fm = _features(args, trees, y, args.mode)
+        builder, fm, _ = _features(args, trees, y, args.mode)
         x, names = fm.values, fm.column_names
     else:
         fm = _load(args.features, FeatureMatrix.from_csv)
@@ -521,7 +527,7 @@ def _cmd_knn(args):
 
 def _cmd_correlate(args):
     trees, _ = _load(args.input, parse_population)
-    _, fm = _features(args, trees, None, "pooled")
+    _, fm, diagnostics = _features(args, trees, None, "pooled")
     labels = fm.column_names
     out = Path(args.output)
 
@@ -536,7 +542,7 @@ def _cmd_correlate(args):
         _write(out / "deviations.csv", table("id", fm.ids, fm.values)),
         _write(out / "pairs.svg",
                svg_pair_grid(fm.values, labels, timestamp=_timestamp(args))),
-    ], None
+    ], diagnostics
 
 
 def _cmd_embed(args):

@@ -34,9 +34,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial, reduce
-from itertools import chain, compress, product, repeat
-from operator import add, not_, or_, sub
+from functools import reduce
+from itertools import chain, product
+from operator import add, or_
 
 import numpy as np
 
@@ -227,12 +227,12 @@ def _min_weight_cover(wa, wb, ta, tb, adj, amask, bmask, counts):
 # support refinement
 # ---------------------------------------------------------------------------
 
-def _refine_pairs(clash, hit, sqa, sqb, bits, counts):
+def _refine_pairs(clash, hit, sqa, sqb, counts):
     """The geodesic's support pairs (A, B), in no order, as masks over the
     conflicting source splits and the target-only ones.  ``clash[i]`` masks
-    the targets that source i clashes with, ``hit`` is their union,
+    the targets that source i clashes with, ``hit`` is their union, and
     ``sqa``/``sqb`` list squared norms in ascending view position (block
-    sums run in ascending bit order, as the cover does), bits[t] = 1 << t."""
+    sums run in ascending bit order, as the cover does)."""
     done, todo = [], [((1 << len(sqa)) - 1, hit)]
     while todo:
         A, B = todo.pop()
@@ -240,8 +240,8 @@ def _refine_pairs(clash, hit, sqa, sqb, bits, counts):
             # a lone split clashes with all across: its cover weighs one
             done.append((A, B))
             continue
-        asq = sum(compress(sqa, map(A.__and__, bits)))
-        bsq = sum(compress(sqb, map(B.__and__, bits)))
+        asq = sum([sqa[t] for t in range(A.bit_length()) if A >> t & 1])
+        bsq = sum([sqb[t] for t in range(B.bit_length()) if B >> t & 1])
         if not (asq and bsq):
             raise ValueError("squared attribute norms underflow to zero on "
                              "conflicting splits; geodesics need "
@@ -278,12 +278,11 @@ def _pair(v1, v2, counts):
     o2 = [m2[q] for q in only2]
     # a source-only split's clashes as a mask, bit t for only2[t]: masks
     # a, b clash (are neither nested nor disjoint) unless a & b is 0, a, b
-    P, Q, free1, con1, clash = [], [], [], [], []
+    common, free1, con1, clash = [], [], [], []
     for p, a in enumerate(m1):
         q = i2.get(a)
         if q is not None:
-            P.append(p)
-            Q.append(q)
+            common.append((p, q))
         elif live1[p]:
             hit, t = 0, 1
             for b in o2:
@@ -296,20 +295,26 @@ def _pair(v1, v2, counts):
                 clash.append(hit)
             else:
                 free1.append(p)
-    # each common split's |x - y|^2 a coordinate at a time: the maps add
+    # each common split's |x - y|^2 a coordinate at a time: map(add) adds
     # its (x_c - y_c) ** 2 left to right, as sum() over it would, bitwise
-    common_sq = math.fsum(reduce(partial(map, add), [
-        map(pow, map(sub, map(c1.__getitem__, P), map(c2.__getitem__, Q)),
-            repeat(2)) for c1, c2 in zip(v1.cols, v2.cols)])) if P else 0.0
-    hit2 = reduce(or_, clash, 0)
-    bits = [1 << t for t in range(max(len(con1), len(only2)))]
-    free2 = list(compress(only2, map(not_, map(hit2.__and__, bits))))
-    # view positions, read back from the finished blocks' masks
-    support = [(tuple(compress(con1, map(A.__and__, bits))),
-                tuple(compress(only2, map(B.__and__, bits))))
-               for A, B in _refine_pairs(clash, hit2, [sq1[p] for p in con1],
-                                         [sq2[q] for q in only2], bits,
-                                         counts)] if clash else []
+    terms = None
+    for c1, c2 in zip(v1.cols, v2.cols):
+        col = [(c1[p] - c2[q]) ** 2 for p, q in common]
+        terms = col if terms is None else list(map(add, terms, col))
+    common_sq = math.fsum(terms) if common else 0.0
+    free2, support = only2, []
+    if clash:
+        hit2 = reduce(or_, clash)
+        free2 = [q for t, q in enumerate(only2) if not hit2 >> t & 1]
+        # view positions, read back from the finished blocks' masks
+        support = [(tuple([con1[t] for t in range(A.bit_length())
+                           if A >> t & 1]),
+                    tuple([only2[t] for t in range(B.bit_length())
+                           if B >> t & 1]))
+                   for A, B in _refine_pairs(clash, hit2,
+                                             [sq1[p] for p in con1],
+                                             [sq2[q] for q in only2],
+                                             counts)]
     # fsum rounds correctly, so no order of the terms changes a bit, and
     # swapping source and target mirrors the arithmetic: d(t1,t2) == d(t2,t1)
     times, seg = [], []
@@ -322,7 +327,7 @@ def _pair(v1, v2, counts):
     free_sq = math.fsum(chain(map(sq1.__getitem__, free1),
                               map(sq2.__getitem__, free2)))
     length = math.sqrt(math.fsum((common_sq, free_sq, math.fsum(seg))))
-    return length, list(zip(P, Q)), free1, free2, support, times
+    return length, common, free1, free2, support, times
 
 
 # ---------------------------------------------------------------------------

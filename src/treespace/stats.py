@@ -8,10 +8,15 @@ are returned exactly.
 
 Across topologies the search starts from the best input and walks: step k
 moves a fraction 1/(k+1) of the way toward the next input, cycling the
-inputs in a fixed seeded random order.  The walk's objective gap falls
-only like O(1/k) in the number k of full cycles, worst when the mean sits
-on a face where some splits have length 0.  With ``MeanConfig.certify``
-and scalar lengths (k = 1) the walk is only a way into the right orthant.
+inputs in a fixed seeded random order.  The best input is found without
+the full distance matrix: the squared Euclidean distance between two
+trees' attribute vectors bounds their squared geodesic from below, so
+exact rows are computed in ascending order of their bound until the next
+bound exceeds the best row (see ``_best_input``).  The walk's objective
+gap falls only like O(1/k) in the number k of full cycles, worst when the
+mean sits on a face where some splits have length 0.  With
+``MeanConfig.certify`` and scalar lengths (k = 1) the walk is only a way
+into the right orthant.
 After cycles 2, 4, 8, ... F is minimised over the closed orthant of the
 walk's current splits by projected descent on the lengths, clamped at 0:
 a first step of
@@ -60,8 +65,8 @@ import numpy as np
 
 from ._bounds import ABOVE_ZERO, COUNT, check
 from ._pool import fork_map, resolve_workers
-from .geodesic import (_COUNTS, _check_trees, _pair, distance_matrix,
-                       geodesic, geodesic_distance)
+from .geodesic import (_COUNTS, _check_trees, _pair, geodesic,
+                       geodesic_distance)
 from .trees import AttributedTree, _labels, _view
 
 __all__ = [
@@ -254,6 +259,44 @@ def _orthant_solve(start, trees):
     return tree, obj, certified, evaluations
 
 
+def _best_input(trees):
+    """(index, objective) of the input with the least sum of squared
+    distances to the others, the lowest index among equal sums: bit for
+    bit what ``np.argmin`` over the full matrix's row sums gives.
+
+    A squared geodesic is at least the squared Euclidean distance between
+    the two trees' attribute vectors over the union of their splits, zeros
+    for absent ones, so LB_i = sum_j |x_i - x_j|^2 bounds row i.  Exact
+    rows, each distance computed once, go in ascending LB order until the
+    next LB exceeds the best row.
+    """
+    n, views = len(trees), [t._split_view for t in trees]
+    col = {m: j for j, m in enumerate(
+        dict.fromkeys(m for v in views for m in v.masks))}
+    x = np.zeros((n, len(col), next((t.k for t in trees if t.k), 1)))
+    for row, v in zip(x, views):
+        if v.masks:
+            row[[col[m] for m in v.masks]] = v.attrs
+    x = x.reshape(n, -1)
+    # from differences, not a Gram matrix, so nothing cancels
+    bounds = [float(np.sum((x - row) ** 2)) for row in x]
+    counts, dist = dict.fromkeys(_COUNTS, 0), {(i, i): 0.0 for i in range(n)}
+    best, best_obj = -1, math.inf
+    for i in sorted(range(n), key=bounds.__getitem__):
+        # a bound and a row sum are each a few roundings off
+        if bounds[i] * (1.0 - 1e-12) > best_obj:
+            break
+        for j in range(n):
+            if (i, j) not in dist:
+                dist[i, j] = dist[j, i] = _pair(
+                    views[min(i, j)], views[max(i, j)], counts)[0]
+        # in input order, as _objective sums
+        obj = sum(dist[i, j] ** 2 for j in range(n))
+        if obj < best_obj or obj == best_obj and i < best:
+            best, best_obj = i, obj
+    return best, best_obj
+
+
 def _search(trees, cfg):
     """Walk from the best input; with ``cfg.certify`` and scalar lengths,
     run an orthant solve after cycles 2, 4, 8, ... and stop as soon as one
@@ -263,12 +306,9 @@ def _search(trees, cfg):
         else 1000 * n
     # the orthant solve reads scalar lengths
     solve = cfg.certify and all(t.k in (None, 1) for t in trees)
-    # start from the best input so the result never loses to an input tree;
-    # each row sums d ** 2 in input order, as _objective does
-    dist = distance_matrix(trees, workers=1).values.tolist()
-    input_objs = [sum(d ** 2 for d in row) for row in dist]
-    start = int(np.argmin(input_objs))
-    best, best_obj = trees[start], input_objs[start]
+    # start from the best input so the result never loses to an input tree
+    start, best_obj = _best_input(trees)
+    best = trees[start]
     trace = [best_obj]
     cycle_objs = [best_obj]  # objective at the iterate after each cycle
     evaluations, next_solve = 0, 2

@@ -10,6 +10,9 @@ distance to a reference mean of that subtree.  Reference means come either
 pooled over all subjects (one column per label) or per class (two columns
 per label, the default); means must always be computed on training subjects
 only, which ``fold_feature_builder`` takes care of during cross-validation.
+
+Each function extracts every (tree, label) subtree once, and the fold
+builder does so when it is built, so that every fold reuses the subtrees.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from .distmat import csv_rows, csv_text, float_cells
 from .geodesic import geodesic_distance
-from .stats import MeanConfig, frechet_mean
+from .stats import MeanConfig, frechet_mean_detailed
 from .trees import AttributedTree
 
 __all__ = [
@@ -63,6 +66,36 @@ def extract_subtree(tree: AttributedTree, label: str) -> AttributedTree:
     return AttributedTree._trusted(tuple(sorted(root)), edges, labels)
 
 
+def _subtrees(trees, labels) -> dict:
+    """{label: [each tree's subtree at label]}."""
+    return {label: [extract_subtree(t, label) for t in trees]
+            for label in labels}
+
+
+def _reference_means(subs, classes, mode, cfg) -> dict:
+    """``compute_reference_means`` over extracted subtrees, keeping each
+    mean's ``MeanResult``."""
+    if mode not in ("per-class", "pooled"):
+        raise ValueError(f"unknown mode: {mode!r}")
+    if mode == "per-class":
+        if classes is None:
+            raise ValueError("per-class means need class labels")
+        classes = list(classes)
+        if any(len(group) != len(classes) for group in subs.values()):
+            raise ValueError("classes and trees differ in length")
+    results = {}
+    for label, group in subs.items():
+        if mode == "pooled":
+            results[(label, None)] = frechet_mean_detailed(group, cfg)
+            continue
+        for cls in sorted(set(classes)):
+            members = [s for s, c in zip(group, classes) if c == cls]
+            if not members:
+                raise ValueError(f"class {cls!r} has no trees")
+            results[(label, cls)] = frechet_mean_detailed(members, cfg)
+    return results
+
+
 def compute_reference_means(trees, classes, scheme: SubtreeScheme,
                             mode: str = "per-class",
                             cfg: MeanConfig | None = None) -> dict:
@@ -71,27 +104,9 @@ def compute_reference_means(trees, classes, scheme: SubtreeScheme,
     Returns {(label, class): tree} in per-class mode and {(label, None):
     tree} in pooled mode; these keys drive the feature-column layout.
     """
-    trees = list(trees)
-    if mode not in ("per-class", "pooled"):
-        raise ValueError(f"unknown mode: {mode!r}")
-    if mode == "per-class":
-        if classes is None:
-            raise ValueError("per-class means need class labels")
-        classes = list(classes)
-        if len(classes) != len(trees):
-            raise ValueError("classes and trees differ in length")
-    means = {}
-    for label in scheme.labels:
-        subs = [extract_subtree(t, label) for t in trees]
-        if mode == "pooled":
-            means[(label, None)] = frechet_mean(subs, cfg)
-        else:
-            for cls in sorted(set(classes)):
-                group = [s for s, c in zip(subs, classes) if c == cls]
-                if not group:
-                    raise ValueError(f"class {cls!r} has no trees")
-                means[(label, cls)] = frechet_mean(group, cfg)
-    return means
+    results = _reference_means(_subtrees(list(trees), scheme.labels),
+                               classes, mode, cfg)
+    return {key: r.tree for key, r in results.items()}
 
 
 @dataclass
@@ -159,6 +174,27 @@ class FeatureMatrix:
         return cls(np.array(values), tuple(columns), tuple(ids), y)
 
 
+def _features(subs, scheme: SubtreeScheme, means: dict, ids,
+              y) -> FeatureMatrix:
+    """``feature_matrix`` over extracted subtrees."""
+    columns = []
+    for label in scheme.labels:
+        keyed = sorted((c for l, c in means if l == label),
+                       key=lambda c: (c is not None, c))
+        if not keyed:
+            raise ValueError(f"no reference mean for label {label!r}")
+        columns.extend((label, c) for c in keyed)
+    n = len(subs[scheme.labels[0]])
+    values = np.zeros((n, len(columns)))
+    for j, (label, c) in enumerate(columns):
+        for i, sub in enumerate(subs[label]):
+            values[i, j] = geodesic_distance(sub, means[(label, c)])
+    if ids is None:
+        ids = (f"s{i}" for i in range(n))
+    return FeatureMatrix(values, tuple(columns), tuple(ids),
+                         None if y is None else tuple(y))
+
+
 def feature_matrix(trees, scheme: SubtreeScheme, means: dict,
                    ids=None, y=None) -> FeatureMatrix:
     """Distances from each subject's labeled subtrees to reference means.
@@ -167,23 +203,27 @@ def feature_matrix(trees, scheme: SubtreeScheme, means: dict,
     give one column per label, per-class keys one column per (label,
     class).
     """
-    trees = list(trees)
-    if ids is None:
-        ids = tuple(f"s{i}" for i in range(len(trees)))
-    columns = []
-    for label in scheme.labels:
-        keyed = sorted((c for l, c in means if l == label),
-                       key=lambda c: (c is not None, c))
-        if not keyed:
-            raise ValueError(f"no reference mean for label {label!r}")
-        columns.extend((label, c) for c in keyed)
-    values = np.zeros((len(trees), len(columns)))
-    for i, t in enumerate(trees):
-        subs = {label: extract_subtree(t, label) for label in scheme.labels}
-        for j, (label, c) in enumerate(columns):
-            values[i, j] = geodesic_distance(subs[label], means[(label, c)])
-    return FeatureMatrix(values, tuple(columns), tuple(ids),
-                         None if y is None else tuple(y))
+    return _features(_subtrees(list(trees), scheme.labels), scheme, means,
+                     ids, y)
+
+
+def _fold_builder(trees, classes, scheme: SubtreeScheme, mode, cfg):
+    """``fold_feature_builder``, whose ``build`` also returns the
+    ``MeanResult`` of each reference mean."""
+    classes = None if classes is None else list(classes)
+    subs = _subtrees(list(trees), scheme.labels)
+
+    def build(train_idx):
+        results = _reference_means(
+            {label: [group[i] for i in train_idx]
+             for label, group in subs.items()},
+            None if classes is None else [classes[i] for i in train_idx],
+            mode, cfg)
+        return _features(subs, scheme, {key: r.tree for key, r in
+                                        results.items()}, None,
+                         classes), results
+
+    return build
 
 
 def fold_feature_builder(trees, classes, scheme: SubtreeScheme,
@@ -192,17 +232,8 @@ def fold_feature_builder(trees, classes, scheme: SubtreeScheme,
     """Leakage-free feature construction for cross-validation.
 
     Returns ``build(train_idx) -> FeatureMatrix`` covering all subjects but
-    with reference means recomputed from the training subset only.
+    with reference means recomputed from the training subset only.  The
+    subtrees are extracted once, here, and every fold reuses them.
     """
-    trees = list(trees)
-    classes = list(classes) if classes is not None else None
-
-    def build(train_idx) -> FeatureMatrix:
-        sub_trees = [trees[i] for i in train_idx]
-        sub_classes = None if classes is None \
-            else [classes[i] for i in train_idx]
-        means = compute_reference_means(sub_trees, sub_classes, scheme,
-                                        mode, cfg)
-        return feature_matrix(trees, scheme, means, y=classes)
-
-    return build
+    build = _fold_builder(trees, classes, scheme, mode, cfg)
+    return lambda train_idx: build(train_idx)[0]

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,8 @@ import treespace
 from treespace.cli import CliError, build_parser, main
 from treespace.distmat import DistanceMatrix, csv_rows, csv_text
 from treespace.geodesic import distance_matrix_detailed
+from treespace.stats import MeanConfig, frechet_mean_detailed
+from treespace.subtrees import DEFAULT_BRANCH_LABELS, extract_subtree
 from treespace.trees import (AttributedTree, parse_population, parse_tree,
                              serialize_tree)
 
@@ -1170,6 +1173,84 @@ def test_classify_output_is_pinned(tmp_path):
         "per-class": "f9d150005d47ab0b2e521270e07f4882"
                      "3f11d0ec0454d63add24fd0f5af7c4eb",
     }
+
+
+@pytest.fixture(scope="module")
+def cohort17(tmp_path_factory):
+    """The seeded 17-subject cohort in several topologies."""
+    pop = tmp_path_factory.mktemp("cohort17") / "pop.json"
+    assert run("gen", "trees", "-o", str(pop), "--n", "17",
+               "--attr-sigma", "0.1", "--topology-noise", "0.5",
+               "--class-shift", '{"LMB": 0.3}', "--seed", "1") == 0
+    return pop
+
+
+# sha256 of the outputs of the commands that run subtree means and
+# multi-topology group means on the cohort: (argv after the input, output
+# path, {file under it: digest})
+_COHORT_PINS = {
+    "classify-pooled": (
+        ["classify", "--input", "{pop}", "--mode", "pooled", "--alphas",
+         "1.0", "--folds", "3", "--repeats", "1"], "cv.json",
+        {"": "877243a12342b83647007bad5b6cce70"
+             "134caad2fbb80c4e1d56ec5806e34c72"}),
+    "classify-per-class": (
+        ["classify", "--input", "{pop}", "--mode", "per-class", "--alphas",
+         "1.0", "--folds", "3", "--repeats", "1"], "cv.json",
+        {"": "4601c2ecea7457a35aa0b35055de9afe"
+             "2608fe6dda29200b863e675447d0b6c6"}),
+    "correlate": (
+        ["correlate", "--input", "{pop}"], "corr",
+        {"correlation.csv": "4259fe784950b40f57ba1f57571ecba8"
+                            "671087a28636f5bea04a6f90a3d2554f",
+         "deviations.csv": "b7bf7cb0af217b5bfa2ea2e71aab087f"
+                           "f680b9cc55793fdceec48c8f4cbdbeea",
+         "pairs.svg": "9b2132555c74fc05adbffd638e1fc04e"
+                      "f71d24252e4f08ed9ea034b9d5d2bde7"}),
+    "permtest": (
+        ["permtest", "--groups", "{pop}", "--statistic", "mean", "--M",
+         "30", "--threads", "1"], "perm.json",
+        {"": "636c4562736c86c411a283e9ae1f6a81"
+             "4291e9d396a2e75d333753c7a34d2a12"}),
+}
+
+
+@pytest.mark.parametrize("argv, manifest, mode", [
+    (["subtree-features", "--mode", "pooled"], "f.manifest.json", "pooled"),
+    (["subtree-features", "--mode", "per-class"], "f.manifest.json",
+     "per-class"),
+    (["correlate"], "f/manifest.json", "pooled"),
+])
+def test_subtree_mean_diagnostics_in_manifests(cohort17, tmp_path, argv,
+                                               manifest, mode):
+    # one mean per label (and class), searched as the commands search them
+    trees, classes = parse_population(cohort17.read_text())
+    cfg = MeanConfig(seed=1, certify=True)
+    results = []
+    for label in DEFAULT_BRANCH_LABELS:
+        subs = [extract_subtree(t, label) for t in trees]
+        groups = [subs] if mode == "pooled" else [
+            [s for s, c in zip(subs, classes) if c == cls]
+            for cls in sorted(set(classes))]
+        results += [frechet_mean_detailed(g, cfg) for g in groups]
+    assert run(*argv, "--input", str(cohort17), "--seed", "1",
+               "--deterministic", "-o", str(tmp_path / "f")) == 0
+    diagnostics = json.loads((tmp_path / manifest).read_text())[
+        "diagnostics"]
+    assert diagnostics == {
+        "mean_stop_reasons": dict(Counter(r.stop_reason for r in results)),
+        "mean_iterations": sum(r.iterations for r in results)}
+    assert diagnostics["mean_iterations"] > 0
+
+
+@pytest.mark.parametrize("name", sorted(_COHORT_PINS))
+def test_cohort_outputs_pinned(cohort17, tmp_path, name):
+    argv, output, pins = _COHORT_PINS[name]
+    out = tmp_path / output
+    assert run(*(a.format(pop=cohort17) for a in argv), "--seed", "1",
+               "--deterministic", "-o", str(out)) == 0
+    assert {f: hashlib.sha256((out / f if f else out).read_bytes())
+            .hexdigest() for f in pins} == pins
 
 
 _PIPELINE = """

@@ -11,6 +11,7 @@ from treespace import (
     MeanConfig,
     airway_template,
     correlation_matrix,
+    distance_matrix,
     frechet_mean,
     frechet_mean_detailed,
     gen_tree_population,
@@ -21,9 +22,10 @@ from treespace import (
     serialize_tree,
     variance,
 )
-from treespace.stats import _orthant_solve
+import treespace.stats as stats_module
+from treespace.stats import _best_input, _orthant_solve
 
-from helpers import random_tree
+from helpers import leaf_names, random_tree, random_tree_pair
 
 S = frozenset
 
@@ -129,6 +131,93 @@ def test_mean_bytes_pinned(seed):
                                                   certify=True))
     assert (_digest(res.tree), res.stop_reason, res.iterations) == \
         (_PINNED_CERTIFIED[seed], "certified", 2 * 17)
+
+
+def _matrix_start(trees):
+    """The start the full distance matrix gives: np.argmin of its row
+    sums, each summing d ** 2 in input order."""
+    rows = [sum(d ** 2 for d in row)
+            for row in distance_matrix(trees, workers=1).values.tolist()]
+    best = int(np.argmin(rows))
+    return (best, rows[best]), rows
+
+
+def _long_branches(rng):
+    """Two 6-leaf topologies, every length 1e3 give or take 1e-9."""
+    shapes = [random_tree(rng, leaf_names(6), p_keep=1.0) for _ in range(2)]
+    return [AttributedTree(t.leaves, {
+        s: (1e3 + float(rng.uniform(-1e-9, 1e-9)),) for s in t.edges})
+        for t in (shapes[i % 2] for i in range(12))]
+
+
+def _start_populations():
+    rng = np.random.default_rng(31)
+    cohort = gen_tree_population(airway_template(), 17, topology_noise=0.5,
+                                 seed=1).trees
+    (best, _), _ = _matrix_start(cohort)
+    # the best tree twice more, as new objects, before and after itself:
+    # three rows tie
+    copies = [AttributedTree(cohort[best].leaves, cohort[best].edges)
+              for _ in range(2)]
+    return {
+        "cohort": cohort,
+        "ties": [copies[0], *cohort, copies[1]],
+        # rows 0 and 1 tie at 78, and row 1 has the lower bound, so it is
+        # computed first
+        "ties-against-bounds": [
+            AttributedTree(tuple("abcd"), {S(s): (x,) for s, x in e.items()})
+            for e in ({"abc": 4.0}, {"abc": 4.0, "ab": 3.0}, {"bcd": 3.0},
+                      {"ab": 4.0, "abc": 2.0})],
+        "long-branches": _long_branches(rng),
+        "k3": gen_tree_population(airway_template(3), 12, topology_noise=0.5,
+                                  seed=3).trees,
+        "zero-lengths": [random_tree(rng, leaf_names(7), zero_prob=0.3)
+                         for _ in range(12)],
+        "rand10": [random_tree(rng, leaf_names(10), p_keep=1.0)
+                   for _ in range(40)],
+    }
+
+
+_START_POPULATIONS = _start_populations()
+
+
+@pytest.mark.parametrize("name", sorted(_START_POPULATIONS))
+def test_best_input_is_the_full_matrix_argmin_bitwise(name, monkeypatch):
+    trees = _START_POPULATIONS[name]
+    pairs = []
+
+    def counted(v1, v2, counts):
+        pairs.append((id(v1), id(v2)))
+        return pair(v1, v2, counts)
+
+    pair = stats_module._pair
+    monkeypatch.setattr(stats_module, "_pair", counted)
+    start = _best_input(trees)
+    monkeypatch.undo()
+    want, rows = _matrix_start(trees)
+    assert start == want
+    assert start[1].hex() == want[1].hex()
+    n = len(trees)
+    assert n - 1 <= len(set(pairs)) == len(pairs) <= n * (n - 1) // 2
+    if name == "cohort":
+        assert len(pairs) <= 2 * (n - 1)
+    if name.startswith("ties"):
+        assert start[0] == 0 and rows.count(start[1]) > 1
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_leaves=st.integers(2, 9),
+       k=st.sampled_from([1, 3]), zero_prob=st.sampled_from([0.0, 0.3]))
+def test_attribute_distance_bounds_the_geodesic(seed, n_leaves, k,
+                                                zero_prob):
+    # the bound the mean's start search rests on: absent splits are zeros
+    t1, t2 = random_tree_pair(np.random.default_rng(seed), n_leaves, k,
+                              zero_prob)
+    zero = (0.0,) * k
+    euclid = math.sqrt(sum(
+        (a - b) ** 2 for s in t1.splits | t2.splits
+        for a, b in zip(t1.edges.get(s, zero), t2.edges.get(s, zero))))
+    assert euclid <= geodesic_distance(t1, t2) * (1 + 1e-12)
 
 
 def test_mean_trace_non_increasing():
