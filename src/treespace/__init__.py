@@ -4,14 +4,12 @@ from .trees import (
     AttributedTree,
     Split,
     TreeError,
-    all_compatible,
     compatible,
     parse_population,
     parse_tree,
     serialize_population,
     serialize_tree,
     split_key,
-    splits_of,
     tree_from_dict,
     tree_to_dict,
 )
@@ -23,7 +21,6 @@ from .geodesic import (
     distance_matrix_detailed,
     geodesic,
     geodesic_distance,
-    geodesic_point,
 )
 from .stats import (
     MeanConfig,
@@ -34,7 +31,6 @@ from .stats import (
     frechet_mean_detailed,
     pearson,
     permutation_test,
-    variance,
 )
 from .subtrees import (
     DEFAULT_BRANCH_LABELS,

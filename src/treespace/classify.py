@@ -381,11 +381,15 @@ def cross_validate(X, y, alphas=(1.0, 0.75, 0.5, 0.25), num_lambda=50,
     ``fold_features(train_idx) -> FeatureMatrix`` rebuilds them per outer
     fold so reference means never see test subjects; without it ``X`` is
     used as-is.  Standardization statistics always come from the training
-    rows only.
+    rows only.  Each of ``alphas`` is in (0, 1] and given once; otherwise
+    ValueError.
     """
     check(TWO_UP, folds=folds, inner_folds=inner_folds)
     check(COUNT, repeats=repeats)
     check(MIX, **{f"alphas[{i}]": a for i, a in enumerate(alphas)})
+    for i, a in enumerate(alphas):
+        if a in alphas[:i]:
+            raise ValueError(f"alphas: {a} given twice")
     y = np.asarray(y)
     uniq = sorted(np.unique(y).tolist())
     if len(uniq) != 2:

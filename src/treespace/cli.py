@@ -23,8 +23,9 @@ an option out of its range included: an integer below 1 for counts and
 sizes such as ``--threads``, ``--M`` or ``--n``, below 2 for ``--folds``,
 ``--sheets`` and ``--dim``; a number that is not finite, or not above 0
 for ``--tolerance``, below 0 for ``--attr-sigma``, outside [0, 1] for
-``--topology-noise`` or outside (0, 1] for ``--alphas``), 65 bad input,
-70 computation failure (a value in range that the data cannot meet
+``--topology-noise`` or outside (0, 1] for ``--alphas``; and a value
+given twice to ``--alphas`` or ``--labels``), 65 bad input, 70
+computation failure (a value in range that the data cannot meet
 included).
 """
 
@@ -84,6 +85,16 @@ def _option(bound):
                 f"expected {bound.phrase}, got {text!r}")
         return value
     return parse
+
+
+class _Distinct(argparse.Action):
+    """Store an option's values, which must all differ."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise argparse.ArgumentError(self, f"{value} given twice")
+        setattr(namespace, self.dest, values)
 
 
 def _common(parser, handler):
@@ -185,7 +196,8 @@ def build_parser(words=()) -> _Parser:
         p.add_argument("--input", required=True)
         p.add_argument("--mode", choices=("per-class", "pooled"),
                        default="per-class")
-        p.add_argument("--labels", nargs="+", default=None)
+        p.add_argument("--labels", nargs="+", action=_Distinct,
+                       default=None)
         p.add_argument("-o", "--output", required=True)
         _common(p, _cmd_features)
 
@@ -196,9 +208,10 @@ def build_parser(words=()) -> _Parser:
                        help="precomputed feature CSV")
         p.add_argument("--mode", choices=("per-class", "pooled"),
                        default="per-class")
-        p.add_argument("--labels", nargs="+", default=None)
+        p.add_argument("--labels", nargs="+", action=_Distinct,
+                       default=None)
         p.add_argument("--alphas", nargs="+", type=_option(MIX),
-                       default=[1.0, 0.75, 0.5, 0.25])
+                       action=_Distinct, default=[1.0, 0.75, 0.5, 0.25])
         p.add_argument("--folds", type=_option(TWO_UP), default=5)
         p.add_argument("--repeats", type=_option(COUNT), default=10)
         p.add_argument("-o", "--output", required=True)
@@ -214,7 +227,8 @@ def build_parser(words=()) -> _Parser:
 
     if p := add("correlate", help="subtree deviation correlations"):
         p.add_argument("--input", required=True)
-        p.add_argument("--labels", nargs="+", default=None)
+        p.add_argument("--labels", nargs="+", action=_Distinct,
+                       default=None)
         p.add_argument("-o", "--output", required=True,
                        help="output directory")
         _common(p, _cmd_correlate)

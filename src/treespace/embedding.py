@@ -325,14 +325,14 @@ def _real(z: np.ndarray) -> np.ndarray:
     return z.view(float).reshape(-1, 2)
 
 
-def mds_pd(target, cfg: EmbeddingConfig | None = None,
-           seed=None) -> EmbeddingResult:
+def mds_pd(target, cfg: EmbeddingConfig | None = None) -> EmbeddingResult:
     """Hyperbolic embedding by gradient descent in the Poincaré disk.
 
     Points start at the planar classical MDS of the target carried into
-    the disk, radius r to |z| = tanh(r / 2), each moved by a seeded offset
-    of at most 0.005.  They move along Möbius translations opposite the
-    stress gradient.  The trial step size is spectral (Barzilai-Borwein
+    the disk, radius r to |z| = tanh(r / 2), each moved by an offset of
+    at most 0.005 drawn from ``cfg.seed`` (``embed`` draws restart r's
+    from [cfg.seed, r]).  They move along Möbius translations opposite
+    the stress gradient.  The trial step size is spectral (Barzilai-Borwein
     from the last displacement/gradient change) and every step is vetted
     by backtracking with a sufficient-decrease test, so recorded stresses
     never increase.  The result's stop_reason
@@ -345,7 +345,7 @@ def mds_pd(target, cfg: EmbeddingConfig | None = None,
     cfg = cfg or EmbeddingConfig()
     delta = _target_values(target)
     return _descend(_Stress(delta, "hyperbolic"), _disk_start(delta), cfg,
-                    cfg.seed if seed is None else seed)
+                    cfg.seed)
 
 
 def _descend(fn: _Stress, start: np.ndarray, cfg: EmbeddingConfig,

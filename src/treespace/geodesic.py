@@ -49,7 +49,6 @@ __all__ = [
     "GeodesicPath",
     "geodesic",
     "geodesic_distance",
-    "geodesic_point",
     "distance_matrix",
     "distance_matrix_detailed",
     "brute_force_distance",
@@ -439,12 +438,6 @@ def geodesic_distance(t1: AttributedTree, t2: AttributedTree) -> float:
     _check_pair(t1, t2)
     return _pair(t1._split_view, t2._split_view,
                  dict.fromkeys(_COUNTS, 0))[0]
-
-
-def geodesic_point(t1: AttributedTree, t2: AttributedTree,
-                   s: float) -> AttributedTree:
-    """The tree at arc-length fraction ``s`` of the path from t1 to t2."""
-    return geodesic(t1, t2).point(s)
 
 
 def _check_trees(trees) -> None:

@@ -74,7 +74,6 @@ __all__ = [
     "MeanResult",
     "frechet_mean",
     "frechet_mean_detailed",
-    "variance",
     "PermutationTestReport",
     "permutation_test",
     "pearson",
@@ -371,15 +370,6 @@ def frechet_mean(trees, cfg: MeanConfig | None = None) -> AttributedTree:
     return frechet_mean_detailed(trees, cfg).tree
 
 
-def variance(trees, mean: AttributedTree) -> float:
-    """Sum of squared distances to ``mean`` over (N - 1)."""
-    trees = list(trees)
-    if len(trees) < 2:
-        raise ValueError("variance needs at least two trees")
-    return sum(geodesic_distance(t, mean) ** 2 for t in trees) \
-        / (len(trees) - 1)
-
-
 # ---------------------------------------------------------------------------
 # permutation tests
 # ---------------------------------------------------------------------------
@@ -437,7 +427,7 @@ def _group_stat_trees(g1, g2, kind, cfg):
     r1, r2 = frechet_mean_detailed(g1, cfg), frechet_mean_detailed(g2, cfg)
     if kind == "mean":
         value = geodesic_distance(r1.tree, r2.tree)
-    else:   # each objective is the sum variance() would compute again
+    else:   # each objective is the group's sum of squared distances
         value = abs(r1.objective / (len(g1) - 1)
                     - r2.objective / (len(g2) - 1))
     return value, [(r.stop_reason, r.iterations) for r in (r1, r2)]

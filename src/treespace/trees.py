@@ -34,9 +34,7 @@ __all__ = [
     "TreeError",
     "AttributedTree",
     "compatible",
-    "all_compatible",
     "split_key",
-    "splits_of",
     "tree_from_dict",
     "tree_to_dict",
     "parse_tree",
@@ -57,15 +55,6 @@ class TreeError(ValueError):
 def compatible(s1: Split, s2: Split) -> bool:
     """Two splits can occur in one tree iff they are nested or disjoint."""
     return s1 <= s2 or s2 <= s1 or not (s1 & s2)
-
-
-def all_compatible(splits: Iterable[Split]) -> bool:
-    items = list(splits)
-    return all(
-        compatible(items[i], items[j])
-        for i in range(len(items))
-        for j in range(i + 1, len(items))
-    )
 
 
 def split_key(split: Split) -> tuple[str, ...]:
@@ -242,11 +231,6 @@ def _labels(trees, edges) -> dict:
             if name not in labels and sp in edges:
                 labels[name] = sp
     return labels
-
-
-def splits_of(tree: AttributedTree) -> frozenset:
-    """The set of splits present in ``tree``."""
-    return tree.splits
 
 
 # ---------------------------------------------------------------------------

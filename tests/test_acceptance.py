@@ -30,13 +30,12 @@ from treespace import (
     gen_corner,
     gen_sheets,
     gen_tree_population,
+    geodesic,
     geodesic_distance,
-    geodesic_point,
     hyperbolic_distance,
     kkt_residual,
     lambda_grid,
     lambda_max,
-    mds_pd,
     pearson,
     permutation_test,
     sammon_stress,
@@ -148,7 +147,7 @@ def test_03_mean_identity_midpoint_and_sticky_origin():
         assert m.leaves == t.leaves and m.edges == t.edges
 
         a, b = random_tree_pair(rng, 5, k=2)
-        mid = geodesic_point(a, b, 0.5)
+        mid = geodesic(a, b).point(0.5)
         assert geodesic_distance(frechet_mean([a, b]), mid) <= 1e-6
 
         # three equal pulls into mutually incompatible quadrants cancel at
@@ -268,8 +267,7 @@ def test_07_disk_embedding_descent_and_recovery():
         rng = np.random.default_rng(17)
         target = disk_matrix(disk_points(rng, 10, rmax=0.7))
         finals = []
-        for r in range(5):
-            res = mds_pd(target, seed=[0, r])
+        for res in embed(target, EmbeddingConfig(restarts=5)).restarts:
             finals.append(res.final_stress)
             tr = res.stress_trace
             assert all(b <= a for a, b in zip(tr, tr[1:]))
@@ -280,8 +278,8 @@ def test_07_disk_embedding_descent_and_recovery():
         # truncated budgets replay the same trajectory, exposing every
         # intermediate iterate to the inside-the-disk check
         for k in (1, 4, 16, 64, 256):
-            res = mds_pd(target, EmbeddingConfig(max_iterations=k),
-                         seed=[0, 0])
+            res, = embed(target, EmbeddingConfig(max_iterations=k,
+                                                 restarts=1)).restarts
             assert np.all(np.hypot(res.coordinates[:, 0],
                                    res.coordinates[:, 1]) < 1.0)
 

@@ -524,6 +524,13 @@ def test_knn_matrix_needs_every_label(pop_file, tmp_path, capsys):
                "-o", str(tmp_path / "knn.json")) == 65
     assert capsys.readouterr().err == (
         f"treespace: error: input: {out}: every row needs a label\n")
+    # a matrix of no labels at all has no label column
+    unlabeled = tmp_path / "unlabeled.csv"
+    unlabeled.write_text(_distance_csv().replace(",x,", ",,"))
+    assert run("knn", "--matrix", str(unlabeled), "--k", "1", "--folds",
+               "2", "-o", str(tmp_path / "knn.json")) == 65
+    assert capsys.readouterr().err == (
+        f"treespace: error: input: {unlabeled}: no label column\n")
     # as knn --input does for the population itself
     assert run("knn", "--input", str(partly), "--k", "3", "--folds", "2",
                "-o", str(tmp_path / "knn.json")) == 65
@@ -1045,7 +1052,10 @@ def test_permtest_variance_on_several_orthants(tmp_path):
         f"s{i},{'' if i == 4 else ('case', 'control')[i % 2]},{i}.5\n"
         for i in range(7)),
      "row 4: every row needs a class"),
-], ids=["empty", "header-only", "ragged", "non-numeric", "missing-class"])
+    ("id,class,A\n" + "".join(f"s{i},,{i}.5\n" for i in range(6)),
+     "no class column"),
+], ids=["empty", "header-only", "ragged", "non-numeric", "missing-class",
+        "no-class-column"])
 def test_classify_rejects_malformed_features(tmp_path, capsys, text,
                                              message):
     feats = tmp_path / "f.csv"
@@ -1054,6 +1064,48 @@ def test_classify_rejects_malformed_features(tmp_path, capsys, text,
                "-o", str(tmp_path / "cv.json")) == 65
     assert capsys.readouterr().err == \
         f"treespace: error: input: {feats}: {message}\n"
+
+
+def test_distortion_needs_matrices_on_the_same_ids(tmp_path, capsys):
+    orig, emb = tmp_path / "orig.csv", tmp_path / "emb.csv"
+    orig.write_text(_distance_csv())
+    emb.write_text(_distance_csv(ids=("a", "b", "z")))
+    out = tmp_path / "distortion.json"
+    assert run("distortion", "--original", str(orig), "--embedded", str(emb),
+               "-o", str(out)) == 65
+    assert capsys.readouterr().err == \
+        "treespace: error: input: matrices have different ids\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag, values", [
+    (("classify", "--features", "{feats}"), "--alphas", ["1.0", "0.5", "1"]),
+    (("classify", "--input", "{pop}"), "--labels", ["LMB", "LMB"]),
+    (("subtree-features", "--input", "{pop}"), "--labels",
+     ["LMB", "RMB", "LMB"]),
+    (("correlate", "--input", "{pop}"), "--labels", ["LMB", "LMB"]),
+], ids=["classify-alphas", "classify-labels", "subtree-features-labels",
+        "correlate-labels"])
+def test_repeated_option_values_are_usage_errors(pop_file, tmp_path, capsys,
+                                                 argv, flag, values):
+    # one line and exit 64, by flag and by --config, before any work: a
+    # repeated alpha would run every fit twice, and a repeated label
+    # would fail the subtree scheme after the input is read
+    feats = tmp_path / "f.csv"
+    feats.write_text("id,class,A\n" + "".join(
+        f"s{i},{('case', 'control')[i % 2]},{i}.5\n" for i in range(6)))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag.lstrip("-"): values}))
+    argv = [a.format(pop=pop_file, feats=feats) for a in argv]
+    repeated = "1.0" if flag == "--alphas" else "LMB"
+    capsys.readouterr()
+    for option in ([flag, *values], ["--config", str(cfg)]):
+        out = tmp_path / "out"
+        assert run(*argv, *option, "-o", str(out)) == 64
+        assert capsys.readouterr().err == (
+            f"treespace: error: usage: argument {flag}: {repeated} given "
+            f"twice\n")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, flag, key, value, kind", [

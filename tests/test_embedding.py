@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -301,8 +302,7 @@ def test_mds_pd_recovers_disk_configuration():
     rng = np.random.default_rng(17)
     z = disk_points(rng, 10, rmax=0.7)
     target = full_matrix(z, "hyperbolic")
-    best = min(
-        (mds_pd(target, seed=[0, r]).final_stress for r in range(5)))
+    best = min(r.final_stress for r in embed(target).restarts)
     assert best <= 1e-6
 
 
@@ -310,7 +310,7 @@ def test_mds_pd_trace_monotone_and_inside_disk():
     rng = np.random.default_rng(19)
     for trial in range(3):
         target = full_matrix(disk_points(rng, 8), "hyperbolic") * (trial + 1)
-        res = mds_pd(target, seed=trial)
+        res = mds_pd(target, EmbeddingConfig(seed=trial))
         tr = res.stress_trace
         assert all(b <= a for a, b in zip(tr, tr[1:]))
         assert res.final_stress == tr[-1]
@@ -322,8 +322,7 @@ def test_mds_pd_iterates_stay_inside():
     # deterministic trajectory: truncated runs expose every iterate
     target = np.array([[0.0, 8.0, 9.0], [8.0, 0.0, 7.5], [9.0, 7.5, 0.0]])
     for k in range(1, 25, 3):
-        cfg = EmbeddingConfig(max_iterations=k)
-        res = mds_pd(target, cfg, seed=3)
+        res = mds_pd(target, EmbeddingConfig(max_iterations=k, seed=3))
         assert np.all(np.hypot(res.coordinates[:, 0],
                                res.coordinates[:, 1]) < 1.0)
 
@@ -331,18 +330,18 @@ def test_mds_pd_iterates_stay_inside():
 def test_mds_pd_stop_reasons():
     rng = np.random.default_rng(59)
     target = full_matrix(disk_points(rng, 6), "hyperbolic")
-    capped = mds_pd(target, EmbeddingConfig(max_iterations=1), seed=1)
+    capped = mds_pd(target, EmbeddingConfig(max_iterations=1, seed=1))
     assert capped.stop_reason == "cap" and capped.iterations == 1
     assert len(capped.stress_trace) == 2
-    full = mds_pd(target, seed=1)
+    full = mds_pd(target, EmbeddingConfig(seed=1))
     assert full.stop_reason == "converged"
     assert full.iterations == len(full.stress_trace) - 1 > 1
     # every pair at target zero: zero stress and zero gradient at the start
-    zero = mds_pd(np.zeros((4, 4)), seed=1)
+    zero = mds_pd(np.zeros((4, 4)), EmbeddingConfig(seed=1))
     assert zero.stop_reason == "stationary" and zero.iterations == 0
     assert zero.final_stress == 0.0
     for n in (0, 1):  # no pairs at all
-        none = mds_pd(np.zeros((n, n)), seed=1)
+        none = mds_pd(np.zeros((n, n)), EmbeddingConfig(seed=1))
         assert none.stop_reason == "stationary"
         assert none.coordinates.shape == (n, 2)
         assert full_matrix(none.coordinates, "hyperbolic").shape == (n, n)
@@ -359,7 +358,7 @@ def test_mds_pd_fits_realizable_configurations_exactly():
         target = full_matrix(disk_points(np.random.default_rng(100 + t), 6),
                              "hyperbolic")
         for r in range(5):
-            res = mds_pd(target, seed=r)
+            res = mds_pd(target, EmbeddingConfig(seed=r))
             assert res.final_stress <= 1e-20, (t, r)
             assert res.stop_reason == "converged", (t, r)
 
@@ -371,7 +370,7 @@ def test_mds_pd_clamps_a_start_beyond_the_float64_disk():
     target = np.abs(xs[:, None] - xs[None, :])
     assert np.count_nonzero(np.abs(_disk_start(target)) == 1.0) == 2
     for seed in range(3):
-        res = mds_pd(target, seed=seed)
+        res = mds_pd(target, EmbeddingConfig(seed=seed))
         assert np.all(np.hypot(res.coordinates[:, 0],
                                res.coordinates[:, 1]) < 1.0)
         tr = res.stress_trace
@@ -382,8 +381,8 @@ def test_mds_pd_clamps_a_start_beyond_the_float64_disk():
 def test_mds_pd_deterministic():
     rng = np.random.default_rng(23)
     target = full_matrix(disk_points(rng, 6), "hyperbolic")
-    r1 = mds_pd(target, seed=7)
-    r2 = mds_pd(target, seed=7)
+    r1 = mds_pd(target, EmbeddingConfig(seed=7))
+    r2 = mds_pd(target, EmbeddingConfig(seed=7))
     assert np.array_equal(r1.coordinates, r2.coordinates)
     assert r1.stress_trace == r2.stress_trace
 
@@ -520,13 +519,16 @@ def test_embed_hmds_keeps_best_restart():
     target = full_matrix(z, "hyperbolic")
     cfg = EmbeddingConfig(method="hmds", restarts=3, seed=5)
     res = embed(target, cfg)
-    singles = [mds_pd(target, cfg, seed=[5, r]).final_stress
-               for r in range(3)]
+    singles = [r.final_stress for r in res.restarts]
+    assert len(singles) == 3
     assert res.final_stress == min(singles)
     assert res.metric == "hyperbolic"
     assert res.distortion is not None
-    assert [r.final_stress for r in res.restarts] == singles
+    # restart r starts from the seed [5, r], whatever the restart count
+    fewer = embed(target, replace(cfg, restarts=2)).restarts
+    assert [r.final_stress for r in fewer] == singles[:2]
     best = singles.index(res.final_stress)
+    assert np.array_equal(res.coordinates, res.restarts[best].coordinates)
     assert res.iterations == res.restarts[best].iterations
     assert res.stop_reason == res.restarts[best].stop_reason
 
@@ -538,9 +540,13 @@ def test_embed_hisomap_composes():
     cfg = EmbeddingConfig(method="hisomap", isomap_k=4, restarts=2, seed=1)
     res = embed(target, cfg)
     graph = isomap_graph_distances(target, 4).values
-    singles = [mds_pd(graph, cfg, seed=[1, r]).final_stress
-               for r in range(2)]
+    singles = [r.final_stress for r in res.restarts]
+    assert len(singles) == 2
     assert res.final_stress == min(singles)
+    # every restart fits the graph distances
+    for r in res.restarts:
+        assert sammon_stress(graph, r.coordinates, "hyperbolic") == \
+            r.final_stress
     # the distortion report still compares against the original input
     emb = full_matrix(res.coordinates, "hyperbolic")
     direct = distortion_report(target, emb)

@@ -18,7 +18,6 @@ from treespace import (
     distance_matrix_detailed,
     geodesic,
     geodesic_distance,
-    geodesic_point,
 )
 from treespace.cli import main
 from treespace.geodesic import (_COUNTS, _COVER_TOL, _RESIDUAL_EPS,
@@ -79,7 +78,7 @@ def test_cone_path_quartet():
     assert d == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
     assert abs(brute_force_distance(t1, t2) - d) <= 1e-6
 
-    mid = geodesic_point(t1, t2, 0.5)
+    mid = geodesic(t1, t2).point(0.5)
     assert mid.splits == frozenset(S(x) for x in "abcd")
     for x in "abcd":
         assert mid.attribute(S(x)) == (1.0,)
@@ -115,18 +114,18 @@ def test_free_splits():
 def test_endpoint_law():
     rng = np.random.default_rng(5)
     t1, t2 = random_tree_pair(rng, 5)
-    assert geodesic_point(t1, t2, 0.0) == t1
-    assert geodesic_point(t1, t2, 1.0) == t2
+    assert geodesic(t1, t2).point(0.0) == t1
+    assert geodesic(t1, t2).point(1.0) == t2
     with pytest.raises(ValueError):
-        geodesic_point(t1, t2, 1.5)
+        geodesic(t1, t2).point(1.5)
     with pytest.raises(ValueError):
-        geodesic_point(t1, t2, -0.1)
+        geodesic(t1, t2).point(-0.1)
 
 
 def test_same_topology_midpoint():
     t1 = star("abc", (1.0, 2.0, 3.0))
     t2 = star("abc", (2.0, 2.0, 4.0))
-    mid = geodesic_point(t1, t2, 0.5)
+    mid = geodesic(t1, t2).point(0.5)
     assert mid.attribute(S("a")) == (1.5,)
     assert mid.attribute(S("b")) == (2.0,)
     assert mid.attribute(S("c")) == (3.5,)
@@ -139,7 +138,7 @@ def test_path_additivity():
                                   k=int(rng.integers(1, 3)))
         d = geodesic_distance(t1, t2)
         for s in (0.25, 0.5, 0.75):
-            mid = geodesic_point(t1, t2, s)
+            mid = geodesic(t1, t2).point(s)
             left = geodesic_distance(t1, mid)
             right = geodesic_distance(mid, t2)
             assert abs(left + right - d) <= 1e-9

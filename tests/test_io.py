@@ -55,3 +55,14 @@ def test_svg_text_is_escaped():
         root = ET.fromstring(doc)
         texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
         assert label in texts
+
+
+def test_svg_histogram_of_equal_edges_spans_one_unit():
+    # every value the same puts all edges on one number; the x axis then
+    # spans one unit from it instead of dividing by a zero width
+    root = ET.fromstring(svg_histogram([3], [2.0, 2.0]))
+    ns = "{http://www.w3.org/2000/svg}"
+    *_, bar = root.iter(f"{ns}rect")   # after the background
+    assert (bar.get("x"), bar.get("width"), bar.get("height")) == \
+        ("40.00", "0.50", "240.00")
+    assert [el.text for el in root.iter(f"{ns}text")] == ["2", "2"]

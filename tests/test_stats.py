@@ -15,12 +15,11 @@ from treespace import (
     frechet_mean,
     frechet_mean_detailed,
     gen_tree_population,
+    geodesic,
     geodesic_distance,
-    geodesic_point,
     pearson,
     permutation_test,
     serialize_tree,
-    variance,
 )
 import treespace.stats as stats_module
 from treespace.stats import _best_input, _orthant_solve
@@ -51,7 +50,7 @@ def test_two_tree_mean_is_midpoint():
     for _ in range(5):
         t1 = random_tree(rng, ("a", "b", "c", "d"))
         t2 = random_tree(rng, ("a", "b", "c", "d"))
-        mid = geodesic_point(t1, t2, 0.5)
+        mid = geodesic(t1, t2).point(0.5)
         mean = frechet_mean([t1, t2])
         assert geodesic_distance(mean, mid) <= 1e-6
 
@@ -305,6 +304,18 @@ def test_certificate_declines_two_compatible_candidates():
     assert objective(both) < obj
 
 
+def test_orthant_solves_that_overshoot_back_off_and_certify():
+    # the solves on this population try steps that raise F (the
+    # Barzilai-Borwein step is not monotone) and halve them, Armijo's
+    # backtracking, yet still end on a certified mean below the walk's
+    rng = np.random.default_rng(2)
+    trees = [random_tree(rng, leaf_names(5), p_keep=0.9) for _ in range(4)]
+    res = frechet_mean_detailed(trees, MeanConfig(certify=True))
+    assert res.stop_reason == "certified"
+    assert res.objective < frechet_mean_detailed(trees).objective
+    assert all(b <= a for a, b in zip(res.trace, res.trace[1:]))
+
+
 @settings(derandomize=True, database=None, max_examples=5, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n_leaves=st.integers(3, 6),
        n_trees=st.integers(3, 8))
@@ -334,24 +345,27 @@ def test_mean_stops_at_cap():
 
 
 def test_variance():
+    # a group's variance is its mean objective over N - 1, as
+    # permutation_test's variance statistic computes it
     t = spider("ab")
-    assert variance([t, t, t], t) == 0.0
+    assert frechet_mean_detailed([t, t, t]).objective / 2 == 0.0
 
     t1 = spider("ab", 0.0)
     t2 = spider("ab", 2.0)
-    mid = geodesic_point(t1, t2, 0.5)
-    assert variance([t1, t2], mid) == pytest.approx(2.0, abs=1e-12)
+    res = frechet_mean_detailed([t1, t2])   # N - 1 = 1
+    assert geodesic_distance(res.tree, geodesic(t1, t2).point(0.5)) <= 1e-12
+    assert res.objective == pytest.approx(2.0, abs=1e-12)
 
-    with pytest.raises(ValueError):
-        variance([t], t)
+    with pytest.raises(ValueError, match="at least two trees"):
+        permutation_test([t], [t, t], kind="variance", m=1, workers=1)
 
 
 def test_variance_matches_recomputation():
     rng = np.random.default_rng(12)
     trees = jittered(rng, 1.0, 30)
-    mean = frechet_mean(trees)
-    v = variance(trees, mean)
-    direct = sum(geodesic_distance(t, mean) ** 2 for t in trees) / 29
+    res = frechet_mean_detailed(trees)
+    v = res.objective / 29
+    direct = sum(geodesic_distance(t, res.tree) ** 2 for t in trees) / 29
     assert abs(v - direct) <= 1e-12
 
 
@@ -368,7 +382,8 @@ def test_mean_objective_is_the_variance_sum_bitwise():
                     MeanConfig(max_iterations=3 * size + 1)):
             res = frechet_mean_detailed(group, cfg)
             reasons.add(res.stop_reason)
-            assert res.objective / (size - 1) == variance(group, res.tree)
+            assert res.objective == sum(
+                geodesic_distance(t, res.tree) ** 2 for t in group)
     assert reasons == {"certified", "converged", "cap"}
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from treespace import (
     CONE_ANGLE,
+    AttributedTree,
     BookPoint,
     ConePoint,
     MetricDataset,
@@ -232,6 +233,23 @@ def test_population_regrafts_stay_valid():
         if set(t.edges) != set(tpl.edges):
             changed += 1
     assert changed > 0
+
+
+def test_population_regrafts_on_a_template_without_pendants():
+    # e lies in no split of two or more leaves, and inside {a, b}, the
+    # parent of a and of b, no split avoids them: only c and d have a
+    # move, each grafted onto {a, b}, which gives up half its length
+    tpl = AttributedTree(tuple("abcde"), {S("ab"): (1.0,), S("abcd"): (2.0,)})
+    pop = gen_tree_population(tpl, 8, topology_noise=1.0, attr_sigma=0.0,
+                              seed=3)
+    grafted = set()
+    for t in pop.trees:
+        (new,) = set(t.edges) - set(tpl.edges)
+        assert set(t.edges) == set(tpl.edges) | {new}
+        assert t.edges[S("ab")] == t.edges[new] == (0.5,)
+        assert t.edges[S("abcd")] == (2.0,)
+        grafted.add(new)
+    assert grafted == {S("abc"), S("abd")}
 
 
 def test_population_lengths_clamped():

@@ -8,13 +8,11 @@ from hypothesis import given, settings, strategies as st
 from treespace import (
     AttributedTree,
     TreeError,
-    all_compatible,
     compatible,
     parse_population,
     parse_tree,
     serialize_population,
     serialize_tree,
-    splits_of,
     tree_from_dict,
     tree_to_dict,
 )
@@ -31,15 +29,16 @@ def test_compatible_basic():
     assert not compatible(S("ab"), S("bc"))
     # containment is symmetric in the test
     assert compatible(S("abc"), S("ab"))
-    assert all_compatible([S("a"), S("b"), S("ab"), S("abcd")])
-    assert not all_compatible([S("a"), S("ab"), S("bc")])
+    # a split family is a tree's exactly when the constructor takes it
+    assert _incompatible_error("abcd", ["a", "b", "ab", "abcd"]) is None
+    assert _incompatible_error("abc", ["a", "ab", "bc"]) is not None
 
 
 def test_minimal_tree():
     t = parse_tree('{"leaves": ["a"], "edges": [{"split": ["a"], "attr": [1.0]}]}')
     assert t.m == 1
     assert t.k == 1
-    assert splits_of(t) == frozenset({S("a")})
+    assert t.splits == frozenset({S("a")})
 
 
 def test_incompatible_splits_rejected():
@@ -110,14 +109,14 @@ def test_four_leaf_binary_counts():
     edges[S("cd")] = (0.25,)
     t = AttributedTree(("a", "b", "c", "d"), edges)
     assert t.m == 6
-    assert splits_of(t) == frozenset(
+    assert t.splits == frozenset(
         {S("a"), S("b"), S("c"), S("d"), S("ab"), S("cd")}
     )
 
 
 def test_star_tree_splits():
     t = AttributedTree(("a", "b", "c", "d"), {S(x): (1.0,) for x in "abcd"})
-    assert splits_of(t) == frozenset({S("a"), S("b"), S("c"), S("d")})
+    assert t.splits == frozenset({S("a"), S("b"), S("c"), S("d")})
 
 
 def test_validation_errors():
