@@ -25,8 +25,8 @@ sizes such as ``--threads``, ``--M`` or ``--n``, below 2 for ``--folds``,
 for ``--tolerance``, below 0 for ``--attr-sigma``, outside [0, 1] for
 ``--topology-noise`` or outside (0, 1] for ``--alphas``; and a value
 given twice to ``--alphas`` or ``--labels``), 65 bad input, 70
-computation failure (a value in range that the data cannot meet
-included).
+computation failure (a value in range that the data cannot meet, and a
+worker process that died, included).
 """
 
 from __future__ import annotations
@@ -620,7 +620,8 @@ def main(argv=None) -> int:
             raise
         except TreeError as e:
             raise CliError(INPUT_ERROR, f"input: {e}")
-        except (ValueError, KeyError, ArithmeticError) as e:
+        except (ValueError, KeyError, ArithmeticError,
+                ChildProcessError) as e:  # the last: a pool worker died
             raise CliError(COMPUTE_ERROR, f"compute: {_message(e)}")
         _manifest(args, argv, inputs, outputs, diagnostics, t0)
         return 0

@@ -4,34 +4,65 @@ The CSV layout is one header row ``id,label,<id1>,<id2>,...`` followed by one
 row per point carrying its id, its label (empty when absent) and the full
 symmetric row of distances, printed with 17 significant digits so float64
 values round-trip exactly.  Fields are quoted as the ``csv`` module does, so
-ids and labels may contain commas and quotes.
+ids and labels may contain commas, quotes and line breaks.  Writing and
+reading go one row at a time, so neither holds every cell as a string of
+its own, and reading makes no copy of the text.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 __all__ = ["DistanceMatrix"]
 
 
+class _Lines(list):
+    """The rows a ``csv.writer`` writes with ``"\\r\\n"`` line ends, as
+    lines ending in ``"\\n"``."""
+
+    def write(self, row):
+        self.append(row[:-2])
+        self.append("\n")
+
+
 def csv_text(rows) -> str:
-    """Rows of string cells as CSV, quoting only where a cell needs it."""
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(rows)
-    return out.getvalue()
+    """Rows of string cells as CSV, quoting only where a cell needs it.
+    Each row is formatted as ``rows`` yields it.  The writer's ``"\\r\\n"``
+    line ends make it quote a cell holding a lone ``"\\r"`` too, which a
+    reader would take for a line break."""
+    lines = _Lines()
+    csv.writer(lines, lineterminator="\r\n").writerows(rows)
+    return "".join(lines)
+
+
+def _lines(text: str):
+    """The lines of ``text`` with their ``\\n``, as iterating
+    ``io.StringIO(text)`` gives them, without that copy of the text."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def csv_records(text: str):
+    """The rows of a CSV text one at a time, blank lines skipped; a
+    malformed row raises ValueError when it is reached."""
+    try:
+        for row in csv.reader(_lines(text)):
+            if row and not (len(row) == 1 and not row[0].strip()):
+                yield row
+    except csv.Error as e:
+        raise ValueError(f"malformed CSV: {e}")
 
 
 def csv_rows(text: str) -> list[list[str]]:
     """The rows of a CSV text, blank lines skipped."""
-    try:
-        rows = list(csv.reader(io.StringIO(text)))
-    except csv.Error as e:
-        raise ValueError(f"malformed CSV: {e}")
-    return [r for r in rows if r and not (len(r) == 1 and not r[0].strip())]
+    return list(csv_records(text))
 
 
 def float_cells(cells, names, row) -> list[float]:
@@ -92,9 +123,9 @@ class DistanceMatrix:
 
     def to_csv(self) -> str:
         labels = self.labels or ("",) * len(self.ids)
-        return csv_text([["id", "label", *self.ids]] + [
-            [pid, lab, *(f"{v:.17g}" for v in self.values[i].tolist())]
-            for i, (pid, lab) in enumerate(zip(self.ids, labels))])
+        rows = ([pid, lab, *(f"{v:.17g}" for v in self.values[i].tolist())]
+                for i, (pid, lab) in enumerate(zip(self.ids, labels)))
+        return csv_text(chain([["id", "label", *self.ids]], rows))
 
     def write_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -102,25 +133,42 @@ class DistanceMatrix:
 
     @classmethod
     def from_csv(cls, text: str) -> "DistanceMatrix":
-        rows = csv_rows(text)
-        if not rows:
-            raise ValueError("empty distance matrix CSV")
-        header = rows[0]
-        if len(header) < 3 or header[0] != "id" or header[1] != "label":
-            raise ValueError("expected header 'id,label,<id1>,...'")
-        ids = tuple(header[2:])
+        # the rows are parsed and filled in one at a time, and the first
+        # error is kept until the text has parsed to its end: a malformed
+        # row, then the header, then the row count win over a bad row
+        rows = csv_records(text)
+        header = next(rows, None)
+        good = header is not None and len(header) >= 3 \
+            and header[:2] == ["id", "label"]
+        ids = tuple(header[2:]) if good else ()
         n = len(ids)
-        if len(rows) != n + 1:
-            raise ValueError(f"expected {n} data rows, found {len(rows) - 1}")
-        values = np.zeros((n, n))
-        labels = []
-        for i, cells in enumerate(rows[1:]):
-            if len(cells) != n + 2:
-                raise ValueError(f"row {i}: expected {n + 2} cells")
-            if cells[0] != ids[i]:
-                raise ValueError(f"row {i}: id {cells[0]!r} does not match header")
-            labels.append(cells[1])
-            values[i] = float_cells(cells[2:], ids, i)
+        # a text of fewer lines than rows fails on the row count, so the
+        # matrix is not built
+        values = np.zeros((n, n)) if good and text.count("\n") >= n \
+            else None
+        labels, error, found = [], None, 0
+        for i, cells in enumerate(rows):
+            found += 1
+            if values is None or error is not None or i >= n:
+                continue
+            try:
+                if len(cells) != n + 2:
+                    raise ValueError(f"row {i}: expected {n + 2} cells")
+                if cells[0] != ids[i]:
+                    raise ValueError(f"row {i}: id {cells[0]!r} does not "
+                                     f"match header")
+                labels.append(cells[1])
+                values[i] = float_cells(cells[2:], ids, i)
+            except ValueError as e:
+                error = e
+        if header is None:
+            raise ValueError("empty distance matrix CSV")
+        if not good:
+            raise ValueError("expected header 'id,label,<id1>,...'")
+        if found != n:
+            raise ValueError(f"expected {n} data rows, found {found}")
+        if error is not None:
+            raise error
         lab = None if all(x == "" for x in labels) else tuple(labels)
         return cls(ids, values, lab)
 

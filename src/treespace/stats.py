@@ -137,7 +137,10 @@ class MeanResult:
 
 
 def _objective(tree, trees):
-    return sum(geodesic_distance(tree, t) ** 2 for t in trees)
+    """The sum of squared distances from ``tree`` to ``trees``.  Unchecked:
+    the callers have checked ``trees``, and ``tree`` is built from them."""
+    view, work = tree._split_view, dict.fromkeys(_COUNTS, 0)
+    return sum(_pair(view, t._split_view, work)[0] ** 2 for t in trees)
 
 
 def _coordinate_mean(trees):

@@ -587,6 +587,10 @@ _BAD_DISTANCE_CSVS = {
     "duplicate-ids": (_distance_csv(ids=("a", "a", "c")),
                       "duplicate ids in distance matrix"),
     "row-count": (_distance_csv(_D3[:2]), "expected 3 data rows, found 2"),
+    # the rows are read one at a time, but the count still wins
+    "row-count-and-bad-cell": (
+        _distance_csv(_D3[:2]).replace("a,x,0,1,2", "a,x,0,abc,2"),
+        "expected 3 data rows, found 2"),
     "id-mismatch": (_distance_csv(row_ids=("a", "z", "c")),
                     "row 1: id 'z' does not match header"),
     "negative": (_distance_csv(_d3_with(0, 1, -1.0)), "negative distances"),

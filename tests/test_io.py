@@ -9,13 +9,16 @@ AWKWARD_IDS = ('a,b', 'say "hi"', '"', ',', 'plain')
 
 
 def test_distance_csv_roundtrip_quotes_awkward_ids():
-    n = len(AWKWARD_IDS)
+    # line breaks inside quoted cells, and the \r and \x0c that
+    # str.splitlines would also break lines on, stay inside their cells
+    ids = AWKWARD_IDS + ("two\nlines", "cr\r", "\x0cfeed", "Präparat 中")
+    n = len(ids)
     rng = np.random.default_rng(5)
     a = rng.uniform(0.1, 2.0, size=(n, n))
     values = a + a.T
     np.fill_diagonal(values, 0.0)
-    labels = ('x,y', 'q"', '', 'z', '')
-    dm = DistanceMatrix(AWKWARD_IDS, values, labels)
+    labels = ('x,y', 'q"', '', 'z', '', "a\nb", "\r\n", "\x0c", "é")
+    dm = DistanceMatrix(ids, values, labels)
     back = DistanceMatrix.from_csv(dm.to_csv())
     assert back.ids == dm.ids
     assert back.labels == dm.labels

@@ -11,8 +11,13 @@ same bytes must come out.
 import hashlib
 import importlib
 import json
-import multiprocessing
 import os
+import pickle
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +27,7 @@ from treespace import (AttributedTree, EmbeddingConfig, TreeError,
                        distance_matrix_detailed, embed, gen_corner,
                        gen_tree_population, permutation_test,
                        serialize_population)
+from treespace import _pool
 from treespace._pool import cpus, fork_map, resolve_workers
 from treespace.cli import main
 
@@ -39,6 +45,16 @@ def pool_always(monkeypatch):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def _no_child_left():
+    # every worker a map forked has been reaped: no child remains
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+needs_two_cpus = pytest.mark.skipif(
+    cpus() < 2, reason="on one CPU fork_map runs serially and forks nothing")
 
 
 def test_default_workers_follow_the_affinity_mask():
@@ -87,7 +103,7 @@ def test_failure_inside_a_restart_raises_the_serial_error():
         embed(target, cfg, workers=2)
     assert "negative" in str(serial.value)
     assert str(pooled.value) == str(serial.value)
-    assert multiprocessing.active_children() == []
+    _no_child_left()
 
 
 def test_embed_inside_a_worker_runs_serially():
@@ -96,7 +112,7 @@ def test_embed_inside_a_worker_runs_serially():
     want = _embedding_record(embed(target, cfg, workers=1))
 
     def task(_):
-        # a nested pool would fail: daemonic processes have no children
+        # a worker forks no workers of its own: this map runs serially
         return _embedding_record(embed(target, cfg, workers=2))
 
     assert fork_map(task, range(2), 2) == [want, want]
@@ -128,7 +144,7 @@ def test_failure_inside_a_worker_raises_the_serial_error(pool_always):
         distance_matrix(trees, workers=2)
     assert "underflow" in str(serial.value)
     assert str(pooled.value) == str(serial.value)
-    assert multiprocessing.active_children() == []
+    _no_child_left()
 
 
 def test_cli_failure_inside_a_worker_is_one_line(pool_always, tmp_path,
@@ -139,7 +155,7 @@ def test_cli_failure_inside_a_worker_is_one_line(pool_always, tmp_path,
                "--threads", "2") == 70
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "underflow" in err
-    assert multiprocessing.active_children() == []
+    _no_child_left()
 
 
 def test_cli_threads_zero_is_one_line(tmp_path, capsys):
@@ -166,46 +182,36 @@ def test_pools_do_not_nest(pool_always):
     want = distance_matrix(trees, workers=1).values
 
     def task(_):
-        # inside a worker this asks for a pool again; it runs serially
-        # instead of failing on a daemonic process starting children
+        # inside a worker this asks for a pool again; it runs serially,
+        # so pools never nest
         return distance_matrix(trees, workers=2).values
 
     for got in fork_map(task, range(2), 2):
         assert np.array_equal(got, want)
 
 
-class _RecordingContext:
-    """Stands in for a fork context: its pools record their size and task
-    count and map in the calling process, so no process starts."""
-
-    def __init__(self, pools):
-        self.pools = pools
-
-    def Pool(self, processes, initializer=None):
-        pools = self.pools
-
-        class Pool:
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                tasks = list(tasks)
-                pools.append((processes, len(tasks)))
-                return [fn(t) for t in tasks]
-
-        return Pool()
-
-
 @pytest.fixture()
 def recorded_pools(monkeypatch):
-    pools = []
-    monkeypatch.setattr(multiprocessing, "get_context",
-                        lambda method: _RecordingContext(pools))
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
-                        lambda: ["fork"])
+    """The (workers forked, items) of every map that forks; the maps run
+    for real."""
+    pools, forks = [], []
+    fork, forked_map = os.fork, _pool._forked_map
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    def recorded_map(fn, items, workers):
+        before = len(forks)
+        try:
+            return forked_map(fn, items, workers)
+        finally:
+            pools.append((len(forks) - before, len(items)))
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(_pool, "_forked_map", recorded_map)
     return pools
 
 
@@ -221,6 +227,7 @@ def test_fork_map_starts_at_most_one_process_per_cpu(recorded_pools):
             [2 * x for x in range(9)]
     _pool_sizes_at_most_cpus(recorded_pools)
     assert all(tasks == 9 for _, tasks in recorded_pools)
+    _no_child_left()
 
 
 def test_cli_huge_thread_counts_are_capped(recorded_pools, pool_always,
@@ -246,6 +253,7 @@ def test_cli_huge_thread_counts_are_capped(recorded_pools, pool_always,
     # maps its 1 + M splits
     assert [tasks for _, tasks in recorded_pools] == \
         ([10, 5] if cpus() > 1 else [])
+    _no_child_left()
 
 
 def test_fork_map_keeps_input_order():
@@ -327,3 +335,136 @@ def test_trees_checked_once_raise_the_first_pairwise_error():
                            ([one, edgeless, other, two], "leaf sets")):
         with pytest.raises(TreeError, match=message):
             distance_matrix(trees, workers=1)
+
+
+_SRC = str(Path(_pool.__file__).resolve().parents[1])
+
+
+def _script(script, *args):
+    """Run ``script`` in a fresh interpreter that fails after 60 s rather
+    than hang the suite."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [_SRC, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
+_KILLED_WORKER = """
+import os, signal
+from treespace import _pool
+
+def task(i):
+    if _pool._in_worker and i == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return i
+
+try:
+    _pool.fork_map(task, range(4), 2)
+except ChildProcessError as e:
+    print(e)
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child left")
+"""
+
+
+@needs_two_cpus
+def test_a_killed_worker_fails_the_map():
+    proc = _script(_KILLED_WORKER)
+    assert proc.stdout == ("a pool worker was killed by SIGKILL\n"
+                           "no child left\n"), proc.stderr
+
+
+_DYING_DIST = """
+import os, signal, sys
+import treespace.cli
+from treespace import _pool
+
+geodesic = sys.modules["treespace.geodesic"]
+pair, calls = geodesic._pair, []
+
+def dying_pair(*args):
+    # the fifth pair a worker computes kills it
+    calls.append(None)
+    if _pool._in_worker and len(calls) == 5:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return pair(*args)
+
+geodesic._pair = dying_pair
+geodesic._POOL_MIN_PAIRS = 0
+sys.exit(treespace.cli.main(sys.argv[1:]))
+"""
+
+
+@needs_two_cpus
+def test_cli_dist_with_a_killed_worker_is_one_line(tmp_path):
+    pop = tmp_path / "pop.json"
+    assert run("gen", "trees", "-o", pop, "--n", "12",
+               "--topology-noise", "0.5", "--seed", "2") == 0
+    out = tmp_path / "d.csv"
+    proc = _script(_DYING_DIST, "dist", "--input", pop, "-o", out,
+                   "--threads", "2")
+    assert (proc.returncode, proc.stderr) == (
+        70, "treespace: error: compute: a pool worker was killed by "
+            "SIGKILL\n")
+    assert not out.exists()
+
+
+@pytest.fixture()
+def deadline():
+    """A map that hangs fails the test after 60 s instead."""
+    def overdue(signum, frame):
+        raise TimeoutError("the map still runs after 60 s")
+
+    previous = signal.signal(signal.SIGALRM, overdue)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@needs_two_cpus
+def test_a_dead_worker_stops_the_others_at_once(deadline):
+    def task(i):
+        if _pool._in_worker and i == 0:
+            time.sleep(30)  # still running when the other worker dies
+        if _pool._in_worker and i == 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return i
+
+    # more indices than a pipe holds: the parent is still feeding them
+    start = time.monotonic()
+    with pytest.raises(ChildProcessError,
+                       match="^a pool worker was killed by SIGKILL$"):
+        fork_map(task, range(100_000), 2)
+    assert time.monotonic() - start < 10
+    _no_child_left()
+
+
+@needs_two_cpus
+def test_maps_longer_than_a_pipe_holds():
+    # 400 000 bytes of indices, fed as the workers take them
+    assert fork_map(lambda x: x + 1, range(100_000), 2) == \
+        list(range(1, 100_001))
+    _no_child_left()
+
+
+def test_worker_deaths_name_their_cause():
+    # wait statuses as POSIX encodes them: the signal in the low seven
+    # bits, or the exit status in the byte above
+    assert str(_pool._died(signal.SIGKILL)) == \
+        "a pool worker was killed by SIGKILL"
+    assert str(_pool._died(signal.SIGRTMIN + 1)) == \
+        f"a pool worker was killed by signal {signal.SIGRTMIN + 1}"
+    assert str(_pool._died(3 << 8)) == \
+        "a pool worker exited with status 3 before reporting"
+
+
+@needs_two_cpus
+def test_results_that_do_not_pickle_fail_their_item():
+    with pytest.raises((AttributeError, TypeError, pickle.PicklingError),
+                       match="pickle"):
+        fork_map(lambda i: lambda: i, range(4), 2)
+    _no_child_left()

@@ -2,10 +2,10 @@
 
 Runs the tier-1 tests (``pytest tests``) in this process under
 ``sys.settrace`` and lists every statement of ``src/treespace`` that none of
-them ran.  Forked pool workers are followed too: ``treespace._pool._run``,
-the function each worker calls per task, is wrapped here so that a worker
-writes the lines it ran to a scratch file after every task, and the parent
-reads them back when the suite ends.
+them ran.  Forked pool workers are followed too: a forked child keeps
+tracing, and ends with ``os._exit``, which the child wraps here so that it
+writes the lines it ran to a scratch file first; the parent reads them back
+when the suite ends.  A worker killed by a signal writes nothing.
 
 An entry names the file, the qualified name of the enclosing function or
 class (``<module>`` at the top level) and the statement's first source line,
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import ast
 import contextlib
-import functools
 import json
 import os
 import sys
@@ -56,33 +55,29 @@ def _calls(frame, event, arg):
 
 
 def _in_child():
-    # the parent keeps what it ran; a forked worker starts an empty set
-    # and keeps tracing, whichever thread forked it
+    # the parent keeps what it ran; a forked child starts an empty set,
+    # keeps tracing, whichever thread forked it, and writes its lines on
+    # the way out
     _ran.clear()
+    os._exit = _exit_writing_lines
     sys.settrace(_calls)
 
 
-def _follow_workers(scratch: str):
-    """Wrap ``_pool._run`` so that each worker writes its lines to
-    ``scratch`` after every task.  The wrapper takes ``_run``'s name, so
-    the pool pickles it by reference to itself."""
-    from treespace import _pool
-    run = _pool._run
+_exit = os._exit
+_scratch = None  # the directory the children write their lines to
 
-    @functools.wraps(run)
-    def traced(i):
-        try:
-            return run(i)
-        finally:
-            path = Path(scratch, str(os.getpid()))
-            path.with_suffix(".tmp").write_text(json.dumps(sorted(_ran)))
-            path.with_suffix(".tmp").replace(path)
 
-    _pool._run = traced
+def _exit_writing_lines(code):
+    """``os._exit`` in a forked child: write the lines it ran, then exit."""
+    path = Path(_scratch, str(os.getpid()))
+    path.with_suffix(".tmp").write_text(json.dumps(sorted(_ran)))
+    path.with_suffix(".tmp").replace(path)
+    _exit(code)
 
 
 def run_suite() -> tuple[int, set[tuple[str, int]]]:
     """The pytest exit code and the (file, line) pairs the suite ran."""
+    global _scratch
     import pytest
     os.chdir(ROOT)
     sys.path.insert(0, str(SRC))
@@ -90,17 +85,16 @@ def run_suite() -> tuple[int, set[tuple[str, int]]]:
     os.environ["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     os.register_at_fork(after_in_child=_in_child)
-    with tempfile.TemporaryDirectory() as scratch:
+    with tempfile.TemporaryDirectory() as _scratch:
         sys.settrace(_calls)
         try:
-            _follow_workers(scratch)    # the first import of treespace
             # the suite's report goes to stderr, the list to stdout
             with contextlib.redirect_stdout(sys.stderr):
                 code = pytest.main(["-q", "-p", "no:cacheprovider", "tests"])
         finally:
             sys.settrace(None)
         ran = set(_ran)
-        for path in Path(scratch).iterdir():
+        for path in Path(_scratch).iterdir():
             if path.suffix != ".tmp":
                 ran.update(map(tuple, json.loads(path.read_text())))
     return int(code), ran
