@@ -4,12 +4,13 @@ Subcommands cover the whole pipeline: dataset generation, pairwise
 distances, means, permutation tests, subtree features, classification,
 nearest neighbors, deviation correlations, embeddings and distortion
 reports.  Every run writes a manifest (argv, seeds, inputs, outputs,
-version, duration; ``mean`` adds the solver's iterations, stop reason,
-objective and orthant-solve evaluations, ``embed`` each restart's,
-``dist`` and ``knn --input`` count their geodesic work, ``permtest`` its
-group means' stop reasons and steps) next to its outputs, numeric
-outputs are byte-stable for a fixed seed, and ``--deterministic``
-additionally drops timestamps from SVG files and the manifest.
+version, duration; ``mean`` adds the solver's iterations, hops, stop
+reason, objective and orthant-solve evaluations, ``embed`` each
+restart's, ``dist`` and ``knn --input`` count their geodesic work,
+``permtest`` its group means' stop reasons, steps and hops) next to its
+outputs, numeric outputs are byte-stable for a fixed seed, and
+``--deterministic`` additionally drops timestamps from SVG files and the
+manifest.
 ``--threads N`` sets the worker processes of the commands that compute
 many independent geodesic pairs, group means or embedding restarts
 (``dist``, ``knn --input``, ``permtest`` and ``embed``); by default, and
@@ -407,7 +408,8 @@ def _features(args, trees, classes, mode):
     return (lambda train_idx: build(train_idx)[0]), fm, {
         "mean_stop_reasons": dict(Counter(
             r.stop_reason for r in results.values())),
-        "mean_iterations": sum(r.iterations for r in results.values())}
+        "mean_iterations": sum(r.iterations for r in results.values()),
+        "mean_hops": sum(r.hops for r in results.values())}
 
 
 def _class_shift(text, template):
@@ -464,6 +466,7 @@ def _cmd_mean(args):
     path = _write(args.output, serialize_tree(result.tree) + "\n")
     return [args.input], [path], {
         "iterations": result.iterations,
+        "hops": result.hops,
         "stop_reason": result.stop_reason,
         "objective": result.objective,
         "orthant_evaluations": result.evaluations}
@@ -479,7 +482,8 @@ def _cmd_permtest(args):
     path = _write(args.output, _json_text(report.to_json(args.full)))
     return [args.groups], [path], {
         "mean_stop_reasons": report.mean_stop_reasons,
-        "mean_iterations": report.mean_iterations}
+        "mean_iterations": report.mean_iterations,
+        "mean_hops": report.mean_hops}
 
 
 def _cmd_features(args):

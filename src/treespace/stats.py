@@ -6,21 +6,16 @@ is its own mean, two trees have their midpoint, and when every input
 shares one topology the minimizer is the coordinatewise average; all three
 are returned exactly.
 
-Across topologies the search starts from the best input and walks: step k
-moves a fraction 1/(k+1) of the way toward the next input, cycling the
-inputs in a fixed seeded random order.  The best input is found without
+Across topologies the search starts from the best input, found without
 the full distance matrix: the squared Euclidean distance between two
 trees' attribute vectors bounds their squared geodesic from below, so
 exact rows are computed in ascending order of their bound until the next
-bound exceeds the best row (see ``_best_input``).  The walk's objective
-gap falls only like O(1/k) in the number k of full cycles, worst when the
-mean sits on a face where some splits have length 0.  With
-``MeanConfig.certify`` and scalar lengths (k = 1) the walk is only a way
-into the right orthant.
-After cycles 2, 4, 8, ... F is minimised over the closed orthant of the
-walk's current splits by projected descent on the lengths, clamped at 0:
-a first step of
-1/(2n), exact along common splits, then Barzilai-Borwein steps with Armijo
+bound exceeds the best row (see ``_best_input``).
+
+With ``MeanConfig.certify`` and scalar lengths (k = 1) the search is a
+sequence of orthant solves.  Each minimises F over a closed orthant by
+projected descent on the lengths, clamped at 0: a first step of 1/(2n),
+exact along common splits, then Barzilai-Borwein steps with Armijo
 backtracking.  F and its gradient come straight from the geodesic core.
 Against one input, a common split pulls with 2(x_e - y_e), a split of a
 support block that collapses at switch time tau with 2 x_e / tau, and a
@@ -39,10 +34,24 @@ all of these hold, with eps = sqrt(2e-14 * n * F(x)):
       at once (two could pay for a clashing split only once together).
 
 F is 2n-strongly convex along geodesics, so then F(x) - min F is at most
-1e-14 F(x).  A solve that does not certify keeps x only if it beats the
-walk's best iterate, and the walk goes on from its own iterate.  Attribute
-vectors with k > 1, and every population when ``certify`` is off (the
-default of ``MeanConfig``), use the walk alone.
+1e-14 F(x).  Tree space is CAT(0), so the mean is unique (Sturm, Contemp.
+Math. 338, 2003) and a certified point is that mean whichever route found
+it.  The first solve is over the best input's orthant.  While a solve
+fails (ii), the search hops, at most n times: the next orthant drops the
+splits that clash with the candidate e of the most negative D(e) and adds
+e, started at ``_HOP`` times its mean length over the inputs that carry
+it; the other splits start at the solution's lengths.
+
+When no hop certifies, and always for attribute vectors with k > 1 or
+with ``certify`` off (the default of ``MeanConfig``), the search walks
+from the best input: step k moves a fraction 1/(k+1) of the way toward
+the next input, cycling the inputs in a fixed seeded random order.  Its
+objective gap falls only like O(1/k) in the number k of full cycles, worst
+when the mean sits on a face where some splits have length 0.  With
+``certify`` on it runs an orthant solve over the walk's current splits
+after cycles 2, 4, 8, ...  A solution that does not certify, a hop's
+included, is kept only if it beats the best point so far, and the walk
+goes on from its own iterate.
 
 The walk has its own stop: the change of its objective between cycle k/2
 and cycle k estimates the gap that remains, and the search stops once that
@@ -87,6 +96,8 @@ __all__ = [
 _SOLVE_EVALS = 40
 _ARMIJO = 1e-4
 _CERT_GAP = 1e-14
+# a hop starts its candidate split at this fraction of its mean input length
+_HOP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -97,13 +108,14 @@ class MeanConfig:
     population size when left as None.  ``tolerance`` drives the walk's gap
     rule: after each full cycle k >= 4 through the inputs, the search stops
     once the walk's objective changed by at most ``tolerance`` times its
-    current value since cycle k // 2.  It does not touch the orthant
-    solves, whose certificate has its own fixed tolerance (see the module
-    docstring).  ``certify`` turns the orthant solves on for scalar
-    lengths; left off, a mean is the walk alone, and ``max_iterations``
-    counts exactly the steps a capped walk takes.  The command line and
-    ``permutation_test`` turn it on.  A cap that is not a positive integer,
-    or a tolerance that is not a finite number above 0, raises ValueError.
+    current value since cycle k // 2.  Neither touches the orthant solves
+    and hops, which are at most n + 1 before any walk step and whose
+    certificate has its own fixed tolerance (see the module docstring).
+    ``certify`` turns the orthant search on for scalar lengths; left off,
+    a mean is the walk alone, and ``max_iterations`` counts exactly the
+    steps a capped walk takes.  The command line and ``permutation_test``
+    turn it on.  A cap that is not a positive integer, or a tolerance that
+    is not a finite number above 0, raises ValueError.
     """
 
     max_iterations: int | None = None
@@ -124,8 +136,11 @@ class MeanResult:
     ``stop_reason`` is "certified" when an orthant solve proved its point
     optimal (only with ``MeanConfig.certify``), "converged" when the walk's
     gap rule fired (or the mean is exact: one tree, two trees or one
-    topology), and "cap" when the step budget ran out.  ``iterations`` counts walk steps and ``evaluations``
-    the objective+gradient evaluations of the orthant solves.
+    topology), and "cap" when the step budget ran out.  ``iterations``
+    counts walk steps, 0 when the orthant search certifies before the
+    walk; ``hops`` the orthants the search hopped to, at most n; and
+    ``evaluations`` the objective+gradient evaluations of all the orthant
+    solves.
     """
 
     tree: AttributedTree
@@ -134,6 +149,7 @@ class MeanResult:
     iterations: int
     stop_reason: str
     evaluations: int = 0
+    hops: int = 0
 
 
 def _objective(tree, trees):
@@ -152,7 +168,7 @@ def _coordinate_mean(trees):
         m = vals.mean(axis=0)
         if np.any(m != 0.0):
             edges[s] = tuple(float(v) for v in m)
-    return AttributedTree(first.leaves, edges, _labels(trees, edges))
+    return AttributedTree._trusted(first.leaves, edges, _labels(trees, edges))
 
 
 def _walk(trees, start, max_iter, seed):
@@ -174,9 +190,11 @@ def _clamp(c):
     return c if c > 0.0 and c * c > 0.0 else 0.0
 
 
-def _orthant_solve(start, trees):
+def _orthant_solve(start, trees, descending=None):
     """Minimise F over the closed orthant of ``start``'s splits, then test
     the optimality certificate.  Returns (tree, F, certified, evaluations).
+    A dict passed as ``descending`` receives D(e) of every candidate e that
+    fails (ii).
     """
     n = len(trees)
     v = start._split_view
@@ -249,10 +267,13 @@ def _orthant_solve(start, trees):
         x, obj, grad, deriv, vx = trial, t_obj, t_grad, t_deriv, t_vx
 
     eps = math.sqrt(2.0 * _CERT_GAP * n * obj)
+    falling = {e: d for e, d in deriv.items() if d < -eps}
+    if descending is not None:
+        descending.update(falling)
     cands = list(deriv)
     certified = (
         math.hypot(*projected(x, grad)) <= eps
-        and all(d >= -eps for d in deriv.values())
+        and not falling
         and all(a & b not in (0, a, b)
                 for i, a in enumerate(cands) for b in cands[i + 1:]))
     edges = dict(zip(vx.splits, vx.attrs))
@@ -299,10 +320,29 @@ def _best_input(trees):
     return best, best_obj
 
 
+def _hop(start, x, trees, descending):
+    """The start of the solve after ``x``, the solution over ``start``'s
+    orthant: that orthant at x's lengths, less the splits that clash with
+    the candidate e of the most negative D(e), plus e at ``_HOP`` times its
+    mean length over the inputs that carry it."""
+    e = min(descending, key=descending.__getitem__)
+    carriers = [(v.splits[v.index[e]], v.attrs[v.index[e]][0])
+                for v in (t._split_view for t in trees) if e in v.index]
+    length = _HOP * math.fsum(y for _, y in carriers) / len(carriers)
+    v = start._split_view
+    edges = {s: x.edges.get(s, (0.0,)) for s, m in zip(v.splits, v.masks)
+             if m & e in (0, m, e)}
+    edges[carriers[0][0]] = (length,)
+    return AttributedTree._trusted(start.leaves, edges,
+                                   _labels((x,), edges))
+
+
 def _search(trees, cfg):
-    """Walk from the best input; with ``cfg.certify`` and scalar lengths,
-    run an orthant solve after cycles 2, 4, 8, ... and stop as soon as one
-    certifies."""
+    """With ``cfg.certify`` and scalar lengths, solve over the best input's
+    orthant and hop while the certificate fails on (ii), at most n times;
+    stop as soon as a solve certifies.  Otherwise, or when no hop
+    certifies, walk from the best input, with an orthant solve after
+    cycles 2, 4, 8, ... when the solves are on."""
     n = len(trees)
     max_iter = cfg.max_iterations if cfg.max_iterations is not None \
         else 1000 * n
@@ -310,11 +350,29 @@ def _search(trees, cfg):
     solve = cfg.certify and all(t.k in (None, 1) for t in trees)
     # start from the best input so the result never loses to an input tree
     start, best_obj = _best_input(trees)
-    best = trees[start]
+    origin = best = trees[start]
     trace = [best_obj]
     cycle_objs = [best_obj]  # objective at the iterate after each cycle
-    evaluations, next_solve = 0, 2
-    for step, current, obj in _walk(trees, best, max_iter, cfg.seed):
+    evaluations = hops = 0
+    if solve:
+        hop = origin
+        while True:
+            descending = {}
+            x, x_obj, certified, evals = _orthant_solve(hop, trees,
+                                                        descending)
+            evaluations += evals
+            if x_obj < best_obj:
+                best, best_obj = x, x_obj
+            trace.append(best_obj)
+            if certified:
+                return MeanResult(best, best_obj, trace, 0, "certified",
+                                  evaluations, hops)
+            if not descending or hops == n:
+                break
+            hops += 1
+            hop = _hop(hop, x, trees, descending)
+    next_solve = 2
+    for step, current, obj in _walk(trees, origin, max_iter, cfg.seed):
         if obj < best_obj:
             best, best_obj = current, obj
         if step % n:
@@ -331,21 +389,23 @@ def _search(trees, cfg):
             if certified:
                 trace.append(best_obj)
                 return MeanResult(best, best_obj, trace, step, "certified",
-                                  evaluations)
+                                  evaluations, hops)
         trace.append(best_obj)
         if k >= 4 and abs(cycle_objs[k // 2] - obj) <= cfg.tolerance * obj:
             return MeanResult(best, best_obj, trace, step, "converged",
-                              evaluations)
-    return MeanResult(best, best_obj, trace, max_iter, "cap", evaluations)
+                              evaluations, hops)
+    return MeanResult(best, best_obj, trace, max_iter, "cap", evaluations,
+                      hops)
 
 
 def frechet_mean_detailed(trees, cfg: MeanConfig | None = None) -> MeanResult:
     """Mean search with the objective trace attached.
 
-    ``trace`` holds the best objective seen at each full cycle through the
-    inputs (and at the cap), so it is non-increasing; the returned tree is
-    the best point seen, walk iterate or orthant solution, never a worse
-    late one.
+    ``trace`` starts with the best input's objective and holds the best
+    objective seen after each orthant solve of the search, then after each
+    full cycle of the walk (and at the cap), so it is non-increasing; the
+    returned tree is the best point seen, orthant solution or walk
+    iterate, never a worse late one.
     """
     trees = list(trees)
     if not trees:
@@ -381,9 +441,10 @@ def frechet_mean(trees, cfg: MeanConfig | None = None) -> AttributedTree:
 class PermutationTestReport:
     """``mean_stop_reasons`` counts how the group means of the observed
     split and of every replicate stopped (see ``MeanResult``), and
-    ``mean_iterations`` sums their steps; both stay empty and 0 when the
-    trees share one orthant and the means are plain averages.  ``to_json``
-    carries both, so a p-value that rests on capped means says so."""
+    ``mean_iterations`` and ``mean_hops`` sum their walk steps and hops;
+    they stay empty and 0 when the trees share one orthant and the means
+    are plain averages.  ``to_json`` carries all three, so a p-value that
+    rests on capped means says so."""
 
     statistic_kind: str
     observed: float
@@ -393,6 +454,7 @@ class PermutationTestReport:
     sizes: tuple[int, int]
     mean_stop_reasons: dict = field(default_factory=dict)
     mean_iterations: int = 0
+    mean_hops: int = 0
 
     @property
     def m(self) -> int:
@@ -413,6 +475,7 @@ class PermutationTestReport:
             },
             "mean_stop_reasons": dict(self.mean_stop_reasons),
             "mean_iterations": self.mean_iterations,
+            "mean_hops": self.mean_hops,
         }
         if include_permuted:
             out["permuted"] = list(self.permuted)
@@ -426,14 +489,15 @@ def _stacked_attributes(trees):
 
 
 def _group_stat_trees(g1, g2, kind, cfg):
-    """The statistic, and (stop_reason, iterations) of both group means."""
+    """The statistic, and (stop_reason, iterations, hops) of both group
+    means."""
     r1, r2 = frechet_mean_detailed(g1, cfg), frechet_mean_detailed(g2, cfg)
     if kind == "mean":
         value = geodesic_distance(r1.tree, r2.tree)
     else:   # each objective is the group's sum of squared distances
         value = abs(r1.objective / (len(g1) - 1)
                     - r2.objective / (len(g2) - 1))
-    return value, [(r.stop_reason, r.iterations) for r in (r1, r2)]
+    return value, [(r.stop_reason, r.iterations, r.hops) for r in (r1, r2)]
 
 
 def permutation_test(g1, g2, kind: str = "mean", m: int = 1000,
@@ -447,7 +511,8 @@ def permutation_test(g1, g2, kind: str = "mean", m: int = 1000,
     RNG stream derived from (seed, replicate) so replicates are independent
     of evaluation order.  Partitions are sampled independently, so repeats
     can occur.  When the trees span several orthants, the group means
-    are searched with ``certify`` on, and those of the observed split and
+    are searched with ``certify`` on, so they search orthants first and
+    walk only if no hop certifies, and those of the observed split and
     the replicates are spread over ``workers``
     processes (default, and at most: the CPUs this process may run on);
     the report does not depend on how many.
@@ -468,7 +533,7 @@ def permutation_test(g1, g2, kind: str = "mean", m: int = 1000,
         perm = np.random.default_rng([seed, rep]).permutation(n)
         parts.append((perm[:n1], perm[n1:]))
 
-    reasons, iterations = Counter(), 0
+    reasons, iterations, hops = Counter(), 0, 0
     if all(t.splits == pool[0].splits for t in pool):
         x = _stacked_attributes(pool)
 
@@ -492,15 +557,17 @@ def permutation_test(g1, g2, kind: str = "mean", m: int = 1000,
         values = []
         for value, means in fork_map(run, parts, workers):
             values.append(value)
-            for reason, steps in means:
+            for reason, steps, hopped in means:
                 reasons[reason] += 1
                 iterations += steps
+                hops += hopped
     observed = values[0]
     permuted = tuple(float(v) for v in values[1:])
     exceed = sum(1 for v in permuted if v >= observed)
     p = (1 + exceed) / (m + 1)
     return PermutationTestReport(kind, float(observed), permuted, p, seed,
-                                 (n1, n - n1), dict(reasons), iterations)
+                                 (n1, n - n1), dict(reasons), iterations,
+                                 hops)
 
 
 # ---------------------------------------------------------------------------

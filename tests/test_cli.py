@@ -965,27 +965,34 @@ def test_command_parser_parses_like_the_full_table(argv):
 
 
 def test_mean_manifest_reports_stop_reason(tmp_path):
-    pop = tmp_path / "pop.json"
-    assert run("gen", "trees", "-o", str(pop), "--n", "6",
-               "--topology-noise", "1.0", "--seed", "3") == 0
-    trees, _ = parse_population(pop.read_text())
-    assert len({t.splits for t in trees}) > 1
+    pop, vectors = tmp_path / "pop.json", tmp_path / "k3.json"
+    for path, k in ((pop, "1"), (vectors, "3")):
+        assert run("gen", "trees", "-o", str(path), "--n", "6", "--k", k,
+                   "--topology-noise", "1.0", "--seed", "3") == 0
+        trees, _ = parse_population(path.read_text())
+        assert len({t.splits for t in trees}) > 1
 
-    def diagnostics(*extra):
+    def diagnostics(path, *extra):
         out = tmp_path / "m.json"
-        assert run("mean", "--input", str(pop), "-o", str(out),
+        assert run("mean", "--input", str(path), "-o", str(out),
                    "--deterministic", *extra) == 0
         return json.loads((tmp_path / "m.manifest.json").read_text())[
             "diagnostics"]
 
-    full = diagnostics()
+    full = diagnostics(pop)
     assert full["stop_reason"] == "certified"
-    assert 0 < full["iterations"] < 6000
+    # the solve over the best input's orthant certifies: no hop, no walk
+    assert (full["iterations"], full["hops"],
+            full["orthant_evaluations"]) == (0, 0, 2)
     assert full["objective"] > 0.0
-    capped = diagnostics("--max-iterations", "5")
+    # the step cap bounds the walk, which this search never reaches
+    assert diagnostics(pop, "--max-iterations", "5") == full
+    # vector attributes walk alone, so there the cap stops the search
+    capped = diagnostics(vectors, "--max-iterations", "5")
     assert capped["stop_reason"] == "cap"
-    assert capped["iterations"] == 5
-    assert capped["objective"] >= full["objective"]
+    assert (capped["iterations"], capped["hops"],
+            capped["orthant_evaluations"]) == (5, 0, 0)
+    assert capped["objective"] > 0.0
 
 
 def test_mean_manifest_counts_orthant_evaluations(tmp_path):
@@ -1002,11 +1009,11 @@ def test_mean_manifest_counts_orthant_evaluations(tmp_path):
     diagnostics = json.loads(manifests[0])["diagnostics"]
     assert diagnostics["stop_reason"] == "certified"
     assert diagnostics["orthant_evaluations"] >= 1
-    # capped before the first solve, after cycle 2
+    # a cap below two cycles bounds the walk, not the orthant search
     assert run("mean", "--input", str(pop), "-o", str(out),
                "--max-iterations", "17", "--deterministic") == 0
     capped = json.loads((tmp_path / "m.manifest.json").read_text())
-    assert capped["diagnostics"]["orthant_evaluations"] == 0
+    assert capped["diagnostics"] == diagnostics
 
 
 def test_permtest_multi_orthant_counts_certified_means(tmp_path):
@@ -1224,8 +1231,8 @@ def test_classify_output_is_pinned(tmp_path):
                    "-o", str(cv)) == 0
         digests[mode] = hashlib.sha256(cv.read_bytes()).hexdigest()
     assert digests == {
-        "pooled": "31259882207574d0e9c9f1018acc7404"
-                  "6e8f0e0ab36ae00500ff2a54997044c7",
+        "pooled": "6e875f0c524087a9a10d1af24247afb9"
+                  "1b6395ae452d0cabcc21a333b648d9ee",
         "per-class": "f9d150005d47ab0b2e521270e07f4882"
                      "3f11d0ec0454d63add24fd0f5af7c4eb",
     }
@@ -1248,8 +1255,8 @@ _COHORT_PINS = {
     "classify-pooled": (
         ["classify", "--input", "{pop}", "--mode", "pooled", "--alphas",
          "1.0", "--folds", "3", "--repeats", "1"], "cv.json",
-        {"": "877243a12342b83647007bad5b6cce70"
-             "134caad2fbb80c4e1d56ec5806e34c72"}),
+        {"": "8ab1bf978be17a75399eab42f8bf77ee"
+             "803f09135e3b0d6d0802b7ee5826f5fc"}),
     "classify-per-class": (
         ["classify", "--input", "{pop}", "--mode", "per-class", "--alphas",
          "1.0", "--folds", "3", "--repeats", "1"], "cv.json",
@@ -1257,17 +1264,17 @@ _COHORT_PINS = {
              "2608fe6dda29200b863e675447d0b6c6"}),
     "correlate": (
         ["correlate", "--input", "{pop}"], "corr",
-        {"correlation.csv": "4259fe784950b40f57ba1f57571ecba8"
-                            "671087a28636f5bea04a6f90a3d2554f",
-         "deviations.csv": "b7bf7cb0af217b5bfa2ea2e71aab087f"
-                           "f680b9cc55793fdceec48c8f4cbdbeea",
+        {"correlation.csv": "3116628d924547748d80fcb3bdfb398e"
+                            "913279c2e60a30c9c23344267334cf67",
+         "deviations.csv": "366e676268d372f914b34b3512d75ba6"
+                           "0f2240749a45e5cb140db6ad9761e342",
          "pairs.svg": "9b2132555c74fc05adbffd638e1fc04e"
                       "f71d24252e4f08ed9ea034b9d5d2bde7"}),
     "permtest": (
         ["permtest", "--groups", "{pop}", "--statistic", "mean", "--M",
          "30", "--threads", "1"], "perm.json",
-        {"": "636c4562736c86c411a283e9ae1f6a81"
-             "4291e9d396a2e75d333753c7a34d2a12"}),
+        {"": "4a9710cc9baa1cc42eb943ab9e3838d6"
+             "ad611353584fcc713f851e1b8427c223"}),
 }
 
 
@@ -1295,8 +1302,15 @@ def test_subtree_mean_diagnostics_in_manifests(cohort17, tmp_path, argv,
         "diagnostics"]
     assert diagnostics == {
         "mean_stop_reasons": dict(Counter(r.stop_reason for r in results)),
-        "mean_iterations": sum(r.iterations for r in results)}
-    assert diagnostics["mean_iterations"] > 0
+        "mean_iterations": sum(r.iterations for r in results),
+        "mean_hops": sum(r.hops for r in results)}
+    # the multi-topology means certify without a walk step, two
+    # evaluations a solve; the others are plain averages
+    assert set(diagnostics["mean_stop_reasons"]) == {"certified",
+                                                     "converged"}
+    assert diagnostics["mean_iterations"] == 0
+    assert all(r.evaluations == 2 * (r.hops + 1) for r in results
+               if r.stop_reason == "certified")
 
 
 @pytest.mark.parametrize("name", sorted(_COHORT_PINS))

@@ -300,11 +300,13 @@ def test_cli_permtest_identical_across_threads_and_counts_means(tmp_path):
     assert runs["1"] == runs["2"] == runs[None]
     diagnostics = runs["1"][1]
     # two group means for the observed split and for each replicate
-    assert sum(diagnostics["mean_stop_reasons"].values()) == 2 * (8 + 1)
-    assert diagnostics["mean_iterations"] > 0
+    # every one certifies by orthant solves and hops, without a walk step
+    assert diagnostics["mean_stop_reasons"] == {"certified": 2 * (8 + 1)}
+    assert diagnostics["mean_iterations"] == 0
+    assert diagnostics["mean_hops"] > 0
     # perm.json itself says what its p-value rests on
-    assert report["mean_stop_reasons"] == diagnostics["mean_stop_reasons"]
-    assert report["mean_iterations"] == diagnostics["mean_iterations"]
+    for key in ("mean_stop_reasons", "mean_iterations", "mean_hops"):
+        assert report[key] == diagnostics[key]
 
 
 def test_permtest_single_orthant_counts_no_means(tmp_path):
@@ -315,7 +317,8 @@ def test_permtest_single_orthant_counts_no_means(tmp_path):
     assert run("permtest", "--groups", pop, "-o", out, "--M", "20") == 0
     diagnostics = json.loads(out.with_suffix(".manifest.json")
                              .read_text())["diagnostics"]
-    assert diagnostics == {"mean_stop_reasons": {}, "mean_iterations": 0}
+    assert diagnostics == {"mean_stop_reasons": {}, "mean_iterations": 0,
+                           "mean_hops": 0}
     report = json.loads(out.read_text())
     assert report["mean_stop_reasons"] == {}
     assert report["mean_iterations"] == 0

@@ -105,12 +105,18 @@ _PINNED_MEANS = {
     14: ("d854edffc503d3ee8d0045c9586975b455f4ff132a87cc621fc86bdfe7cba4d7",
          "converged", 272),
 }
-# the same populations' means with certify on: the orthant solve after
-# cycle 2 certifies
+# the same populations' means with certify on, with their hops and orthant
+# evaluations: the solve over the best input's orthant certifies (4, 14),
+# or the one after a hop (11), and no walk step is taken.  The digests of
+# 4 and 14 are those the solve after two walk cycles gave; 11's mean
+# differs from that one in one length, by 9 ulps
 _PINNED_CERTIFIED = {
-    4: "be4afb2baf659360fedbe55891ade2fadbfa6096b953298d20140c839eb5332c",
-    11: "a19f913bd4dd267869ae6988c9f11d8b7e5bf83d813c428b0410c7ce53b3dec0",
-    14: "5a33c27a4c8c43a33c6f87753bcede6465181ec550f6ef5b3bb25601d0900df2",
+    4: ("be4afb2baf659360fedbe55891ade2fadbfa6096b953298d20140c839eb5332c",
+        0, 2),
+    11: ("2807a30f1a49eb6962a35e726d53420faa8740aa77241b3c8c8b93c0cbf78f2d",
+         1, 4),
+    14: ("5a33c27a4c8c43a33c6f87753bcede6465181ec550f6ef5b3bb25601d0900df2",
+         0, 2),
 }
 
 
@@ -128,8 +134,10 @@ def test_mean_bytes_pinned(seed):
         _PINNED_MEANS[seed]
     res = frechet_mean_detailed(trees, MeanConfig(max_iterations=400,
                                                   certify=True))
-    assert (_digest(res.tree), res.stop_reason, res.iterations) == \
-        (_PINNED_CERTIFIED[seed], "certified", 2 * 17)
+    assert res.stop_reason == "certified"
+    assert (_digest(res.tree), res.hops, res.evaluations) == \
+        _PINNED_CERTIFIED[seed]
+    assert res.iterations == 0
 
 
 def _matrix_start(trees):
@@ -302,6 +310,110 @@ def test_certificate_declines_two_compatible_candidates():
     both = AttributedTree(tuple("abcd"),
                           {**pendants, S("ab"): (h,), S("cd"): (h,)})
     assert objective(both) < obj
+
+
+def _walk_first(trees, cfg):
+    """(objective, stop) of the search as it ran before orthants came
+    first: walk from the best input with an orthant solve after cycles 2,
+    4, 8, ..., keeping the best point seen."""
+    n = len(trees)
+    start, best = _best_input(trees)
+    cycles, solve_at = [best], 2
+    for step, current, obj in stats_module._walk(
+            trees, trees[start], cfg.max_iterations or 1000 * n, cfg.seed):
+        best = min(best, obj)
+        if step % n:
+            break
+        k = step // n
+        cycles.append(obj)
+        if k == solve_at:
+            solve_at *= 2
+            _, x_obj, certified, _ = _orthant_solve(current, trees)
+            best = min(best, x_obj)
+            if certified:
+                return best, "certified"
+        if k >= 4 and abs(cycles[k // 2] - obj) <= cfg.tolerance * obj:
+            return best, "converged"
+    return best, "cap"
+
+
+def _hopping_populations():
+    """The cohort on seeds 1-5, and group means of a noisier population:
+    its two classes and four random halvings."""
+    for seed in range(1, 6):
+        yield gen_tree_population(airway_template(), 17, topology_noise=0.5,
+                                  class_shift={"LMB": 0.3}, seed=seed).trees
+    pop = gen_tree_population(airway_template(), 40, attr_sigma=0.2,
+                              topology_noise=1.0, seed=3)
+    for cls in ("control", "case"):
+        yield [t for t, c in zip(pop.trees, pop.classes) if c == cls]
+    for rep in range(4):
+        half = np.random.default_rng([3, rep]).permutation(40)[:20]
+        yield [pop.trees[i] for i in half]
+
+
+def test_orthant_search_certifies_the_walk_routes_mean():
+    hops = []
+    for trees in _hopping_populations():
+        assert len({t.splits for t in trees}) > 1
+        cfg = MeanConfig(certify=True)
+        res = frechet_mean_detailed(trees, cfg)
+        assert (res.stop_reason, res.iterations) == ("certified", 0)
+        # one trace entry for the best input and one per solve
+        assert len(res.trace) == res.hops + 2
+        assert res.evaluations >= res.hops + 1
+        walk, stop = _walk_first(trees, cfg)
+        assert stop == "certified"
+        assert abs(res.objective - walk) <= 1e-14 * walk
+        hops.append(res.hops)
+    # first solves that certify, and solves that certify after a hop
+    assert 0 in hops and max(hops) >= 1
+
+
+def test_sticky_means_fall_back_to_the_walk_and_lose_nothing():
+    # random resolved trees have a star-like mean whose candidates are
+    # compatible: no solve certifies, no candidate descends to hop to
+    cfg = MeanConfig(max_iterations=500, certify=True)
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        trees = [random_tree(rng, leaf_names(6), p_keep=1.0)
+                 for _ in range(10)]
+        res = frechet_mean_detailed(trees, cfg)
+        walk, stop = _walk_first(trees, cfg)
+        assert res.stop_reason == stop != "certified"
+        assert res.iterations > 0
+        assert res.hops <= len(trees)
+        assert res.objective <= walk
+        assert all(b <= a for a, b in zip(res.trace, res.trace[1:]))
+
+
+def test_exhausted_hops_hand_over_to_the_walk():
+    # trees that miss pendants: each hop adds one missing pendant or the
+    # root split while others still descend, so the 3 hops run out, and
+    # the walk's solve after cycle 2 certifies
+    rng = np.random.default_rng(0)
+    trees = [random_tree(rng, leaf_names(7), p_keep=0.9) for _ in range(3)]
+    cfg = MeanConfig(certify=True)
+    res = frechet_mean_detailed(trees, cfg)
+    assert (res.stop_reason, res.hops, res.iterations) == ("certified", 3, 6)
+    # the best input, four solves and two cycles
+    assert len(res.trace) == 7
+    assert all(b <= a for a, b in zip(res.trace, res.trace[1:]))
+    walk, stop = _walk_first(trees, cfg)
+    assert stop == "certified"
+    assert abs(res.objective - walk) <= 1e-14 * walk
+
+
+def test_permutation_test_with_hops_does_not_depend_on_workers():
+    pop = gen_tree_population(airway_template(), 12, topology_noise=0.5,
+                              class_shift={"LMB": 0.3}, seed=2)
+    groups = [[t for t, c in zip(pop.trees, pop.classes) if c == cls]
+              for cls in ("control", "case")]
+    reports = [permutation_test(*groups, m=8, seed=1, workers=w)
+               for w in (1, 2)]
+    assert reports[0] == reports[1]
+    assert reports[0].mean_stop_reasons == {"certified": 2 * 9}
+    assert reports[0].mean_iterations == 0 < reports[0].mean_hops
 
 
 def test_orthant_solves_that_overshoot_back_off_and_certify():
